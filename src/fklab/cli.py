@@ -265,7 +265,7 @@ def cmd_ball_reference(cfg: RunConfig) -> int:
                  abs(beta_quad - math.pi / 3.0), 1e-10))
 
     print(f"unit-disk reference at rings={cfg.rings} "
-          f"(h = {stats.h:.4f}, cg iterations = {stats.iterations})")
+          f"(h = {stats.h:.4f}, torsion residual = {stats.residual:.1e})")
     ok = True
     for name, exact, got, err, tol in rows:
         if math.isnan(err):

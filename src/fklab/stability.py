@@ -27,7 +27,7 @@ import numpy as np
 
 from . import asymmetry, fem
 from .circle import BoundaryProfile, h_half_norm_sq
-from .domain import (StarDomain, ellipse, recenter_rescale, volume,
+from .domain import (StarDomain, ellipse, recenter_rescale, unit_disk, volume,
                      volume_corrected, volume_corrected_profile)
 
 DIM = 2
@@ -39,14 +39,17 @@ RATIO_ASYMMETRY_FLOOR = 1e-3
 ORDER_BAND = (1.6, 2.4)
 
 
-# -- matched disk references (cached per process) ----------------------
+# -- per-level functionals ------------------------------------------------
 
 
-class _DiskData:
-    def __init__(self, rings: int):
-        self.mesh = fem.disk_mesh(rings)
+class Level:
+    """Torsion energy, eigenvalue and L^q constants of one domain at one
+    ring count, computed lazily from one mesh and its one factorization."""
+
+    def __init__(self, d: StarDomain, rings: int):
+        self.volume = volume(d)
+        self.mesh = fem.polar_mesh(d, rings)
         self._energy: float | None = None
-        self._eigen: float | None = None
         self._lq: dict[float, float] = {}
 
     def energy(self) -> float:
@@ -56,25 +59,25 @@ class _DiskData:
         return self._energy
 
     def eigenvalue(self) -> float:
-        if self._eigen is None:
-            self._eigen, _ = fem.principal_eigenvalue(self.mesh)
-        return self._eigen
+        return self.lambda_q(2.0)
 
     def lambda_q(self, q: float) -> float:
         q = float(q)
-        if q == 2.0:
-            return self.eigenvalue()
         if q not in self._lq:
-            self._lq[q] = fem.poincare_sobolev(self.mesh, q)
+            if q == 2.0:
+                self._lq[q], _ = fem.principal_eigenvalue(self.mesh)
+            else:
+                self._lq[q] = fem.poincare_sobolev(self.mesh, q)
         return self._lq[q]
 
 
-_DISK: dict[int, _DiskData] = {}
+_DISK: dict[int, Level] = {}
 
 
-def disk_data(rings: int) -> _DiskData:
+def disk_data(rings: int) -> Level:
+    """The matched unit-disk level, cached per process."""
     if rings not in _DISK:
-        _DISK[rings] = _DiskData(rings)
+        _DISK[rings] = Level(unit_disk(), rings)
     return _DISK[rings]
 
 
@@ -88,12 +91,28 @@ def prepare_disk_references(levels, q_list=()) -> None:
             data.lambda_q(q)
 
 
+def _per_level(d: StarDomain, levels, term, *args) -> list:
+    """``term(domain level, disk level, *args)`` at each ring count.
+
+    Each domain level is dropped before the next one is built, so at most
+    one domain factorization is alive at a time.
+    """
+    return [term(Level(d, r), disk_data(r), *args) for r in levels]
+
+
 # -- extrapolation helpers ----------------------------------------------
 
 
 def richardson(coarse: float, fine: float, order: float = 2.0) -> float:
     f = 2.0 ** order
     return (f * fine - coarse) / (f - 1.0)
+
+
+def _extrapolate(coarse, fine):
+    """Richardson extrapolation of a per-level term, elementwise on pairs."""
+    if isinstance(coarse, tuple):
+        return tuple(map(richardson, coarse, fine))
+    return richardson(coarse, fine)
 
 
 def observed_order(v_coarse: float, v_mid: float, v_fine: float) -> float:
@@ -104,62 +123,11 @@ def observed_order(v_coarse: float, v_mid: float, v_fine: float) -> float:
     return math.log2(num / den)
 
 
-def _domain_energy(d: StarDomain, rings: int) -> float:
-    u, _ = fem.solve_torsion(fem.polar_mesh(d, rings))
-    return fem.energy_of(u)
-
-
-def _domain_lambda_q(d: StarDomain, q: float, rings: int) -> float:
-    mesh = fem.polar_mesh(d, rings)
-    if q == 2.0:
-        lam, _ = fem.principal_eigenvalue(mesh)
-        return lam
-    return fem.poincare_sobolev(mesh, q)
-
-
-# -- deficits -------------------------------------------------------------
-
-
-def energy_gap(d: StarDomain, rings: int = DEFAULT_RINGS,
-               rings_fine: int = DEFAULT_RINGS_FINE) -> float:
-    """Extrapolated E(Omega) - E(B_1) on matched meshes (volumes must be pi)."""
-    gaps = [_domain_energy(d, r) - disk_data(r).energy()
-            for r in (rings, rings_fine)]
-    return richardson(gaps[0], gaps[1])
-
-
-def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
-                   rings_fine: int = DEFAULT_RINGS_FINE,
-                   with_order: bool = False):
-    """Scale-invariant energy deficit D, Richardson-extrapolated.
-
-    With ``with_order`` also returns the convergence order observed on
-    a coarser third level (a preasymptotic-mesh diagnostic).
-    """
-    vol = volume(d)
-    levels = [rings // 2, rings, rings_fine] if with_order else [rings, rings_fine]
-    vals = [_domain_energy(d, r) * vol ** (-SCALE_EXP)
-            - disk_data(r).energy() * math.pi ** (-SCALE_EXP)
-            for r in levels]
-    out = richardson(vals[-2], vals[-1])
-    if with_order:
-        return out, observed_order(*vals)
-    return out
+# -- per-level deficit terms (domain level, disk level) -------------------
 
 
 def fk_exponent(q: float) -> float:
     return 2.0 / DIM + 2.0 / q - 1.0
-
-
-def fk_deficit(d: StarDomain, q: float, rings: int = DEFAULT_RINGS,
-               rings_fine: int = DEFAULT_RINGS_FINE) -> float:
-    """Scale-invariant Faber-Krahn deficit for the L^q embedding constant."""
-    vol = volume(d)
-    e = fk_exponent(q)
-    vals = [vol ** e * _domain_lambda_q(d, q, r)
-            - math.pi ** e * disk_data(r).lambda_q(q)
-            for r in (rings, rings_fine)]
-    return richardson(vals[0], vals[1])
 
 
 def kj_exponent(q: float, dim: int = DIM) -> float:
@@ -170,18 +138,69 @@ def kj_exponent(q: float, dim: int = DIM) -> float:
     return (1.0 / q - (dim - 2.0) / (2.0 * dim)) * 2.0 * dim / (dim + 2.0)
 
 
+def _gap_term(dom: Level, ref: Level) -> float:
+    return dom.energy() - ref.energy()
+
+
+def _energy_term(dom: Level, ref: Level) -> float:
+    return (dom.energy() * dom.volume ** (-SCALE_EXP)
+            - ref.energy() * math.pi ** (-SCALE_EXP))
+
+
+def _fk_term(dom: Level, ref: Level, q: float) -> float:
+    e = fk_exponent(q)
+    return dom.volume ** e * dom.lambda_q(q) - math.pi ** e * ref.lambda_q(q)
+
+
+def _kj_term(dom: Level, ref: Level, q: float) -> float:
+    th = kj_exponent(q)
+    return (dom.lambda_q(q) * (-dom.energy()) ** th
+            - ref.lambda_q(q) * (-ref.energy()) ** th)
+
+
+def _ratio_terms(dom: Level, ref: Level, q: float) -> tuple[float, float]:
+    th = kj_exponent(q)
+    return (dom.lambda_q(q) / ref.lambda_q(q) - 1.0,
+            (ref.energy() / dom.energy()) ** th - 1.0)
+
+
+# -- deficits -------------------------------------------------------------
+
+
+def energy_gap(d: StarDomain, rings: int = DEFAULT_RINGS,
+               rings_fine: int = DEFAULT_RINGS_FINE) -> float:
+    """Extrapolated E(Omega) - E(B_1) on matched meshes (volumes must be pi)."""
+    return richardson(*_per_level(d, (rings, rings_fine), _gap_term))
+
+
+def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
+                   rings_fine: int = DEFAULT_RINGS_FINE,
+                   with_order: bool = False):
+    """Scale-invariant energy deficit D, Richardson-extrapolated.
+
+    With ``with_order`` also returns the convergence order observed on
+    a coarser third level (a preasymptotic-mesh diagnostic).
+    """
+    levels = [rings // 2, rings, rings_fine] if with_order else [rings, rings_fine]
+    vals = _per_level(d, levels, _energy_term)
+    out = richardson(vals[-2], vals[-1])
+    if with_order:
+        return out, observed_order(*vals)
+    return out
+
+
+def fk_deficit(d: StarDomain, q: float, rings: int = DEFAULT_RINGS,
+               rings_fine: int = DEFAULT_RINGS_FINE) -> float:
+    """Scale-invariant Faber-Krahn deficit for the L^q embedding constant."""
+    return richardson(*_per_level(d, (rings, rings_fine), _fk_term, q))
+
+
 def kj_slack(d: StarDomain, q: float, rings: int = DEFAULT_RINGS,
              rings_fine: int = DEFAULT_RINGS_FINE) -> float:
     """lambda_q (-E)^theta, domain minus disk (nonnegative, zero on disks)."""
     if q <= 1.0:
         raise ValueError("the Kohler-Jobin comparison requires q > 1")
-    th = kj_exponent(q)
-    vals = []
-    for r in (rings, rings_fine):
-        ref = disk_data(r)
-        vals.append(_domain_lambda_q(d, q, r) * (-_domain_energy(d, r)) ** th
-                    - ref.lambda_q(q) * (-ref.energy()) ** th)
-    return richardson(vals[0], vals[1])
+    return richardson(*_per_level(d, (rings, rings_fine), _kj_term, q))
 
 
 def cappio_check(d: StarDomain, q: float, rings: int = DEFAULT_RINGS,
@@ -193,13 +212,7 @@ def cappio_check(d: StarDomain, q: float, rings: int = DEFAULT_RINGS,
     """
     if q <= 1.0:
         raise ValueError("the ratio comparison requires q > 1")
-    th = kj_exponent(q)
-    lhs_vals, rhs_vals = [], []
-    for r in (rings, rings_fine):
-        ref = disk_data(r)
-        lhs_vals.append(_domain_lambda_q(d, q, r) / ref.lambda_q(q) - 1.0)
-        rhs_vals.append((ref.energy() / _domain_energy(d, r)) ** th - 1.0)
-    return richardson(lhs_vals[0], lhs_vals[1]), richardson(rhs_vals[0], rhs_vals[1])
+    return _extrapolate(*_per_level(d, (rings, rings_fine), _ratio_terms, q))
 
 
 # -- expansions at the disk ----------------------------------------------
@@ -363,47 +376,35 @@ def build_family(spec: SweepSpec) -> list[tuple[str, str, float, StarDomain]]:
     return members
 
 
+def _row_terms(dom: Level, ref: Level, q_list) -> dict:
+    """Every extrapolated value of a sweep row, at one level."""
+    t = {"energy": dom.energy(), "eigenvalue": dom.eigenvalue(),
+         "deficit_energy": _energy_term(dom, ref)}
+    for q in q_list:
+        t["lambda_q", q] = dom.lambda_q(q)
+        t["deficit_fk", q] = _fk_term(dom, ref, q)
+        if q > 1.0:
+            t["kj_slack", q] = _kj_term(dom, ref, q)
+            t["cappio", q] = _ratio_terms(dom, ref, q)
+    return t
+
+
 def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
                     q_list=(1.5, 2.0, 3.0), rings: int = DEFAULT_RINGS,
                     rings_fine: int = DEFAULT_RINGS_FINE) -> DeficitReport:
-    vol = volume(d)
-    levels = (rings // 2, rings, rings_fine)
-
-    e_levels = [_domain_energy(d, r) for r in levels]
-    e_extrap = richardson(e_levels[1], e_levels[2])
-    d_levels = [e_levels[i] * vol ** (-SCALE_EXP)
-                - disk_data(levels[i]).energy() * math.pi ** (-SCALE_EXP)
-                for i in range(3)]
-    deficit_e = richardson(d_levels[1], d_levels[2])
-    order = observed_order(*d_levels)
+    q_list = [float(q) for q in q_list]
+    # the extra coarse level only feeds the observed order of the energy deficit
+    [d_order] = _per_level(d, (rings // 2,), _energy_term)
+    lo, hi = _per_level(d, (rings, rings_fine), _row_terms, q_list)
+    x = {k: _extrapolate(lo[k], hi[k]) for k in lo}
+    deficit_e = x["deficit_energy"]
+    order = observed_order(d_order, lo["deficit_energy"], hi["deficit_energy"])
     flagged = not (ORDER_BAND[0] <= order <= ORDER_BAND[1]) if math.isfinite(order) else True
 
-    lam_levels = [_domain_lambda_q(d, 2.0, r) for r in (rings, rings_fine)]
-    lam_extrap = richardson(lam_levels[0], lam_levels[1])
+    def by_q(name):
+        return {q: x[name, q] for q in q_list if (name, q) in x}
 
-    lambda_q, deficit_fk, slack, cappio = {}, {}, {}, {}
-    for q in q_list:
-        q = float(q)
-        lq = [_domain_lambda_q(d, q, r) if q != 2.0 else lam_levels[i]
-              for i, r in enumerate((rings, rings_fine))]
-        lambda_q[q] = richardson(lq[0], lq[1])
-        e = fk_exponent(q)
-        fk = [vol ** e * lq[i] - math.pi ** e * disk_data(r).lambda_q(q)
-              for i, r in enumerate((rings, rings_fine))]
-        deficit_fk[q] = richardson(fk[0], fk[1])
-        if q > 1.0:
-            th = kj_exponent(q)
-            kj, lhs_v, rhs_v = [], [], []
-            for i, r in enumerate((rings, rings_fine)):
-                ref = disk_data(r)
-                e_dom = e_levels[1 + i]
-                kj.append(lq[i] * (-e_dom) ** th - ref.lambda_q(q) * (-ref.energy()) ** th)
-                lhs_v.append(lq[i] / ref.lambda_q(q) - 1.0)
-                rhs_v.append((ref.energy() / e_dom) ** th - 1.0)
-            slack[q] = richardson(kj[0], kj[1])
-            cappio[q] = (richardson(lhs_v[0], lhs_v[1]),
-                         richardson(rhs_v[0], rhs_v[1]))
-
+    deficit_fk = by_q("deficit_fk")
     frk, _center = asymmetry.fraenkel(d, rings)
     alpha_val = asymmetry.alpha(d)
     outside, missing = asymmetry.ball_overlaps(d, rings)
@@ -414,14 +415,25 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
                  if frk >= RATIO_ASYMMETRY_FLOOR and 2.0 in deficit_fk else math.nan)
 
     return DeficitReport(
-        domain_id=domain_id, family=family, param=param, volume=vol,
-        energy=e_extrap, eigenvalue=lam_extrap, lambda_q=lambda_q,
+        domain_id=domain_id, family=family, param=param, volume=volume(d),
+        energy=x["energy"], eigenvalue=x["eigenvalue"], lambda_q=by_q("lambda_q"),
         fraenkel=frk, alpha=alpha_val, alpha_annular_bound=bound,
-        deficit_energy=deficit_e, deficit_fk=deficit_fk, kj_slack=slack,
-        cappio=cappio, ratio_energy_asym_sq=ratio_e,
+        deficit_energy=deficit_e, deficit_fk=deficit_fk, kj_slack=by_q("kj_slack"),
+        cappio=by_q("cappio"), ratio_energy_asym_sq=ratio_e,
         ratio_fk2_asym_sq=ratio_fk2, mesh_rings=rings_fine,
         extrap_order=order, order_flagged=flagged,
     )
+
+
+def _collect(jobs, results) -> list[DeficitReport]:
+    """Drain ``results`` in job order, naming the member whose solve failed."""
+    reports = []
+    for job in jobs:
+        try:
+            reports.append(next(results))
+        except fem.SolverError as exc:
+            raise fem.SolverError(f"sweep member {job[0]} failed: {exc}") from exc
+    return reports
 
 
 def _worker(args) -> DeficitReport:
@@ -431,7 +443,8 @@ def _worker(args) -> DeficitReport:
 def sigma_scan(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate the whole family, in input order, optionally in parallel.
 
-    Any member whose solves fail aborts the scan with that member's id.
+    Any member whose solves fail aborts the scan with that member's id;
+    other errors propagate unchanged, at any worker count.
     """
     members = build_family(spec)
     levels = (spec.rings // 2, spec.rings, spec.rings_fine)
@@ -440,21 +453,11 @@ def sigma_scan(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             for (mid, fam, par, dom) in members]
     if workers is None:
         workers = os.cpu_count() or 1
-    reports: list[DeficitReport] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_worker, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    reports.append(fut.result())
-                except Exception as exc:
-                    raise fem.SolverError(f"sweep member {job[0]} failed: {exc}") from exc
+            reports = _collect(jobs, pool.map(_worker, jobs))
     else:
-        for job in jobs:
-            try:
-                reports.append(_worker(job))
-            except fem.SolverError as exc:
-                raise fem.SolverError(f"sweep member {job[0]} failed: {exc}") from exc
+        reports = _collect(jobs, map(_worker, jobs))
 
     ell = [r for r in reports if r.family == "ellipse"]
     slope, slope_res = math.nan, math.nan

@@ -237,12 +237,15 @@ class TestTailSup:
             fem.tail_sup(u, 0.5)
 
 
-class TestCG:
-    def test_nonconvergence_raises(self, disk64):
-        idx = np.flatnonzero(disk64.interior_mask)
-        a = disk64.stiffness[np.ix_(idx, idx)]
+class TestDirectTorsion:
+    def test_residual_above_tolerance_raises(self, disk64):
         with pytest.raises(fem.SolverError):
-            fem._cg_solve(a, disk64.load[idx], tol=1e-10, maxiter=3)
+            fem.solve_torsion(disk64, tol=1e-30)
+
+    def test_default_solve_meets_tolerance(self, disk64):
+        _, stats = fem.solve_torsion(disk64)
+        assert stats.iterations == 1
+        assert stats.residual <= fem.DEFAULT_CG_TOL
 
 
 class TestMeshDump:

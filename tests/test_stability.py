@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from fklab import fem
 from fklab import stability as st
 from fklab.circle import BoundaryProfile, h_half_norm_sq
 from fklab.domain import (StarDomain, ellipse, unit_disk, volume,
@@ -97,7 +99,7 @@ class TestFKDeficit:
         # from scale-normalized energies alone
         vals = []
         for r in (FAST["rings"], FAST["rings_fine"]):
-            e_dom = st._domain_energy(d, r) * volume(d) ** (-2.0)
+            e_dom = st.Level(d, r).energy() * volume(d) ** (-2.0)
             e_ref = st.disk_data(r).energy() * PI ** (-2.0)
             vals.append(-0.5 / e_dom + 0.5 / e_ref)
         route_b = st.richardson(vals[0], vals[1])
@@ -248,3 +250,51 @@ class TestSweep:
         quartic_slack = d_min / (a_min ** 4 / c8)
         quadratic_slack = d_min / (sigma * a_min ** 2)
         assert quartic_slack > 5.0 * quadratic_slack
+
+
+class TestSharedLevel:
+    def test_member_builds_one_mesh_and_one_factor_per_level(self, monkeypatch):
+        # three levels (order, coarse, fine) plus the two asymmetry meshes
+        st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
+        calls = {"mesh": 0, "splu": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fem, "polar_mesh", counted("mesh", fem.polar_mesh))
+        monkeypatch.setattr(fem.spla, "splu", counted("splu", fem.spla.splu))
+        st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
+                           rings_fine=16)
+        assert calls == {"mesh": 5, "splu": 3}
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched evaluate_member")
+class TestSweepFailure:
+    SPEC = st.SweepSpec(eps_values=(0.05,), random_count=2, seed=1,
+                        rings=8, rings_fine=16)
+
+    def failure(self, monkeypatch, exc, workers):
+        def fake(domain_id, *args):
+            if domain_id == "random-0":
+                raise exc
+        monkeypatch.setattr(st, "evaluate_member", fake)
+        with pytest.raises(Exception) as info:
+            st.sigma_scan(self.SPEC, workers=workers)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("exc", [ValueError("bad input"),
+                                     fem.SolverError("stagnated")],
+                             ids=["ValueError", "SolverError"])
+    def test_same_failure_at_any_worker_count(self, monkeypatch, exc):
+        serial = self.failure(monkeypatch, exc, 1)
+        parallel = self.failure(monkeypatch, exc, 2)
+        assert serial == parallel
+        assert serial[0] is type(exc)
+        if isinstance(exc, fem.SolverError):
+            assert serial[1] == "sweep member random-0 failed: stagnated"
+        else:
+            assert serial[1] == "bad input"
