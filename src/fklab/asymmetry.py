@@ -4,8 +4,12 @@ Two ways of measuring how far a volume-pi domain is from a unit disk:
 
 * the Fraenkel asymmetry, the infimum over unit-disk centers of the
   normalized symmetric-difference area, minimized here by derivative-
-  free simplex descent over centers with exact triangle/disk clipping
-  as the objective;
+  free simplex descent over centers.  The objective is the exact polar
+  overlap |Omega cap B_1(c)| = 1/2 int (min(r, rho_+)^2 - max(rho_-, 0)^2)_+
+  d theta, where [rho_-, rho_+] is the chord of B_1(c) on the ray theta
+  from the domain's center: an arc-by-arc integral between the
+  boundary/circle crossings with a closed form on every arc, so no mesh
+  enters;
 * the smoothed asymmetry alpha, a weighted symmetric-difference with
   the unit disk at the barycenter, evaluated spectrally from the radial
   profile about the barycenter (one closed-form integral, no
@@ -25,11 +29,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import fem
-from .circle import TWO_PI
+from .circle import TWO_PI, BoundaryProfile
 from .domain import StarDomain, barycenter, profile_relative_to, volume
 from .geometry import triangles_disk_area
 
 DEFAULT_RINGS = 64
+_MIN_GRID = 128        # smallest crossing-search grid of PolarOverlap
+_MAX_ROOT_STEPS = 60   # safeguarded Newton steps per crossing; as many
+_ROOT_TOL = 1e-14      # bisections would shrink a grid cell far below this
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -62,40 +69,146 @@ class AsymmetryReport:
     alpha: float
     barycenter: tuple[float, float]
     sym_diff_to_unit_ball_at_barycenter: float
-    mesh_rings: int
     center_tol: float
 
 
-def _mesh_for(d: StarDomain, rings: int) -> fem.TriMesh:
-    return fem.polar_mesh(d, rings)
-
-
 def sym_diff_fraction(mesh: fem.TriMesh, center) -> float:
-    """|Omega delta B_1(center)| / |B_1| on the given mesh of Omega."""
+    """|Omega delta B_1(center)| / |B_1| on the given mesh of Omega.
+
+    Mesh-level: the polygonal boundary of the mesh biases the value by
+    O(h^2); :class:`PolarOverlap` gives the exact value of the domain.
+    """
     tri = mesh.vertices[mesh.triangles]
     inter = triangles_disk_area(tri, center, 1.0)
     return (mesh.area() + math.pi - 2.0 * inter) / math.pi
 
 
-def fraenkel(d: StarDomain, rings: int = DEFAULT_RINGS,
-             center_tol: float = 1e-6) -> tuple[float, np.ndarray]:
+class PolarOverlap:
+    """Exact |Omega cap B_1(c)| for any center c, from the Fourier boundary.
+
+    About the domain's center o, the ray at angle theta meets B_1(c) in
+    [rho_-, rho_+] = a -+ sqrt(1 - |c - o|^2 + a^2), a = (c - o) . e_theta,
+    and the overlap is 1/2 int (min(r, rho_+)^2 - max(rho_-, 0)^2)_+ d theta.
+    The integrand has kinks where the boundary crosses the circle, i.e.
+    at the zeros of g = (r - rho_+)(r - rho_-) = r^2 - 2 a r + |c - o|^2 - 1,
+    a smooth trigonometric polynomial.  They are bracketed on a uniform
+    grid and refined by safeguarded Newton steps with the profile's exact
+    derivative.  Between kinks each piece has a closed form: where the
+    boundary is inside the disk, 1/2 r^2 integrates through the exact
+    antiderivative of its Fourier series; where the circle bounds the
+    overlap, the rho_+ and rho_- pieces sweep one circular arc, whose
+    area term is elementary.  Tangent rays of the circle (rho_- = rho_+)
+    are interior points of those arcs, so the circle is parametrized by
+    its own angle and no quadrature meets the square-root endpoint.
+    """
+
+    def __init__(self, d: StarDomain):
+        p = d.profile
+        self.origin = np.asarray(d.center, dtype=float)
+        self.volume = volume(d)
+        self._phi = p
+        self._dphi = p.derivative()
+        # the grid resolves every sign change of g (degree 2K) and carries
+        # the Fourier series of r^2 / 2 exactly (it needs more than 4K points)
+        n = max(_MIN_GRID, 8 * (2 * p.max_mode + 1))
+        self._theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        self._cos, self._sin = np.cos(self._theta), np.sin(self._theta)
+        self._phi_grid = p.values(self._theta)
+        coeffs = np.fft.rfft(0.5 * (1.0 + self._phi_grid) ** 2) / n
+        m = np.arange(1, 2 * p.max_mode + 1, dtype=float)
+        a_m, b_m = 2.0 * coeffs[1:len(m) + 1].real, -2.0 * coeffs[1:len(m) + 1].imag
+        self._mean = float(coeffs[0].real)
+        self._swept_series = BoundaryProfile(0.0, -b_m / m, a_m / m)
+
+    def _swept(self, theta):
+        """Antiderivative of r^2 / 2: the area swept by the ray up to theta."""
+        return self._mean * theta + self._swept_series.values(theta)
+
+    def _g(self, theta, v, s2):
+        """g and dg/dtheta at the given angles (g < 0: boundary inside the disk)."""
+        phi = self._phi.values(theta)
+        dphi = self._dphi.values(theta)
+        cos, sin = np.cos(theta), np.sin(theta)
+        a = v[0] * cos + v[1] * sin
+        da = v[1] * cos - v[0] * sin
+        g = phi * (2.0 + phi) - 2.0 * (1.0 + phi) * a + s2
+        dg = 2.0 * dphi * (1.0 + phi - a) - 2.0 * (1.0 + phi) * da
+        return g, dg
+
+    def _crossings(self, lo, g_lo, g_hi, v, s2):
+        """Zeros of g in the grid cells [lo, lo + h], one per cell."""
+        hi = lo + TWO_PI / len(self._theta)
+        neg_lo = g_lo <= 0.0
+        x = lo + (hi - lo) * g_lo / (g_lo - g_hi)  # regula falsi start
+        for _ in range(_MAX_ROOT_STEPS):
+            g, dg = self._g(x, v, s2)
+            left = (g <= 0.0) == neg_lo
+            lo = np.where(left, x, lo)
+            hi = np.where(left, hi, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = x - g / dg
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            step = float(np.max(np.abs(new - x)))
+            x = new
+            if step <= _ROOT_TOL:
+                break
+        return x
+
+    def area(self, center) -> float:
+        """|Omega cap B_1(center)|."""
+        v = np.asarray(center, dtype=float) - self.origin
+        s2 = float(v @ v)
+        phi = self._phi_grid
+        g = phi * (2.0 + phi) - 2.0 * (1.0 + phi) * (v[0] * self._cos + v[1] * self._sin) + s2
+        inside = g <= 0.0
+        cells = np.flatnonzero(inside != np.roll(inside, -1))
+        if len(cells) == 0:
+            boundary = self.volume if inside[0] else 0.0
+            circle = math.pi if self._in_domain(v, s2, np.zeros(1))[0] else 0.0
+            return boundary + circle
+
+        x = self._crossings(self._theta[cells], g[cells], g[(cells + 1) % len(g)], v, s2)
+        entering = ~inside[cells]  # g changes from > 0 to <= 0 in the cell
+        swept = self._swept(x)
+        swept_end = np.append(swept[1:], swept[0] + TWO_PI * self._mean)
+        boundary = float(np.sum((swept_end - swept)[entering]))
+
+        # circle arcs between the crossing points, kept where strictly inside
+        # Omega (the boundary pieces already hold a shared arc, if any)
+        r = 1.0 + self._phi.values(x)
+        psi = np.sort(np.arctan2(r * np.sin(x) - v[1], r * np.cos(x) - v[0]))
+        psi_end = np.append(psi[1:], psi[0] + TWO_PI)
+        keep = self._in_domain(v, s2, 0.5 * (psi + psi_end))
+        sweep = (psi_end - psi
+                 + v[0] * (np.sin(psi_end) - np.sin(psi))
+                 - v[1] * (np.cos(psi_end) - np.cos(psi)))
+        circle = 0.5 * float(np.sum(sweep[keep]))
+        return boundary + circle
+
+    def _in_domain(self, v, s2, psi) -> np.ndarray:
+        """Whether the circle points c + e_psi lie strictly inside Omega."""
+        cos, sin = np.cos(psi), np.sin(psi)
+        phi = self._phi.values(np.arctan2(v[1] + sin, v[0] + cos))
+        # |c + e_psi - o|^2 - r^2, without cancelling the leading 1
+        return 2.0 * (v[0] * cos + v[1] * sin) + s2 - phi * (2.0 + phi) < 0.0
+
+    def sym_diff_fraction(self, center) -> float:
+        """|Omega delta B_1(center)| / |B_1|."""
+        return (self.volume + math.pi - 2.0 * self.area(center)) / math.pi
+
+
+def fraenkel(d: StarDomain, center_tol: float = 1e-6) -> tuple[float, np.ndarray]:
     """Fraenkel asymmetry of a volume-pi domain and the optimal center.
 
     Nelder-Mead over centers, started at the barycenter plus four axial
-    multistarts of radius 0.25; the best of the five runs wins.
+    multistarts of radius 0.25; the best of the five runs wins.  The
+    objective is the exact polar symmetric difference.
     """
     vol = volume(d)
     if abs(vol - math.pi) > 1e-6 * math.pi:
         raise ValueError(f"Fraenkel asymmetry expects |Omega| = pi, got {vol!r}")
-    mesh = _mesh_for(d, rings)
+    objective = PolarOverlap(d).sym_diff_fraction
     bc = barycenter(d)
-
-    tri = mesh.vertices[mesh.triangles]
-    area = mesh.area()
-
-    def objective(x):
-        inter = triangles_disk_area(tri, x, 1.0)
-        return (area + math.pi - 2.0 * inter) / math.pi
 
     # coarse multistart pass, then one tight refinement from the best point
     starts = [bc,
@@ -130,14 +243,11 @@ def alpha(d: StarDomain) -> float:
     return beta_const(2) + float(np.mean(radial)) * TWO_PI
 
 
-def ball_overlaps(d: StarDomain, rings: int = DEFAULT_RINGS) -> tuple[float, float]:
-    """(|Omega \\ B_1(x_Omega)|, |B_1(x_Omega) \\ Omega|) by mesh clipping."""
-    mesh = _mesh_for(d, rings)
-    c = barycenter(d)
-    inter = triangles_disk_area(mesh.vertices[mesh.triangles], c, 1.0)
-    outside = max(mesh.area() - inter, 0.0)
-    missing = max(math.pi - inter, 0.0)
-    return outside, missing
+def ball_overlaps(d: StarDomain) -> tuple[float, float]:
+    """(|Omega \\ B_1(x_Omega)|, |B_1(x_Omega) \\ Omega|) from the exact overlap."""
+    overlap = PolarOverlap(d)
+    inter = overlap.area(barycenter(d))
+    return max(overlap.volume - inter, 0.0), max(math.pi - inter, 0.0)
 
 
 def annular_lower_bound(outside: float, missing: float, dim: int = 2) -> float:
@@ -157,18 +267,17 @@ def annular_lower_bound(outside: float, missing: float, dim: int = 2) -> float:
     return w * (shell(r1) + shell(r2))
 
 
-def asymmetry_report(d: StarDomain, rings: int = DEFAULT_RINGS) -> AsymmetryReport:
-    frk, center = fraenkel(d, rings)
+def asymmetry_report(d: StarDomain) -> AsymmetryReport:
+    center_tol = 1e-6
+    frk, center = fraenkel(d, center_tol)
     bc = barycenter(d)
-    mesh = _mesh_for(d, rings)
     return AsymmetryReport(
         fraenkel=frk,
         fraenkel_center=(float(center[0]), float(center[1])),
         alpha=alpha(d),
         barycenter=(float(bc[0]), float(bc[1])),
-        sym_diff_to_unit_ball_at_barycenter=sym_diff_fraction(mesh, bc),
-        mesh_rings=rings,
-        center_tol=1e-6,
+        sym_diff_to_unit_ball_at_barycenter=PolarOverlap(d).sym_diff_fraction(bc),
+        center_tol=center_tol,
     )
 
 
@@ -190,8 +299,7 @@ def f_eta(s: float, eta: float, dim: int = 2) -> float:
 
 def penalized_F(d: StarDomain, eta: float, rings: int = DEFAULT_RINGS) -> float:
     """Volume-penalized energy E(Omega) + f_eta(|Omega|)."""
-    mesh = _mesh_for(d, rings)
-    u, _ = fem.solve_torsion(mesh)
+    u, _ = fem.solve_torsion(fem.polar_mesh(d, rings))
     return fem.energy_of(u) + f_eta(volume(d), eta)
 
 

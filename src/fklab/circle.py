@@ -143,6 +143,11 @@ class BoundaryProfile:
 
     __rmul__ = __mul__
 
+    def derivative(self) -> "BoundaryProfile":
+        """The exact theta-derivative phi' (mode k maps to k (b_k, -a_k))."""
+        k = np.arange(1, self.max_mode + 1, dtype=float)
+        return BoundaryProfile(0.0, k * self.sin_coeffs, -k * self.cos_coeffs)
+
     def with_a0(self, a0: float) -> "BoundaryProfile":
         return BoundaryProfile(float(a0), self.cos_coeffs, self.sin_coeffs)
 

@@ -29,6 +29,10 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
 DISK_EIGENVALUE = float(scipy.special.jn_zeros(0, 1)[0] ** 2)  # 5.7831859629...
+# smallest accepted tol.cg: the direct torsion solve's relative residual
+# grows about 4x per ring doubling (8e-14, 3.3e-13, 1.3e-12, 5.4e-12 at
+# rings 32/64/128/256), so a tighter bound would fail every solve
+CG_TOL_FLOOR = 1e-10
 
 
 class UsageError(Exception):
@@ -59,6 +63,9 @@ class RunConfig:
                           ("tol.descent", self.descent_tol)):
             if not 0.0 < tol <= 1e-2:
                 raise UsageError(f"{name} must lie in (0, 1e-2]")
+        if self.cg_tol < CG_TOL_FLOOR:
+            raise UsageError(f"tol.cg must be >= {CG_TOL_FLOOR:g}, the residual floor "
+                             "of the direct torsion solve (about 1e-12 at rings 128)")
         if not (0.0 < self.eps_min < self.eps_max < 0.5):
             raise UsageError("sweep eps range must satisfy 0 < min < max < 0.5")
         if self.eps_count < 2:

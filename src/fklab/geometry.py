@@ -1,15 +1,15 @@
-"""Exact areas of triangle/disk intersections.
+"""Exact areas of triangle/disk intersections, for mesh-level quantities.
 
-Used for symmetric differences with balls (Fraenkel asymmetry) and for
-measures of mesh regions outside a ball (tail estimates).  Each triangle
-is decomposed edge by edge into circular sectors and chords, which gives
-the exact intersection area with a disk; the only approximation left in
-mesh-level quantities is the polygonal boundary of the mesh itself.
+Used where only a mesh is at hand: measures of mesh regions outside a
+ball (tail estimates) and the mesh symmetric difference with a ball
+(``asymmetry.sym_diff_fraction``).  Each triangle is decomposed edge by
+edge into circular sectors and chords, which gives the exact
+intersection area with a disk; the only approximation left is the
+polygonal boundary of the mesh itself.  Domain-level asymmetries use the
+exact polar overlap of ``asymmetry.PolarOverlap`` instead.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -100,12 +100,3 @@ def triangles_disk_area(verts: np.ndarray, center, r: float) -> float:
         total += float(np.sum(np.abs(signed)))
     return total
 
-
-def two_disks_symmetric_difference(d: float, r: float = 1.0) -> float:
-    """|B_r(0) delta B_r((d,0))| from the classical lens-area formula."""
-    d = abs(float(d))
-    if d >= 2.0 * r:
-        return 2.0 * math.pi * r * r
-    lens = (2.0 * r * r * math.acos(d / (2.0 * r))
-            - 0.5 * d * math.sqrt(4.0 * r * r - d * d))
-    return 2.0 * math.pi * r * r - 2.0 * lens

@@ -287,7 +287,7 @@ def sharpness_fit(eps_values, rings: int = DEFAULT_RINGS,
     for e in eps:
         d = ellipse(e)
         deficits.append(energy_deficit(d, rings, rings_fine))
-        a, _ = asymmetry.fraenkel(d, rings)
+        a, _ = asymmetry.fraenkel(d)
         ratios.append(a / e)
     slope = float(np.polyfit(np.log(eps), np.log(deficits), 1)[0])
     ratios = np.asarray(ratios)
@@ -405,9 +405,9 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
         return {q: x[name, q] for q in q_list if (name, q) in x}
 
     deficit_fk = by_q("deficit_fk")
-    frk, _center = asymmetry.fraenkel(d, rings)
+    frk, _center = asymmetry.fraenkel(d)
     alpha_val = asymmetry.alpha(d)
-    outside, missing = asymmetry.ball_overlaps(d, rings)
+    outside, missing = asymmetry.ball_overlaps(d)
     bound = asymmetry.annular_lower_bound(outside, missing)
 
     ratio_e = deficit_e / frk ** 2 if frk >= RATIO_ASYMMETRY_FLOOR else math.nan

@@ -105,8 +105,8 @@ def suite_alpha_props(cfg) -> list[Check]:
     # translation invariance of both asymmetries
     base = StarDomain((0.0, 0.0), volume_corrected_profile(3, 0.06))
     moved = base.translated(0.37, -0.58)
-    a0v, _ = asymmetry.fraenkel(base, cfg.rings)
-    a1v, _ = asymmetry.fraenkel(moved, cfg.rings)
+    a0v, _ = asymmetry.fraenkel(base)
+    a1v, _ = asymmetry.fraenkel(moved)
     out.append(_check("Fraenkel translation invariance", abs(a0v - a1v) <= 1e-9,
                       f"delta {abs(a0v - a1v):.2e}"))
     al0 = asymmetry.alpha(base)
@@ -118,7 +118,7 @@ def suite_alpha_props(cfg) -> list[Check]:
     for d, label in ((ellipse(0.15), "ellipse(0.15)"),
                      (StarDomain((0.0, 0.0), volume_corrected_profile(2, 0.08)), "mode-2"),
                      (StarDomain((0.0, 0.0), volume_corrected_profile(5, 0.05)), "mode-5")):
-        outside, missing = asymmetry.ball_overlaps(d, cfg.rings)
+        outside, missing = asymmetry.ball_overlaps(d)
         bound = asymmetry.annular_lower_bound(outside, missing)
         val = asymmetry.alpha(d)
         out.append(_check(f"annular bound <= alpha, {label}", bound <= val + 1e-8,

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the code paths under test: circle
 quantities are integrated by quadrature instead of mode sums, the disk
 eigenvalue comes from radial shooting, the radial embedding constants
-from a one-dimensional minimizer, and areas from polygon resampling or
-Monte Carlo.
+from a one-dimensional minimizer, and areas from polygon resampling,
+Monte Carlo or the classical lens formula.
 """
 
 from __future__ import annotations
@@ -138,6 +138,16 @@ def polygon_centroid(points: np.ndarray) -> np.ndarray:
     cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (6.0 * area)
     cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (6.0 * area)
     return np.array([cx, cy])
+
+
+def two_disks_symmetric_difference(d: float, r: float = 1.0) -> float:
+    """|B_r(0) delta B_r((d,0))| from the classical lens-area formula."""
+    d = abs(float(d))
+    if d >= 2.0 * r:
+        return 2.0 * math.pi * r * r
+    lens = (2.0 * r * r * math.acos(d / (2.0 * r))
+            - 0.5 * d * math.sqrt(4.0 * r * r - d * d))
+    return 2.0 * math.pi * r * r - 2.0 * lens
 
 
 def mc_two_disk_symdiff(d: float, n: int = 10_000_000, seed: int = 42) -> float:

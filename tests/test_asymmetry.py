@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from fklab import fem
-from fklab.asymmetry import (alpha, annular_lower_bound, asymmetry_report,
-                             ball_energy, ball_overlaps, ball_penalized_energy,
-                             beta_const, eta_threshold, f_eta, fraenkel,
-                             penalized_F, penalized_G, radial_coercivity,
-                             sym_diff_fraction, unit_ball_volume)
+from fklab.asymmetry import (PolarOverlap, alpha, annular_lower_bound,
+                             asymmetry_report, ball_energy, ball_overlaps,
+                             ball_penalized_energy, beta_const, eta_threshold,
+                             f_eta, fraenkel, penalized_F, penalized_G,
+                             radial_coercivity, sym_diff_fraction,
+                             unit_ball_volume)
 from fklab.circle import boundary_l2_sq
 from fklab.domain import (StarDomain, ellipse, unit_disk,
                           volume_corrected_profile)
-from fklab.geometry import two_disks_symmetric_difference
 from fklab.stability import random_near_sphere_profile
 
-from oracles import mc_alpha
+from oracles import mc_alpha, two_disks_symmetric_difference
 
 PI = math.pi
 
@@ -45,27 +45,26 @@ class TestBallConstants:
 
 class TestFraenkel:
     def test_disk_is_symmetric_point(self):
-        val, center = fraenkel(unit_disk(), rings=64)
-        assert val < 2e-4  # polygonization floor of the rings=64 mesh
+        val, center = fraenkel(unit_disk())
+        assert val < 1e-6
         assert np.hypot(*center) < 1e-3
 
     def test_translated_disk(self):
-        val, center = fraenkel(unit_disk(center=(0.4, -0.7)), rings=48)
-        assert val < 4e-4
+        val, center = fraenkel(unit_disk(center=(0.4, -0.7)))
+        assert val < 1e-6
         assert center == pytest.approx([0.4, -0.7], abs=1e-3)
 
     def test_forced_center_lens_value(self):
         # diagnostic mode: no optimization, unit disk evaluated at (0.5, 0)
-        mesh = fem.disk_mesh(64)
-        got = sym_diff_fraction(mesh, (0.5, 0.0))
+        got = PolarOverlap(unit_disk()).sym_diff_fraction((0.5, 0.0))
         exact = two_disks_symmetric_difference(0.5) / PI
         assert exact == pytest.approx(0.6299247150514148, rel=1e-12)
-        assert abs(got - exact) < 5e-4
+        assert got == pytest.approx(exact, rel=1e-12)
 
     def test_ellipse_proportional_to_eps(self):
         ratios = []
         for eps in (0.05, 0.1, 0.2):
-            val, _ = fraenkel(ellipse(eps), rings=48)
+            val, _ = fraenkel(ellipse(eps))
             ratios.append(val / eps)
         assert max(ratios) / min(ratios) < 1.15
 
@@ -75,8 +74,45 @@ class TestFraenkel:
 
     def test_value_in_range(self):
         d = StarDomain((0, 0), volume_corrected_profile(3, 0.15))
-        val, _ = fraenkel(d, rings=48)
+        val, _ = fraenkel(d)
         assert 0.0 <= val < 2.0
+
+
+class TestPolarOverlap:
+    @pytest.mark.parametrize("offset", [0.0, 0.3, 0.5, 1.0, 1.5, 1.99, 2.5])
+    def test_unit_disk_lens(self, offset):
+        # offsets past 1 put the domain's center outside the disk, where
+        # both chord ends rho_-, rho_+ are positive and tangent rays exist
+        overlap = PolarOverlap(unit_disk(center=(0.2, -0.1)))
+        c = (0.2 + offset * 0.6, -0.1 + offset * 0.8)
+        exact = two_disks_symmetric_difference(offset) / PI
+        assert overlap.sym_diff_fraction(c) == pytest.approx(exact, rel=1e-12,
+                                                             abs=1e-14)
+
+    def test_containment(self):
+        small = PolarOverlap(unit_disk(0.5))
+        assert small.area((0.2, 0.1)) == pytest.approx(0.25 * PI, rel=1e-12)
+        big = PolarOverlap(unit_disk(1.5))
+        assert big.area((0.3, -0.2)) == pytest.approx(PI, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [ellipse(0.1),
+                                   StarDomain((0, 0), volume_corrected_profile(5, 0.06))],
+                             ids=["ellipse", "mode-5"])
+    def test_mesh_richardson_cross_check(self, d):
+        # the mesh value carries the O(h^2) bias of the polygonal boundary;
+        # extrapolating it over rings 64/128 must recover the exact overlap
+        c = (0.07, -0.03)
+        m64, m128 = (sym_diff_fraction(fem.polar_mesh(d, r), c) for r in (64, 128))
+        exact = PolarOverlap(d).sym_diff_fraction(c)
+        assert (4.0 * m128 - m64) / 3.0 == pytest.approx(exact, rel=1e-6)
+
+    def test_translation_covariance(self):
+        d = StarDomain((0, 0), volume_corrected_profile(3, 0.15))
+        moved = PolarOverlap(d.translated(0.37, -0.58))
+        base = PolarOverlap(d)
+        for c in ((0.1, 0.05), (0.9, -0.4), (-1.2, 0.3)):
+            shifted = (c[0] + 0.37, c[1] - 0.58)
+            assert moved.area(shifted) == pytest.approx(base.area(c), rel=1e-12)
 
 
 class TestAlpha:
@@ -108,15 +144,15 @@ class TestAlphaProperties:
         d = StarDomain((0, 0), volume_corrected_profile(2, 0.08))
         moved = d.translated(0.37, -0.58)
         assert abs(alpha(d) - alpha(moved)) <= 1e-9
-        a0, _ = fraenkel(d, rings=48)
-        a1, _ = fraenkel(moved, rings=48)
+        a0, _ = fraenkel(d)
+        a1, _ = fraenkel(moved)
         assert abs(a0 - a1) <= 1e-9
 
     def test_annular_bound_below_alpha(self):
         for d in (ellipse(0.1), ellipse(0.2),
                   StarDomain((0, 0), volume_corrected_profile(2, 0.1)),
                   StarDomain((0, 0), volume_corrected_profile(5, 0.06))):
-            outside, missing = ball_overlaps(d, rings=64)
+            outside, missing = ball_overlaps(d)
             assert annular_lower_bound(outside, missing) <= alpha(d) + 1e-8
 
     def test_quadratic_domination_of_symmetric_difference(self):
@@ -125,7 +161,7 @@ class TestAlphaProperties:
         ratios = []
         for d in (ellipse(0.1), ellipse(0.2),
                   StarDomain((0, 0), volume_corrected_profile(3, 0.1))):
-            outside, missing = ball_overlaps(d, rings=64)
+            outside, missing = ball_overlaps(d)
             sym = outside + missing
             ratios.append(sym ** 2 / alpha(d))
         assert max(ratios) < 40.0  # bounded across the family
@@ -252,8 +288,8 @@ class TestRadialCoercivity:
 
 class TestAsymmetryReport:
     def test_report_fields(self):
-        rep = asymmetry_report(ellipse(0.1), rings=48)
+        rep = asymmetry_report(ellipse(0.1))
         assert 0.0 <= rep.fraenkel < 2.0
         assert rep.alpha >= 0.0
         assert rep.sym_diff_to_unit_ball_at_barycenter >= rep.fraenkel - 1e-12
-        assert rep.mesh_rings == 48
+        assert rep.center_tol == 1e-6

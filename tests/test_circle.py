@@ -292,3 +292,11 @@ class TestProfileBasics:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             BoundaryProfile(0.0, np.zeros(2), np.zeros(3))
+
+    def test_derivative_matches_central_difference(self, rng):
+        p = random_profile(rng, kmax=6)
+        theta = np.linspace(0.0, 2 * PI, 17)
+        h = 1e-5
+        fd = (p.values(theta + h) - p.values(theta - h)) / (2 * h)
+        assert np.max(np.abs(p.derivative().values(theta) - fd)) < 1e-8
+        assert BoundaryProfile.constant(0.3).derivative().values(theta) == pytest.approx(0.0)

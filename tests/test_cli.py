@@ -49,6 +49,9 @@ class TestConfig:
         with pytest.raises(UsageError):
             RunConfig(cg_tol=0.5).validate()
         with pytest.raises(UsageError):
+            RunConfig(cg_tol=1e-13).validate()
+        RunConfig(cg_tol=1e-10).validate()
+        with pytest.raises(UsageError):
             RunConfig(eps_min=0.3, eps_max=0.2).validate()
         with pytest.raises(UsageError):
             RunConfig(q_list=(0.5,)).validate()
@@ -108,6 +111,13 @@ class TestExitCodes:
         assert main(["deficit", "nosuchkind:1", "--rings", "16",
                      "--rings-fine", "32"]) == 1
         assert main(["verify", "no-such-suite"]) == 1
+
+    def test_cg_tol_below_direct_solve_floor_is_one(self, tmp_path, capsys):
+        path = tmp_path / "tight.conf"
+        path.write_text("tol.cg = 1e-13\n")
+        assert main(["--config", str(path), "ball-reference"]) == 1
+        err = capsys.readouterr().err
+        assert "tol.cg must be >= 1e-10" in err and "direct torsion solve" in err
 
     def test_verify_failure_is_three(self, capsys, monkeypatch):
         monkeypatch.setitem(verify.SUITES, "always-fails",

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fklab.geometry import (triangle_disk_area, triangles_disk_area,
-                            two_disks_symmetric_difference)
+from fklab.geometry import triangle_disk_area, triangles_disk_area
 
-from oracles import mc_two_disk_symdiff
+from oracles import mc_two_disk_symdiff, two_disks_symmetric_difference
 
 PI = math.pi
 

@@ -229,7 +229,7 @@ class TestSweep:
         # the L^q embedding shrinks as q grows (conformal-limit decay)
         d = ellipse(0.1)
         from fklab.asymmetry import fraenkel
-        a, _ = fraenkel(d, rings=48)
+        a, _ = fraenkel(d)
         ratios = [st.fk_deficit(d, q, **FAST) / a ** 2 for q in (2.0, 3.0, 4.0)]
         print(f"FK(q)/A^2 at q=2,3,4: {ratios}")
         assert ratios[0] > ratios[1] > ratios[2] > 0.0
@@ -242,7 +242,7 @@ class TestSweep:
         for eps in (0.04, 0.08, 0.16):
             d = ellipse(eps)
             from fklab.asymmetry import fraenkel
-            a, _ = fraenkel(d, rings=48)
+            a, _ = fraenkel(d)
             data.append((a, st.energy_deficit(d, **FAST)))
         c8 = max(a ** 4 / dv for a, dv in data)
         sigma = min(dv / a ** 2 for a, dv in data)
@@ -254,7 +254,7 @@ class TestSweep:
 
 class TestSharedLevel:
     def test_member_builds_one_mesh_and_one_factor_per_level(self, monkeypatch):
-        # three levels (order, coarse, fine) plus the two asymmetry meshes
+        # three levels (order, coarse, fine); the asymmetries need no mesh
         st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
         calls = {"mesh": 0, "splu": 0}
 
@@ -268,7 +268,7 @@ class TestSharedLevel:
         monkeypatch.setattr(fem.spla, "splu", counted("splu", fem.spla.splu))
         st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
                            rings_fine=16)
-        assert calls == {"mesh": 5, "splu": 3}
+        assert calls == {"mesh": 3, "splu": 3}
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
