@@ -245,7 +245,8 @@ def write_svg(path: str, xs, ys, xlabel: str, ylabel: str, title: str) -> None:
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_ball_reference(cfg: RunConfig) -> int:
+def ball_reference(cfg: RunConfig) -> tuple[fem.SolveStats, list[tuple]]:
+    """Unit-disk rows (name, exact, computed, err, tol); nan without a closed form."""
     mesh = fem.disk_mesh(cfg.rings)
     u, stats = fem.solve_torsion(mesh)
     energy = fem.energy_of(u)
@@ -270,7 +271,11 @@ def cmd_ball_reference(cfg: RunConfig) -> int:
     beta_quad = 2.0 * math.pi * 0.5 * float(np.sum(weights * (1.0 - r) * r))
     rows.append(("beta_2", math.pi / 3.0, beta_quad,
                  abs(beta_quad - math.pi / 3.0), 1e-10))
+    return stats, rows
 
+
+def cmd_ball_reference(cfg: RunConfig) -> int:
+    stats, rows = ball_reference(cfg)
     print(f"unit-disk reference at rings={cfg.rings} "
           f"(h = {stats.h:.4f}, torsion residual = {stats.residual:.1e})")
     ok = True

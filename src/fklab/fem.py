@@ -341,7 +341,9 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float | None = None,
     Descent in the energy inner product: from the current normalized
     iterate, step against u - R(u) K^{-1} grad(norm term) with
     backtracking, and stop once the Rayleigh quotient decreases by less
-    than ``tol`` in relative terms.
+    than ``tol`` in relative terms.  A line search that finds no decrease
+    raises ``SolverError`` unless the direction's energy norm over sqrt(R)
+    is at most ``tol``, i.e. the iterate is already critical.
     """
     tol = DEFAULT_DESCENT_TOL if tol is None else tol
     q = float(q)
@@ -366,7 +368,7 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float | None = None,
     u = lu.solve(mesh.load[idx])  # torsion start, positive
     u /= norm_q(u)
     rayleigh = float(u @ (k @ u))
-    for _ in range(max_iter):
+    for it in range(max_iter):
         w = grad_rho(u)
         direction = u - rayleigh * lu.solve(w)
         step = 1.0
@@ -382,6 +384,10 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float | None = None,
                     break
             step *= 0.5
         if not improved:
+            dnorm = math.sqrt(float(direction @ (k @ direction)) / rayleigh)
+            if dnorm > tol:
+                raise SolverError(f"L^{q} descent line search failed at iteration {it} "
+                                  f"with relative direction norm {dnorm:.3g} > {tol:.3g}")
             return rayleigh
         drop = (rayleigh - r_trial) / rayleigh
         u, rayleigh = trial, r_trial

@@ -1,8 +1,11 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
-The combined sweep (8 ellipses + 52 seeded random near-spheres, q in
-{1.5, 2, 3}) is computed once per session and shared by the criteria
-that quantify over it.
+Criteria 2, 3, 4, 6, 8 and 9 run the ``fklab verify`` suite that
+implements their checks (``SUITE_OF``) at the stated configuration and
+assert that every check passed.  Criteria 5 and 8 apply
+``verify.row_checks`` to every row of the combined sweep (8 ellipses +
+52 seeded random near-spheres, q in {1.5, 2, 3}), which is computed once
+per session and shared by the criteria that quantify over it.
 """
 
 import math
@@ -10,116 +13,80 @@ import time
 
 import numpy as np
 
-from fklab import asymmetry, fem, stability
-from fklab.circle import (extension_energy, h_half_norm_sq,
-                          low_mode_projection, steklov_min_rayleigh)
-from fklab.domain import (unit_disk, volume, volume_corrected,
-                          volume_corrected_profile, volume_flow)
+from fklab import asymmetry, cli, verify
+from fklab.circle import extension_energy, h_half_norm_sq, low_mode_projection
 
 from conftest import random_profile
 
-PI = math.pi
+# the stated configuration of every criterion
+STATED = cli.RunConfig(rings=64, rings_fine=128, seed=7, eps_min=0.02,
+                       eps_max=0.2, eps_count=8, q_list=(1.5, 2.0, 3.0))
+# the verify suite that implements each criterion that has one
+SUITE_OF = {2: "taylor", 3: "fuglede", 4: "sharpness", 6: "steklov",
+            8: "alpha-props", 9: "flow"}
 
 
 def report(criterion: int, detail: str):
     print(f"ACCEPTANCE {criterion:2d} PASS: {detail}")
 
 
+def assert_passed(checks):
+    assert checks
+    assert [c for c in checks if not c[1]] == []
+
+
+def run_suite(criterion: int) -> tuple[str, float]:
+    """Run the criterion's suite at the stated configuration; return a
+    summary of its passed checks and its seconds."""
+    start = time.monotonic()
+    checks = verify.SUITES[SUITE_OF[criterion]](STATED.validate())
+    elapsed = time.monotonic() - start
+    assert_passed(checks)
+    return "; ".join(f"{name} ({detail})" if detail else name
+                     for name, _, detail in checks), elapsed
+
+
+def sweep_row_checks(result):
+    return [c for r in result.reports
+            for c in verify.row_checks(r, STATED.rings, STATED.rings_fine)]
+
+
 class TestAcceptance:
     def test_01_ball_reference(self):
         start = time.monotonic()
-        mesh = fem.disk_mesh(64)
-        u, _ = fem.solve_torsion(mesh)
-        energy = fem.energy_of(u)
-        lam, _ = fem.principal_eigenvalue(mesh)
+        _, rows = cli.ball_reference(STATED)
         elapsed = time.monotonic() - start
-        e_err = abs(energy / (-PI / 16) - 1.0)
-        l_err = abs(lam / 5.78319 - 1.0)
-        assert e_err <= 5e-3
-        assert l_err <= 1e-2
+        closed = [row for row in rows if not math.isnan(row[3])]
+        assert {"energy E(B_1)", "eigenvalue lambda(B_1)"} <= {row[0] for row in closed}
+        for name, _, _, err, tol in closed:
+            assert err <= tol, name
         assert elapsed < 10.0
-        report(1, f"E(B_1) rel err {e_err:.2e} (<=0.5%), "
-                  f"lambda rel err {l_err:.2e} (<=1%), {elapsed:.1f}s (<10s)")
+        report(1, ", ".join(f"{name} err {err:.2e} (<={tol:.0e})"
+                            for name, _, _, err, tol in closed)
+               + f", {elapsed:.1f}s (<10s)")
 
     def test_02_hessian_taylor(self):
-        start = time.monotonic()
-        s_values = (0.03, 0.05, 0.07, 0.09)
-        fits = {k: stability.taylor_validation(k, s_values, 64, 128)
-                for k in (1, 2, 3, 4)}
-        elapsed = time.monotonic() - start
-        assert abs(fits[1]) <= 0.02 * PI / 8
-        for k in (2, 3, 4):
-            target = PI * (k - 1) / 8
-            assert abs(fits[k] - target) <= 0.05 * target
+        detail, elapsed = run_suite(2)
         assert elapsed < 120.0
-        errs = ", ".join(f"k={k}: {abs(fits[k] - PI * (k - 1) / 8):.2e}"
-                         for k in (2, 3, 4))
-        report(2, f"|fit(1)| = {abs(fits[1]):.2e}, abs errors {errs}, "
-                  f"{elapsed:.0f}s (<120s)")
+        report(2, f"{detail}; {elapsed:.0f}s (<120s)")
 
     def test_03_fuglede_bound(self):
-        seeds = np.random.SeedSequence(7).spawn(50)
-        margins = []
-        for ss in seeds:
-            rng = np.random.default_rng(ss)
-            sup = rng.uniform(0.015, 0.047)
-            p = stability.random_near_sphere_profile(rng, sup)
-            assert p.grid_sup() <= 0.05
-            margins.append(stability.fuglede_margin(p, 64, 128))
-        violations = sum(1 for m in margins if m < 1 / 128)
-        assert violations == 0
-        report(3, f"50 profiles, min margin {min(margins):.4f} >= 1/128 = "
-                  f"{1/128:.4f}, zero violations")
+        report(3, run_suite(3)[0])
 
     def test_04_sharpness(self):
-        eps = np.linspace(0.02, 0.2, 8)
-        slope, spread = stability.sharpness_fit(eps, 64, 128)
-        assert 1.85 <= slope <= 2.15
-        assert spread <= 0.15
-        report(4, f"slope {slope:.4f} in [1.85, 2.15], A/eps spread "
-                  f"{spread:.2%} <= 15%")
+        report(4, run_suite(4)[0])
 
     def test_05_signs_everywhere(self, combined_sweep):
         result, _elapsed = combined_sweep
         reports = result.reports
         assert len(reports) >= 60
-        ref64, ref128 = stability.disk_data(64), stability.disk_data(128)
-
-        tol_e = 2e-4 * abs(stability.richardson(ref64.energy(),
-                                                ref128.energy())) / PI ** 2
-        worst = {"sv": math.inf, "fk": math.inf, "kj": math.inf,
-                 "cappio": math.inf}
-        for r in reports:
-            worst["sv"] = min(worst["sv"], r.deficit_energy)
-            assert r.deficit_energy >= -tol_e
-            for q in result.q_list:
-                lam_ref = stability.richardson(ref64.lambda_q(q),
-                                               ref128.lambda_q(q))
-                tol_fk = 2e-4 * PI ** stability.fk_exponent(q) * lam_ref
-                assert r.deficit_fk[q] >= -tol_fk
-                worst["fk"] = min(worst["fk"], r.deficit_fk[q])
-                if q > 1.0:
-                    th = stability.kj_exponent(q)
-                    e_ref = stability.richardson(ref64.energy(), ref128.energy())
-                    tol_kj = 2e-4 * lam_ref * (-e_ref) ** th
-                    assert r.kj_slack[q] >= -tol_kj
-                    worst["kj"] = min(worst["kj"], r.kj_slack[q])
-                    lhs, rhs = r.cappio[q]
-                    assert lhs >= rhs - 2e-4
-                    worst["cappio"] = min(worst["cappio"], lhs - rhs)
-            # reduction chain: a positive energy deficit forces positive
-            # eigenvalue-side deficits through the ratio bound
-            if r.deficit_energy > tol_e:
-                for q in result.q_list:
-                    assert r.deficit_fk[q] > 0.0
-        report(5, f"{len(reports)} domains x q={result.q_list}: worst "
-                  f"SV {worst['sv']:.2e}, FK {worst['fk']:.2e}, "
-                  f"KJ {worst['kj']:.2e}, ratio-bound {worst['cappio']:.2e}")
+        checks = sweep_row_checks(result)
+        assert_passed(checks)
+        report(5, f"{len(reports)} domains x q={result.q_list}: all {len(checks)} "
+                  f"row checks pass, min D {min(r.deficit_energy for r in reports):.2e}")
 
     def test_06_steklov(self):
-        value = steklov_min_rayleigh(32)
-        assert value == 2.0
-        report(6, f"min Rayleigh quotient on modes 2..32 = {value!r} exactly")
+        report(6, run_suite(6)[0])
 
     def test_07_exact_fourier_identities(self):
         rng = np.random.default_rng(2024)
@@ -144,44 +111,17 @@ class TestAcceptance:
                   f"Pythagoras defect {worst_pyth:.1e} (<= 1e-12)")
 
     def test_08_alpha_calculus(self, combined_sweep):
-        for center in ((0.0, 0.0), (0.7, -0.2), (-1.3, 0.4)):
-            assert abs(asymmetry.alpha(unit_disk(center=center))) <= 1e-9
-        # closed-form radial integral for the dilated disk (the oracle value
-        # pi/3 + 2 pi (1.1^3/3 - 1.1^2/2) = 0.0335103...)
-        exact_11 = PI / 3 + 2 * PI * (1.1 ** 3 / 3 - 1.1 ** 2 / 2)
-        val_11 = asymmetry.alpha(unit_disk(1.1))
-        assert abs(val_11 - exact_11) <= 1e-6
-        assert abs(asymmetry.beta_const(2) - PI / 3) <= 1e-10
-
+        detail, _ = run_suite(8)
         result, _ = combined_sweep
-        for r in result.reports:
-            assert r.alpha_annular_bound <= r.alpha + 1e-8
-
-        rng = np.random.default_rng(31)
-        for _ in range(1000):
-            eta = rng.uniform(0.05, 1.0)
-            s2 = rng.uniform(0.0, 8.0)
-            s1 = s2 + rng.uniform(0.0, 8.0)
-            diff = asymmetry.f_eta(s1, eta) - asymmetry.f_eta(s2, eta)
-            assert eta * (s1 - s2) - 1e-12 <= diff <= (s1 - s2) / eta + 1e-12
-        report(8, f"alpha(B_1 anywhere) <= 1e-9; alpha(B_1.1) = {val_11:.9f} "
-                  f"within 1e-6 of {exact_11:.9f}; beta_2 exact; annular "
-                  f"bound holds on all {len(result.reports)} sweep domains; "
-                  f"penalty sandwich on 1000 pairs")
+        annular = [c for c in sweep_row_checks(result)
+                   if c[0].startswith("annular bound")]
+        assert len(annular) == len(result.reports)
+        assert_passed(annular)
+        report(8, f"{detail}; annular bound holds on all "
+                  f"{len(result.reports)} sweep domains")
 
     def test_09_flow_volumes(self):
-        profiles = [volume_corrected_profile(2, 0.1),
-                    volume_corrected_profile(5, 0.07)]
-        rng = np.random.default_rng(13)
-        profiles.append(volume_corrected(random_profile(rng, kmax=6,
-                                                        scale=0.03)))
-        worst = 0.0
-        for p in profiles:
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-                worst = max(worst, abs(volume(volume_flow(p, t)) - PI))
-        assert worst <= 1e-10
-        report(9, f"|area - pi| <= {worst:.2e} along the flow for 3 "
-                  f"volume-corrected targets (tol 1e-10)")
+        report(9, run_suite(9)[0])
 
     def test_10_penalty_structure(self):
         eta = asymmetry.eta_threshold(2, 2.0) / 2

@@ -190,6 +190,21 @@ class TestPoincareSobolev:
         oracle = disk_lambda_q_radial(3.0)
         assert abs(lam / oracle - 1.0) < 5e-3
 
+    def test_failed_line_search_away_from_critical_point_raises(self, disk64,
+                                                                monkeypatch):
+        exact = fem.lq_integral
+        calls = []
+
+        def shrunk(u, q):
+            # exact for the start; each trial's integral reads 1e-6 of its
+            # value, so every trial's Rayleigh quotient reads worse
+            calls.append(q)
+            return exact(u, q) * (1.0 if len(calls) == 1 else 1e-6)
+
+        monkeypatch.setattr(fem, "lq_integral", shrunk)
+        with pytest.raises(fem.SolverError, match=r"L\^1.5 .* at iteration 0"):
+            fem.poincare_sobolev(disk64, 1.5)
+
     def test_q_range_validated(self, disk64):
         with pytest.raises(ValueError):
             fem.poincare_sobolev(disk64, 0.5)
