@@ -3,8 +3,10 @@
 Subcommands: ``ball-reference``, ``deficit``, ``sweep``, ``verify``,
 ``flow-check``, ``mesh-dump``.  Configuration comes from a plain
 ``key = value`` text file (path in ``FKLAB_CONFIG`` or ``--config``),
-with CLI flags overriding file values.  Exit codes: 0 success, 1 usage
-or input error, 2 numerical failure, 3 verification failure.
+with CLI flags overriding file values.  The solver tolerances are not
+configurable: they are the constants of ``fklab.fem``.  Exit codes:
+0 success, 1 usage or input error, 2 numerical failure, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import scipy.special
 from . import asymmetry, fem, stability, verify
 from .circle import BoundaryProfile
 from .domain import (NotStarShapedError, StarDomain, ellipse, recenter_rescale,
-                     volume, volume_corrected_profile, volume_flow)
+                     volume_corrected_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,10 +31,6 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
 DISK_EIGENVALUE = float(scipy.special.jn_zeros(0, 1)[0] ** 2)  # 5.7831859629...
-# smallest accepted tol.cg: the direct torsion solve's relative residual
-# grows about 4x per ring doubling (8e-14, 3.3e-13, 1.3e-12, 5.4e-12 at
-# rings 32/64/128/256), so a tighter bound would fail every solve
-CG_TOL_FLOOR = 1e-10
 
 
 class UsageError(Exception):
@@ -43,9 +41,6 @@ class UsageError(Exception):
 class RunConfig:
     rings: int = 64
     rings_fine: int = 128
-    cg_tol: float = 1e-10
-    eig_tol: float = 1e-8
-    descent_tol: float = 1e-8
     eps_min: float = 0.02
     eps_max: float = 0.2
     eps_count: int = 8
@@ -59,13 +54,6 @@ class RunConfig:
             raise UsageError("mesh ring counts must be >= 4")
         if self.rings_fine <= self.rings:
             raise UsageError("mesh.rings_fine must exceed mesh.rings")
-        for name, tol in (("tol.cg", self.cg_tol), ("tol.eig", self.eig_tol),
-                          ("tol.descent", self.descent_tol)):
-            if not 0.0 < tol <= 1e-2:
-                raise UsageError(f"{name} must lie in (0, 1e-2]")
-        if self.cg_tol < CG_TOL_FLOOR:
-            raise UsageError(f"tol.cg must be >= {CG_TOL_FLOOR:g}, the residual floor "
-                             "of the direct torsion solve (about 1e-12 at rings 128)")
         if not (0.0 < self.eps_min < self.eps_max < 0.5):
             raise UsageError("sweep eps range must satisfy 0 < min < max < 0.5")
         if self.eps_count < 2:
@@ -75,15 +63,14 @@ class RunConfig:
             raise UsageError(f"q.list entries must lie in [1, {fem.DEFAULT_Q_MAX}]")
         if self.r_max <= 1.0:
             raise UsageError("r_max must exceed 1")
+        if self.workers < 0:
+            raise UsageError("workers must be >= 0 (0 = all available cores)")
         return self
 
 
 _CONFIG_KEYS = {
     "mesh.rings": ("rings", int),
     "mesh.rings_fine": ("rings_fine", int),
-    "tol.cg": ("cg_tol", float),
-    "tol.eig": ("eig_tol", float),
-    "tol.descent": ("descent_tol", float),
     "sweep.eps_min": ("eps_min", float),
     "sweep.eps_max": ("eps_max", float),
     "sweep.count": ("eps_count", int),
@@ -300,25 +287,23 @@ def cmd_deficit(cfg: RunConfig, specs, q_list) -> int:
     return EXIT_OK
 
 
+# random members per sweep family when --count is not given
+_DEFAULT_RANDOM_COUNT = {"ellipse": 0, "random": 50, "combined": 52}
+
+
 def cmd_sweep(cfg: RunConfig, family: str, count: int | None, out: str | None,
               plot: str | None) -> int:
-    eps_values = tuple(np.round(np.linspace(cfg.eps_min, cfg.eps_max,
-                                            cfg.eps_count), 6))
-    if family == "ellipse":
-        spec = stability.SweepSpec(eps_values=eps_values, random_count=0,
-                                   seed=cfg.seed, q_list=cfg.q_list,
-                                   rings=cfg.rings, rings_fine=cfg.rings_fine)
-    elif family == "random":
-        spec = stability.SweepSpec(eps_values=(), random_count=count or 50,
-                                   seed=cfg.seed, q_list=cfg.q_list,
-                                   rings=cfg.rings, rings_fine=cfg.rings_fine)
-    elif family == "combined":
-        spec = stability.SweepSpec(eps_values=eps_values,
-                                   random_count=count or 52, seed=cfg.seed,
-                                   q_list=cfg.q_list, rings=cfg.rings,
-                                   rings_fine=cfg.rings_fine)
-    else:
+    if family not in _DEFAULT_RANDOM_COUNT:
         raise UsageError(f"unknown sweep family {family!r}")
+    if count is not None and count < 1:
+        raise UsageError(f"--count must be >= 1, got {count}")
+    eps_values = () if family == "random" else tuple(
+        np.round(np.linspace(cfg.eps_min, cfg.eps_max, cfg.eps_count), 6))
+    random_count = 0 if family == "ellipse" else (
+        _DEFAULT_RANDOM_COUNT[family] if count is None else count)
+    spec = stability.SweepSpec(eps_values=eps_values, random_count=random_count,
+                               seed=cfg.seed, q_list=cfg.q_list,
+                               rings=cfg.rings, rings_fine=cfg.rings_fine)
 
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     result = stability.sigma_scan(spec, workers=workers)
@@ -374,16 +359,11 @@ def cmd_flow_check(cfg: RunConfig, mode: int, amplitude: float,
         profile = BoundaryProfile.from_record(record)
     else:
         profile = volume_corrected_profile(mode, amplitude)
-    target_vol = volume(StarDomain((0.0, 0.0), profile))
+    target_vol, rows, ok = verify.flow_area_check(profile, t_values)
     corrected = abs(target_vol - math.pi) <= 1e-12
     print(f"target volume {_fmt(target_vol)} "
           f"({'volume-corrected' if corrected else 'uncorrected'})")
-    ok = True
-    for t in t_values:
-        v = volume(volume_flow(profile, t))
-        expected = math.pi + t * (target_vol - math.pi)
-        dev = abs(v - expected)
-        ok &= dev <= 1e-10
+    for t, (v, dev) in zip(t_values, rows):
         print(f"  t={t:5.2f}  |Omega_t| = {_fmt(v)}  deviation {dev:.2e}")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -477,8 +457,6 @@ def main(argv=None) -> int:
             except ValueError:
                 raise UsageError(f"bad --q {args.q!r}")
         cfg = replace(cfg, **overrides).validate()
-        fem.set_default_tolerances(cg=cfg.cg_tol, eig=cfg.eig_tol,
-                                   descent=cfg.descent_tol)
 
         if args.command == "ball-reference":
             return cmd_ball_reference(cfg)

@@ -82,7 +82,8 @@ def disk_data(rings: int) -> Level:
 
 
 def prepare_disk_references(levels, q_list=()) -> None:
-    """Precompute disk solves so forked sweep workers inherit them."""
+    """Precompute disk solves so forked sweep workers inherit them (workers
+    started by spawn or forkserver recompute them)."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()

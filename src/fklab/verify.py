@@ -206,6 +206,23 @@ def suite_alpha_props(cfg) -> list[Check]:
     return out
 
 
+FLOW_AREA_TOL = 1e-10
+
+
+def flow_area_check(profile: BoundaryProfile, t_values) -> tuple[float, list, bool]:
+    """Area along the radial flow toward ``profile``: the target volume
+    |Omega_phi|, one (|Omega_t|, deviation) pair per flow time t, where the
+    deviation is ||Omega_t| - (pi + t(|Omega_phi| - pi))|, and whether every
+    deviation is at most FLOW_AREA_TOL.  Shared by the ``flow`` suite and
+    ``fklab flow-check``."""
+    target_vol = volume(StarDomain((0.0, 0.0), profile))
+    rows = []
+    for t in t_values:
+        v = volume(volume_flow(profile, t))
+        rows.append((v, abs(v - (math.pi + t * (target_vol - math.pi)))))
+    return target_vol, rows, all(dev <= FLOW_AREA_TOL for _, dev in rows)
+
+
 def suite_flow(cfg) -> list[Check]:
     out = []
     # volume-corrected targets: modes 2 and 5, and a seeded random profile
@@ -219,17 +236,13 @@ def suite_flow(cfg) -> list[Check]:
                      ("random", volume_corrected(drawn))):
         dev = max(abs(volume(volume_flow(p, t)) - math.pi)
                   for t in (0.0, 0.25, 0.5, 0.75, 1.0))
-        out.append(_check(f"flow volume stays pi, {label} target", dev <= 1e-10,
+        out.append(_check(f"flow volume stays pi, {label} target", dev <= FLOW_AREA_TOL,
                           f"max |vol - pi| = {dev:.2e}"))
     # linear interpolation of the area for an uncorrected target
     q = BoundaryProfile.single_mode(3, cos_amp=0.2)
-    target_vol = volume(StarDomain((0.0, 0.0), q))
-    worst = 0.0
-    for t in (0.3, 0.6, 0.9):
-        v = volume(volume_flow(q, t))
-        worst = max(worst, abs(v - (math.pi + t * (target_vol - math.pi))))
-    out.append(_check("area interpolates linearly along the flow", worst <= 1e-10,
-                      f"max deviation {worst:.2e}"))
+    _, rows, ok = flow_area_check(q, (0.3, 0.6, 0.9))
+    out.append(_check("area interpolates linearly along the flow", ok,
+                      f"max deviation {max(dev for _, dev in rows):.2e}"))
     end = volume_flow(q, 1.0)
     dev = np.max(np.abs(end.radius(np.linspace(0, 2 * math.pi, 64))
                         - (1.0 + q.values(np.linspace(0, 2 * math.pi, 64)))))

@@ -1,9 +1,14 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fklab import verify
+import fklab
+from fklab import fem, stability, verify
 from fklab.cli import (RunConfig, UsageError, csv_header, csv_row, load_config,
                        main, parse_domain_spec)
 
@@ -20,12 +25,10 @@ class TestConfig:
             "# comment\n"
             "mesh.rings = 32\n"
             "mesh.rings_fine = 64   # inline comment\n"
-            "tol.cg = 1e-9\n"
             "sweep.seed = 11\n"
             "q.list = 1.5,2\n")
         cfg = load_config(str(path))
         assert cfg.rings == 32 and cfg.rings_fine == 64
-        assert cfg.cg_tol == 1e-9
         assert cfg.seed == 11
         assert cfg.q_list == (1.5, 2.0)
 
@@ -47,14 +50,12 @@ class TestConfig:
         with pytest.raises(UsageError):
             RunConfig(rings=64, rings_fine=64).validate()
         with pytest.raises(UsageError):
-            RunConfig(cg_tol=0.5).validate()
-        with pytest.raises(UsageError):
-            RunConfig(cg_tol=1e-13).validate()
-        RunConfig(cg_tol=1e-10).validate()
-        with pytest.raises(UsageError):
             RunConfig(eps_min=0.3, eps_max=0.2).validate()
         with pytest.raises(UsageError):
             RunConfig(q_list=(0.5,)).validate()
+        with pytest.raises(UsageError):
+            RunConfig(workers=-3).validate()
+        RunConfig(workers=0).validate()
 
 
 class TestDomainSpecs:
@@ -112,12 +113,27 @@ class TestExitCodes:
                      "--rings-fine", "32"]) == 1
         assert main(["verify", "no-such-suite"]) == 1
 
-    def test_cg_tol_below_direct_solve_floor_is_one(self, tmp_path, capsys):
-        path = tmp_path / "tight.conf"
-        path.write_text("tol.cg = 1e-13\n")
+    @pytest.mark.parametrize("key", ["tol.cg", "tol.eig", "tol.descent"])
+    def test_removed_tolerance_key_is_unknown(self, tmp_path, capsys, key):
+        # the solver tolerances are constants of fklab.fem, not config keys
+        path = tmp_path / "tol.conf"
+        path.write_text(f"{key} = 1e-9\n")
         assert main(["--config", str(path), "ball-reference"]) == 1
+        captured = capsys.readouterr()
+        assert "unknown config key" in captured.err and key in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [["sweep", "random", "--count", "0"],
+                                      ["sweep", "combined", "--count", "-2"],
+                                      ["--workers", "-3", "sweep", "random"]],
+                             ids=["count-0", "count-negative", "workers-negative"])
+    def test_bad_sweep_sizes_are_one(self, capsys, monkeypatch, args):
+        def no_scan(spec, workers=None):
+            raise AssertionError("sweep ran")
+        monkeypatch.setattr(stability, "sigma_scan", no_scan)
+        assert main(args) == 1
         err = capsys.readouterr().err
-        assert "tol.cg must be >= 1e-10" in err and "direct torsion solve" in err
+        assert err.startswith("fklab: error:") and "Traceback" not in err
 
     def test_verify_failure_is_three(self, capsys, monkeypatch):
         monkeypatch.setitem(verify.SUITES, "always-fails",
@@ -181,6 +197,25 @@ class TestCommands:
         text = svg.read_text()
         assert text.startswith("<svg") and "metadata" in text
 
+    @pytest.mark.parametrize("family, count, n_eps, n_random", [
+        ("ellipse", None, 8, 0), ("random", None, 0, 50), ("combined", None, 8, 52),
+        ("random", 3, 0, 3), ("combined", 1, 8, 1)])
+    def test_sweep_spec_per_family(self, capsys, monkeypatch, family, count,
+                                   n_eps, n_random):
+        seen = []
+
+        def fake_scan(spec, workers=None):
+            seen.append(spec)
+            raise fem.SolverError("stop after the spec")
+        monkeypatch.setattr(stability, "sigma_scan", fake_scan)
+        args = ["sweep", family] + ([] if count is None else ["--count", str(count)])
+        assert main(args) == 2
+        capsys.readouterr()
+        [spec] = seen
+        assert len(spec.eps_values) == n_eps and spec.random_count == n_random
+        assert (spec.seed, spec.q_list, spec.rings, spec.rings_fine) == (
+            7, (1.5, 2.0, 3.0), 64, 128)
+
     def test_ball_reference(self, capsys):
         assert main(["--rings", "32", "--rings-fine", "64",
                      "ball-reference"]) == 0
@@ -194,3 +229,28 @@ class TestCommands:
         # 17 significant digits in scientific notation
         assert any(len(cell.split("e")[0].replace("-", "").replace(".", "")) == 17
                    for cell in out.splitlines()[1].split(",") if "e" in cell)
+
+
+class TestStartMethods:
+    SWEEP = ["--rings", "8", "--rings-fine", "16", "sweep", "random",
+             "--count", "3", "--seed", "7", "--q", "1.5,2,3"]
+
+    def test_sweep_csv_is_independent_of_start_method(self, tmp_path, capsys):
+        # each parallel sweep runs in a child interpreter, so the start
+        # method of the test process itself never changes
+        src = os.path.dirname(os.path.dirname(fklab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        serial = tmp_path / "serial.csv"
+        assert main(["--workers", "1"] + self.SWEEP + ["--out", str(serial)]) == 0
+        capsys.readouterr()
+        for method in multiprocessing.get_all_start_methods():
+            out = tmp_path / f"{method}.csv"
+            args = ["--workers", "2"] + self.SWEEP + ["--out", str(out)]
+            code = ("import multiprocessing, sys\n"
+                    f"multiprocessing.set_start_method({method!r}, force=True)\n"
+                    f"from fklab.cli import main\nsys.exit(main({args!r}))\n")
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, (method, proc.stderr)
+            assert out.read_bytes() == serial.read_bytes(), method
