@@ -5,12 +5,12 @@ Submodules: :mod:`~fklab.circle` (exact Fourier calculus on the unit
 circle), :mod:`~fklab.domain` (star-shaped domains, ellipse family,
 volume flow), :mod:`~fklab.fem` (P1 finite elements on matched polar
 meshes), :mod:`~fklab.asymmetry` (Fraenkel and smoothed asymmetries,
-penalized functionals), :mod:`~fklab.stability` (deficits, expansions,
+volume penalty), :mod:`~fklab.stability` (deficits, expansions,
 sweeps), :mod:`~fklab.cli` (command-line front end).
 """
 
 from .circle import BoundaryProfile, ProjectionSplit
-from .domain import FlowFamily, StarDomain
+from .domain import StarDomain
 from .fem import ScalarField, SolveStats, SolverError, TriMesh
 from .stability import DeficitReport, SweepResult, SweepSpec
 
@@ -20,7 +20,6 @@ __all__ = [
     "BoundaryProfile",
     "ProjectionSplit",
     "StarDomain",
-    "FlowFamily",
     "TriMesh",
     "ScalarField",
     "SolveStats",

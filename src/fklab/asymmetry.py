@@ -1,4 +1,4 @@
-"""Asymmetry functionals and the penalization machinery.
+"""Asymmetry functionals and the volume penalty of the ball problem.
 
 Two ways of measuring how far a volume-pi domain is from a unit disk:
 
@@ -15,15 +15,14 @@ Two ways of measuring how far a volume-pi domain is from a unit disk:
   profile about the barycenter (one closed-form integral, no
   ball-intersection geometry).
 
-The module also carries the volume penalty f_eta, the penalized energy
-functionals built from it, and the radial coercivity check that pins
-the unit disk as the minimizer among balls.
+The module also carries the volume penalty f_eta and the closed-form
+penalized ball energy built from it, whose radial coercivity pins the
+unit disk as the minimizer among balls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,7 +32,6 @@ from .circle import TWO_PI, BoundaryProfile
 from .domain import StarDomain, barycenter, profile_relative_to, volume
 from .geometry import triangles_disk_area
 
-DEFAULT_RINGS = 64
 _MIN_GRID = 128        # smallest crossing-search grid of PolarOverlap
 _MAX_ROOT_STEPS = 60   # safeguarded Newton steps per crossing; as many
 _ROOT_TOL = 1e-14      # bisections would shrink a grid cell far below this
@@ -58,18 +56,6 @@ def beta_const(dim: int) -> float:
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     return unit_ball_volume(dim) / (dim + 1)
-
-
-@dataclass
-class AsymmetryReport:
-    """Per-domain bundle of asymmetry values and their diagnostics."""
-
-    fraenkel: float
-    fraenkel_center: tuple[float, float]
-    alpha: float
-    barycenter: tuple[float, float]
-    sym_diff_to_unit_ball_at_barycenter: float
-    center_tol: float
 
 
 def sym_diff_fraction(mesh: fem.TriMesh, center) -> float:
@@ -267,20 +253,6 @@ def annular_lower_bound(outside: float, missing: float, dim: int = 2) -> float:
     return w * (shell(r1) + shell(r2))
 
 
-def asymmetry_report(d: StarDomain) -> AsymmetryReport:
-    center_tol = 1e-6
-    frk, center = fraenkel(d, center_tol)
-    bc = barycenter(d)
-    return AsymmetryReport(
-        fraenkel=frk,
-        fraenkel_center=(float(center[0]), float(center[1])),
-        alpha=alpha(d),
-        barycenter=(float(bc[0]), float(bc[1])),
-        sym_diff_to_unit_ball_at_barycenter=PolarOverlap(d).sym_diff_fraction(bc),
-        center_tol=center_tol,
-    )
-
-
 def f_eta(s: float, eta: float, dim: int = 2) -> float:
     """Piecewise-linear volume penalty vanishing at the unit-ball volume.
 
@@ -295,23 +267,6 @@ def f_eta(s: float, eta: float, dim: int = 2) -> float:
     if s <= w:
         return eta * (s - w)
     return (s - w) / eta
-
-
-def penalized_F(d: StarDomain, eta: float, rings: int = DEFAULT_RINGS) -> float:
-    """Volume-penalized energy E(Omega) + f_eta(|Omega|)."""
-    u, _ = fem.solve_torsion(fem.polar_mesh(d, rings))
-    return fem.energy_of(u) + f_eta(volume(d), eta)
-
-
-def penalized_G(d: StarDomain, eta: float, eps: float, sigma: float,
-                rings: int = DEFAULT_RINGS) -> float:
-    """Penalized selection functional F_eta + sqrt(eps^2 + sigma^2 (alpha - eps)^2)."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
-    a = alpha(d)
-    return penalized_F(d, eta, rings) + math.sqrt(eps ** 2 + sigma ** 2 * (a - eps) ** 2)
 
 
 def eta_threshold(dim: int = 2, r_max: float = 2.0) -> float:

@@ -103,10 +103,6 @@ class BoundaryProfile:
         theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
         return float(np.max(np.abs(self.values(theta))))
 
-    def is_nearly_spherical(self) -> bool:
-        """Coefficient bound for the |phi| <= 1/2 smallness class."""
-        return self.sup_norm_bound() <= 0.5
-
     def values(self, theta) -> np.ndarray:
         """Evaluate phi at the given angles (vectorized)."""
         theta = np.asarray(theta, dtype=float)

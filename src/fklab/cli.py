@@ -232,10 +232,13 @@ def write_svg(path: str, xs, ys, xlabel: str, ylabel: str, title: str) -> None:
 # -- subcommands ------------------------------------------------------------
 
 
-def ball_reference(cfg: RunConfig) -> tuple[fem.SolveStats, list[tuple]]:
-    """Unit-disk rows (name, exact, computed, err, tol); nan without a closed form."""
+def ball_reference(cfg: RunConfig) -> tuple[str, list[tuple]]:
+    """Header line and unit-disk rows (name, exact, computed, err, tol);
+    nan without a closed form."""
     mesh = fem.disk_mesh(cfg.rings)
     u, stats = fem.solve_torsion(mesh)
+    header = (f"unit-disk reference at rings={cfg.rings} "
+              f"(h = {mesh.h:.4f}, torsion residual = {stats.residual:.1e})")
     energy = fem.energy_of(u)
     lam, _ = fem.principal_eigenvalue(mesh)
 
@@ -258,13 +261,12 @@ def ball_reference(cfg: RunConfig) -> tuple[fem.SolveStats, list[tuple]]:
     beta_quad = 2.0 * math.pi * 0.5 * float(np.sum(weights * (1.0 - r) * r))
     rows.append(("beta_2", math.pi / 3.0, beta_quad,
                  abs(beta_quad - math.pi / 3.0), 1e-10))
-    return stats, rows
+    return header, rows
 
 
 def cmd_ball_reference(cfg: RunConfig) -> int:
-    stats, rows = ball_reference(cfg)
-    print(f"unit-disk reference at rings={cfg.rings} "
-          f"(h = {stats.h:.4f}, torsion residual = {stats.residual:.1e})")
+    header, rows = ball_reference(cfg)
+    print(header)
     ok = True
     for name, exact, got, err, tol in rows:
         if math.isnan(err):
@@ -295,12 +297,13 @@ def cmd_sweep(cfg: RunConfig, family: str, count: int | None, out: str | None,
               plot: str | None) -> int:
     if family not in _DEFAULT_RANDOM_COUNT:
         raise UsageError(f"unknown sweep family {family!r}")
+    if count is not None and family == "ellipse":
+        raise UsageError("--count applies only to the random and combined families")
     if count is not None and count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
     eps_values = () if family == "random" else tuple(
         np.round(np.linspace(cfg.eps_min, cfg.eps_max, cfg.eps_count), 6))
-    random_count = 0 if family == "ellipse" else (
-        _DEFAULT_RANDOM_COUNT[family] if count is None else count)
+    random_count = _DEFAULT_RANDOM_COUNT[family] if count is None else count
     spec = stability.SweepSpec(eps_values=eps_values, random_count=random_count,
                                seed=cfg.seed, q_list=cfg.q_list,
                                rings=cfg.rings, rings_fine=cfg.rings_fine)
@@ -408,7 +411,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="family sweep with CSV output")
     p.add_argument("family", choices=["ellipse", "random", "combined"])
     p.add_argument("--eps", default=None, metavar="MIN:MAX:COUNT")
-    p.add_argument("--count", type=int, default=None, help="random member count")
+    p.add_argument("--count", type=int, default=None,
+                   help="random member count (random and combined only)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--q", default=None, help="comma-separated exponents")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")

@@ -259,21 +259,6 @@ def volume_flow(p: BoundaryProfile, t: float) -> StarDomain:
     return StarDomain((0.0, 0.0), profile)
 
 
-@dataclass(frozen=True, eq=False)
-class FlowFamily:
-    """Radial flow from the unit disk (t=0) to a target domain (t=1)."""
-
-    target_profile: BoundaryProfile
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"flow parameter must lie in [0, 1], got {self.t}")
-
-    def domain(self) -> StarDomain:
-        return volume_flow(self.target_profile, self.t)
-
-
 def volume_corrected_profile(k: int, s: float) -> BoundaryProfile:
     """Single-mode profile a0 + s cos(k theta) with exact volume pi.
 

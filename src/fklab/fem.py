@@ -141,20 +141,6 @@ class TriMesh:
                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
 
-    @cached_property
-    def boundary_edges(self) -> np.ndarray:
-        """(n_edges, 3) array [v0, v1, triangle] of edges used only once."""
-        tri = self.triangles
-        edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        owner = np.tile(np.arange(len(tri)), 3)
-        key = np.sort(edges, axis=1)
-        order = np.lexsort((key[:, 1], key[:, 0]))
-        key, edges, owner = key[order], edges[order], owner[order]
-        uniq, first, counts = np.unique(key, axis=0, return_index=True,
-                                        return_counts=True)
-        sel = first[counts == 1]
-        return np.column_stack([edges[sel], owner[sel]])
-
     def dump(self) -> str:
         """Text dump: ``v x y`` / ``t i j k`` / ``b i`` lines."""
         lines = [f"v {float(x)!r} {float(y)!r}" for x, y in self.vertices]
@@ -167,7 +153,6 @@ class TriMesh:
 class SolveStats:
     iterations: int
     residual: float
-    h: float
 
 
 @dataclass
@@ -251,7 +236,7 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL) -> tuple[ScalarFie
         raise SolverError(f"torsion solve residual {res:.3g} exceeds {tol:.3g}")
     values = np.zeros(mesh.n_vertices)
     values[idx] = x
-    return ScalarField(mesh, values), SolveStats(1, res, mesh.h)
+    return ScalarField(mesh, values), SolveStats(1, res)
 
 
 def integral(u: ScalarField) -> float:
@@ -395,23 +380,6 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
         if drop <= tol:
             return rayleigh
     raise SolverError(f"L^{q} descent did not converge in {max_iter} iterations")
-
-
-def boundary_flux(u: ScalarField) -> np.ndarray:
-    """|normal derivative| per boundary edge from one-sided P1 gradients.
-
-    A Dirichlet field is constant (zero) along each boundary edge, so
-    the gradient of the adjacent triangle is normal to it.
-    """
-    mesh = u.mesh
-    edges = mesh.boundary_edges
-    g = mesh._gradients
-    tri_idx = edges[:, 2]
-    uv = u.values[mesh.triangles[tri_idx]]
-    grads = np.sum(uv[:, :, None] * g[tri_idx], axis=1)
-    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    order = np.argsort(np.arctan2(mids[:, 1], mids[:, 0]))
-    return np.hypot(grads[:, 0], grads[:, 1])[order]
 
 
 def tail_sup(u: ScalarField, ball_radius: float) -> tuple[float, float]:

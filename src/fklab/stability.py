@@ -190,32 +190,6 @@ def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
     return out
 
 
-def fk_deficit(d: StarDomain, q: float, rings: int = DEFAULT_RINGS,
-               rings_fine: int = DEFAULT_RINGS_FINE) -> float:
-    """Scale-invariant Faber-Krahn deficit for the L^q embedding constant."""
-    return richardson(*_per_level(d, (rings, rings_fine), _fk_term, q))
-
-
-def kj_slack(d: StarDomain, q: float, rings: int = DEFAULT_RINGS,
-             rings_fine: int = DEFAULT_RINGS_FINE) -> float:
-    """lambda_q (-E)^theta, domain minus disk (nonnegative, zero on disks)."""
-    if q <= 1.0:
-        raise ValueError("the Kohler-Jobin comparison requires q > 1")
-    return richardson(*_per_level(d, (rings, rings_fine), _kj_term, q))
-
-
-def cappio_check(d: StarDomain, q: float, rings: int = DEFAULT_RINGS,
-                 rings_fine: int = DEFAULT_RINGS_FINE) -> tuple[float, float]:
-    """Ratio form of the Kohler-Jobin bound for a volume-pi domain.
-
-    Returns (lambda_q(Omega)/lambda_q(B) - 1, (E(B)/E(Omega))^theta - 1);
-    the first dominates the second up to discretization tolerance.
-    """
-    if q <= 1.0:
-        raise ValueError("the ratio comparison requires q > 1")
-    return _extrapolate(*_per_level(d, (rings, rings_fine), _ratio_terms, q))
-
-
 # -- expansions at the disk ----------------------------------------------
 
 
@@ -325,6 +299,10 @@ class SweepSpec:
     q_list: tuple = (1.5, 2.0, 3.0)
     rings: int = DEFAULT_RINGS
     rings_fine: int = DEFAULT_RINGS_FINE
+
+    def __post_init__(self):
+        if self.random_count < 0:
+            raise ValueError(f"random_count must be >= 0, got {self.random_count}")
 
 
 @dataclass

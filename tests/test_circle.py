@@ -279,10 +279,6 @@ class TestProfileBasics:
             p = random_profile(rng, kmax=6)
             assert p.sup_norm_bound() >= p.grid_sup() - 1e-12
 
-    def test_nearly_spherical_flag(self):
-        assert BoundaryProfile.constant(0.4).is_nearly_spherical()
-        assert not BoundaryProfile.constant(0.6).is_nearly_spherical()
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             BoundaryProfile(math.nan, np.zeros(1), np.zeros(1))

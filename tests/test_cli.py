@@ -125,8 +125,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [["sweep", "random", "--count", "0"],
                                       ["sweep", "combined", "--count", "-2"],
+                                      ["sweep", "ellipse", "--count", "5"],
                                       ["--workers", "-3", "sweep", "random"]],
-                             ids=["count-0", "count-negative", "workers-negative"])
+                             ids=["count-0", "count-negative", "count-ellipse",
+                                  "workers-negative"])
     def test_bad_sweep_sizes_are_one(self, capsys, monkeypatch, args):
         def no_scan(spec, workers=None):
             raise AssertionError("sweep ran")

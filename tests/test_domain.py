@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fklab.circle import BoundaryProfile, h_half_norm_sq
-from fklab.domain import (FlowFamily, NotStarShapedError, StarDomain, barycenter,
+from fklab.domain import (NotStarShapedError, StarDomain, barycenter,
                           ellipse, fit_profile, profile_relative_to,
                           recenter_rescale, unit_disk, volume, volume_corrected,
                           volume_corrected_profile, volume_flow)
@@ -202,13 +202,6 @@ class TestVolumeFlow:
         bad = BoundaryProfile.single_mode(1, cos_amp=-1.2, a0=0.15)
         with pytest.raises(ValueError):
             StarDomain((0, 0), bad)  # not even a valid star domain
-
-    def test_flow_family_wrapper(self):
-        p = volume_corrected_profile(2, 0.05)
-        fam = FlowFamily(p, 0.5)
-        assert abs(volume(fam.domain()) - PI) < 1e-10
-        with pytest.raises(ValueError):
-            FlowFamily(p, 1.5)
 
 
 class TestVolumeCorrectedProfile:

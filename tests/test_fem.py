@@ -212,24 +212,6 @@ class TestPoincareSobolev:
             fem.poincare_sobolev(disk64, 5.0)
 
 
-class TestBoundaryFlux:
-    def test_disk_uniform_half(self, torsion64):
-        u, _ = torsion64
-        flux = fem.boundary_flux(u)
-        assert len(flux) == 6 * 64
-        assert np.max(np.abs(flux - 0.5)) / 0.5 < 0.03
-
-    def test_scaled_disk(self):
-        u, _ = fem.solve_torsion(fem.polar_mesh(unit_disk(2.0), 64))
-        flux = fem.boundary_flux(u)
-        assert np.median(flux) == pytest.approx(1.0, rel=0.02)
-
-    def test_ellipse_flux_varies(self):
-        u, _ = fem.solve_torsion(fem.polar_mesh(ellipse(0.1), 64))
-        flux = fem.boundary_flux(u)
-        assert np.std(flux) > 1e-3
-
-
 class TestTailSup:
     def test_disk_trivial(self, torsion64):
         u, _ = torsion64

@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 
@@ -83,18 +84,30 @@ class TestEnergyDeficit:
             assert order >= 1.8
 
 
+ELLIPSE_Q = (2.0, 3.0, 4.0)
+DISK_Q = (1.0, 1.5, 2.0, 3.0)
+
+
+@functools.lru_cache(maxsize=None)
+def row(eps: float, q_list=ELLIPSE_Q) -> st.DeficitReport:
+    """The sweep row of ellipse(eps) (the disk at eps = 0), at FAST rings."""
+    return st.evaluate_member(f"ellipse-{eps}", "ellipse", eps, ellipse(eps),
+                              q_list, **FAST)
+
+
 class TestFKDeficit:
     def test_disk_all_q(self):
-        for q in (1.0, 1.5, 2.0, 3.0):
-            assert st.fk_deficit(unit_disk(), q, **FAST) == pytest.approx(
-                0.0, abs=1e-12)
+        fk = row(0.0, DISK_Q).deficit_fk
+        assert tuple(fk) == DISK_Q
+        for q in fk:
+            assert fk[q] == pytest.approx(0.0, abs=1e-12)
 
     def test_ellipse_positive(self):
-        assert st.fk_deficit(ellipse(0.1), 2.0, **FAST) > 0.0
+        assert row(0.1).deficit_fk[2.0] > 0.0
 
     def test_q1_matches_energy_route(self):
         d = ellipse(0.15)
-        route_a = st.fk_deficit(d, 1.0, **FAST)
+        route_a = row(0.15, (1.0,)).deficit_fk[1.0]
         # identity: lambda_{2,1} = -1/(2E), so the q=1 deficit is computable
         # from scale-normalized energies alone
         vals = []
@@ -108,28 +121,22 @@ class TestFKDeficit:
 
 class TestKohlerJobin:
     def test_disk_slack_zero(self):
-        assert st.kj_slack(unit_disk(), 2.0, **FAST) == pytest.approx(0.0,
-                                                                      abs=1e-12)
+        assert row(0.0, DISK_Q).kj_slack[2.0] == pytest.approx(0.0, abs=1e-12)
 
     def test_ellipse_positive(self):
-        assert st.kj_slack(ellipse(0.1), 2.0, **FAST) > 0.0
+        assert row(0.1).kj_slack[2.0] > 0.0
 
     def test_slack_shrinks_with_eps(self):
-        slacks = [st.kj_slack(ellipse(e), 2.0, **FAST)
-                  for e in (0.2, 0.15, 0.1, 0.05)]
+        slacks = [row(e).kj_slack[2.0] for e in (0.2, 0.15, 0.1, 0.05)]
         assert all(b < a for a, b in zip(slacks, slacks[1:]))
 
-    def test_requires_q_above_one(self):
-        with pytest.raises(ValueError):
-            st.kj_slack(unit_disk(), 1.0, **FAST)
-
     def test_cappio_disk(self):
-        lhs, rhs = st.cappio_check(unit_disk(), 2.0, **FAST)
+        lhs, rhs = row(0.0, DISK_Q).cappio[2.0]
         assert abs(lhs) < 1e-12 and abs(rhs) < 1e-12
 
     @pytest.mark.parametrize("eps,q", [(0.1, 2.0), (0.2, 3.0)])
     def test_cappio_ellipse(self, eps, q):
-        lhs, rhs = st.cappio_check(ellipse(eps), q, **FAST)
+        lhs, rhs = row(eps).cappio[q]
         assert lhs >= rhs > 0.0
 
 
@@ -218,6 +225,10 @@ class TestSweep:
                                        "random-0", "random-1", "random-2"]
         assert all(volume(m[3]) == pytest.approx(PI, rel=1e-9) for m in fam)
 
+    def test_negative_random_count_rejected(self):
+        with pytest.raises(ValueError, match="random_count"):
+            st.build_family(st.SweepSpec(random_count=-2))
+
     def test_disk_report_has_nan_ratios(self):
         rep = st.evaluate_member("disk", "ellipse", 0.0, unit_disk(),
                                  q_list=(2.0,), **FAST)
@@ -227,10 +238,8 @@ class TestSweep:
     def test_fk_ratio_decays_in_q(self):
         # recorded qualitative check: the empirical stability constant for
         # the L^q embedding shrinks as q grows (conformal-limit decay)
-        d = ellipse(0.1)
-        from fklab.asymmetry import fraenkel
-        a, _ = fraenkel(d)
-        ratios = [st.fk_deficit(d, q, **FAST) / a ** 2 for q in (2.0, 3.0, 4.0)]
+        r = row(0.1)
+        ratios = [r.deficit_fk[q] / r.fraenkel ** 2 for q in (2.0, 3.0, 4.0)]
         print(f"FK(q)/A^2 at q=2,3,4: {ratios}")
         assert ratios[0] > ratios[1] > ratios[2] > 0.0
 
