@@ -46,7 +46,6 @@ class RunConfig:
     eps_count: int = 8
     seed: int = 7
     q_list: tuple = (1.5, 2.0, 3.0)
-    r_max: float = 2.0
     workers: int = 0  # 0 = all available cores
 
     def validate(self) -> "RunConfig":
@@ -61,8 +60,6 @@ class RunConfig:
         if not self.q_list or any(not 1.0 <= q <= fem.DEFAULT_Q_MAX
                                   for q in self.q_list):
             raise UsageError(f"q.list entries must lie in [1, {fem.DEFAULT_Q_MAX}]")
-        if self.r_max <= 1.0:
-            raise UsageError("r_max must exceed 1")
         if self.workers < 0:
             raise UsageError("workers must be >= 0 (0 = all available cores)")
         return self
@@ -76,7 +73,6 @@ _CONFIG_KEYS = {
     "sweep.count": ("eps_count", int),
     "sweep.seed": ("seed", int),
     "q.list": ("q_list", lambda s: tuple(float(x) for x in s.split(","))),
-    "r_max": ("r_max", float),
     "workers": ("workers", int),
 }
 

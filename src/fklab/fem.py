@@ -5,7 +5,10 @@ vertices, so triangles stay near-equilateral on the disk, and the same
 (rings)-mesh of any star domain is the disk mesh pushed radially onto
 the boundary.  Deficits between a domain and the disk are therefore
 computed on topologically identical meshes and the leading
-discretization bias cancels.
+discretization bias cancels.  Vertices are numbered center first, then
+ring by ring, so the 6 * rings boundary vertices are the last block:
+the interior unknowns are the leading slice ``[:n_interior]`` of every
+nodal vector and matrix.
 
 Each mesh owns one sparse factorization of its interior stiffness
 matrix (symmetric-mode SuperLU), and every solver reads it: torsion
@@ -43,21 +46,23 @@ class SolverError(RuntimeError):
 
 
 class TriMesh:
-    """Conforming P1 triangulation with fixed ring/sector topology."""
+    """Conforming P1 triangulation whose first ``n_interior`` vertices are
+    the interior ones; every later vertex lies on the boundary."""
 
-    def __init__(self, vertices: np.ndarray, triangles: np.ndarray,
-                 boundary_vertices: np.ndarray, rings: int, sectors: int):
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, n_interior: int):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_vertices = np.asarray(boundary_vertices, dtype=np.int64)
-        self.rings = rings
-        self.sectors = sectors
+        self.n_interior = n_interior
         if np.min(self.signed_areas) <= 0.0:
             raise ValueError("mesh has inverted or degenerate elements")
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @property
+    def boundary_vertices(self) -> np.ndarray:
+        return np.arange(self.n_interior, self.n_vertices)
 
     @cached_property
     def signed_areas(self) -> np.ndarray:
@@ -76,12 +81,6 @@ class TriMesh:
         return float(np.max(np.hypot(e[:, 0], e[:, 1])))
 
     @cached_property
-    def interior_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_vertices, dtype=bool)
-        mask[self.boundary_vertices] = False
-        return mask
-
-    @cached_property
     def _gradients(self) -> np.ndarray:
         # per-triangle gradients of the three barycentric functions, (m, 3, 2)
         v = self.vertices[self.triangles]
@@ -89,49 +88,39 @@ class TriMesh:
         rot = np.stack([-edges[:, :, 1], edges[:, :, 0]], axis=-1)
         return rot / (2.0 * self.signed_areas)[:, None, None]
 
+    def _assemble(self, entry) -> sp.csr_matrix:
+        """Global matrix summing the element matrices; ``entry(i, j)`` is
+        the (i, j) entry of every triangle's 3x3 element matrix."""
+        tri = self.triangles
+        ij = [(i, j) for i in range(3) for j in range(3)]
+        a = sp.coo_matrix((np.concatenate([entry(i, j) for i, j in ij]),
+                           (np.concatenate([tri[:, i] for i, _ in ij]),
+                            np.concatenate([tri[:, j] for _, j in ij]))),
+                          shape=(self.n_vertices, self.n_vertices))
+        return a.tocsr()
+
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
         g = self._gradients
         a = self.signed_areas
-        tri = self.triangles
-        rows, cols, data = [], [], []
-        for i in range(3):
-            for j in range(3):
-                rows.append(tri[:, i])
-                cols.append(tri[:, j])
-                data.append(a * np.sum(g[:, i] * g[:, j], axis=1))
-        k = sp.coo_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(self.n_vertices, self.n_vertices))
-        return k.tocsr()
+        return self._assemble(lambda i, j: a * np.sum(g[:, i] * g[:, j], axis=1))
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
         a = self.signed_areas
-        tri = self.triangles
-        rows, cols, data = [], [], []
-        for i in range(3):
-            for j in range(3):
-                rows.append(tri[:, i])
-                cols.append(tri[:, j])
-                data.append(a * ((2.0 if i == j else 1.0) / 12.0))
-        m = sp.coo_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(self.n_vertices, self.n_vertices))
-        return m.tocsr()
+        return self._assemble(lambda i, j: a * ((2.0 if i == j else 1.0) / 12.0))
 
     @cached_property
     def load(self) -> np.ndarray:
         """Exact integrals of the P1 basis functions (area/3 per vertex)."""
-        b = np.zeros(self.n_vertices)
-        np.add.at(b, self.triangles.ravel(),
-                  np.repeat(self.signed_areas / 3.0, 3))
-        return b
+        return np.bincount(self.triangles.ravel(),
+                           np.repeat(self.signed_areas / 3.0, 3),
+                           minlength=self.n_vertices)
 
     @cached_property
     def _interior_stiffness(self) -> sp.csr_matrix:
-        idx = np.flatnonzero(self.interior_mask)
-        return self.stiffness[np.ix_(idx, idx)].tocsr()
+        n = self.n_interior
+        return self.stiffness[:n, :n]
 
     @cached_property
     def _interior_factor(self):
@@ -157,67 +146,62 @@ class SolveStats:
 
 @dataclass
 class ScalarField:
-    """Nodal P1 field; Dirichlet fields vanish on boundary vertices."""
+    """Nodal P1 field with zero boundary values."""
 
     mesh: TriMesh
     values: np.ndarray
-    dirichlet: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.mesh.n_vertices,):
             raise ValueError("field length does not match the mesh")
-        if self.dirichlet:
-            self.values[self.mesh.boundary_vertices] = 0.0
+        self.values[self.mesh.n_interior:] = 0.0
+
+
+def _extend(mesh: TriMesh, x: np.ndarray) -> np.ndarray:
+    """Nodal values from interior values, zero on the boundary."""
+    values = np.zeros(mesh.n_vertices)
+    values[:mesh.n_interior] = x
+    return values
 
 
 def polar_mesh(d: StarDomain, rings: int) -> TriMesh:
-    """Ring/sector triangulation of a star domain (6i vertices on ring i)."""
+    """Ring/sector triangulation of a star domain (6i vertices on ring i).
+
+    Vertices are numbered center first, then ring by ring outward, each
+    ring counterclockwise from theta = 0; the outermost ring, the
+    boundary, is the last block.  Per ring and per sector of 60 degrees
+    the triangles run through the i outward ones (an edge on ring i)
+    and then the i - 1 inward ones (an edge on ring i - 1).
+    """
     if rings < 4:
         raise ValueError(f"rings must be >= 4, got {rings}")
-    ring_start = [0] * (rings + 1)
-    for i in range(1, rings + 1):
-        ring_start[i] = 1 + 3 * i * (i - 1)
     n_vertices = 1 + 3 * rings * (rings + 1)
-
-    theta_all = np.empty(n_vertices)
-    rho_all = np.empty(n_vertices)
-    theta_all[0] = 0.0
-    rho_all[0] = 0.0
+    theta = np.zeros(n_vertices)
+    rho = np.zeros(n_vertices)
+    blocks = []
+    seg = np.arange(6)[:, None]
     for i in range(1, rings + 1):
-        s = ring_start[i]
-        theta_all[s:s + 6 * i] = np.arange(6 * i) * (2.0 * math.pi / (6 * i))
-        rho_all[s:s + 6 * i] = i / rings
+        so, no = 1 + 3 * i * (i - 1), 6 * i  # first vertex and size of ring i
+        theta[so:so + no] = np.arange(no) * (2.0 * math.pi / no)
+        rho[so:so + no] = i / rings
+        k = np.arange(no).reshape(6, i)      # [seg, t]: outward triangle t of sector seg
+        if i == 1:  # the fan around the center
+            blocks.append(np.stack([np.zeros_like(k), so + k, so + (k + 1) % no], axis=-1))
+            continue
+        si, ni = so - (no - 6), no - 6       # first vertex and size of ring i - 1
+        m = np.arange(ni).reshape(6, i - 1)  # [seg, t]: inward triangle t of sector seg
+        outward = np.stack([so + k, so + (k + 1) % no, si + (k - seg) % ni], axis=-1)
+        inward = np.stack([si + m, so + m + seg + 1, si + (m + 1) % ni], axis=-1)
+        blocks.append(np.concatenate([outward, inward], axis=1))
+    tris = np.concatenate([b.reshape(-1, 3) for b in blocks])
 
-    r_bound = d.radius(theta_all)
+    r_bound = d.radius(theta)
     verts = np.stack([
-        d.center[0] + rho_all * r_bound * np.cos(theta_all),
-        d.center[1] + rho_all * r_bound * np.sin(theta_all),
+        d.center[0] + rho * r_bound * np.cos(theta),
+        d.center[1] + rho * r_bound * np.sin(theta),
     ], axis=1)
-
-    tris = np.empty((6 * rings * rings, 3), dtype=np.int64)
-    pos = 0
-    for j in range(6):
-        tris[pos] = (0, 1 + j, 1 + (j + 1) % 6)
-        pos += 1
-    for i in range(2, rings + 1):
-        so, si = ring_start[i], ring_start[i - 1]
-        no, ni = 6 * i, 6 * (i - 1)
-        for seg in range(6):
-            for t in range(i):
-                o0 = so + (seg * i + t) % no
-                o1 = so + (seg * i + t + 1) % no
-                n0 = si + (seg * (i - 1) + t) % ni
-                tris[pos] = (o0, o1, n0)
-                pos += 1
-            for t in range(i - 1):
-                o1 = so + (seg * i + t + 1) % no
-                n0 = si + (seg * (i - 1) + t) % ni
-                n1 = si + (seg * (i - 1) + t + 1) % ni
-                tris[pos] = (n0, o1, n1)
-                pos += 1
-    boundary = np.arange(ring_start[rings], n_vertices, dtype=np.int64)
-    return TriMesh(verts, tris, boundary, rings, 6 * rings)
+    return TriMesh(verts, tris, n_vertices - 6 * rings)
 
 
 def disk_mesh(rings: int) -> TriMesh:
@@ -227,16 +211,13 @@ def disk_mesh(rings: int) -> TriMesh:
 def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL) -> tuple[ScalarField, SolveStats]:
     """Solve -Laplace u = 1 with zero boundary values by the mesh's
     factorization; a relative residual above ``tol`` raises."""
-    idx = np.flatnonzero(mesh.interior_mask)
     a = mesh._interior_stiffness
-    b = mesh.load[idx]
+    b = mesh.load[:mesh.n_interior]
     x = mesh._interior_factor.solve(b)
     res = float(np.linalg.norm(a @ x - b) / np.linalg.norm(b))
     if not res <= tol:
         raise SolverError(f"torsion solve residual {res:.3g} exceeds {tol:.3g}")
-    values = np.zeros(mesh.n_vertices)
-    values[idx] = x
-    return ScalarField(mesh, values), SolveStats(1, res)
+    return ScalarField(mesh, _extend(mesh, x)), SolveStats(1, res)
 
 
 def integral(u: ScalarField) -> float:
@@ -249,10 +230,6 @@ def energy_of(u: ScalarField) -> float:
     return -0.5 * integral(u)
 
 
-def dirichlet_energy(u: ScalarField) -> float:
-    return float(u.values @ (u.mesh.stiffness @ u.values))
-
-
 def lq_integral(u: ScalarField, q: float) -> float:
     """int |u|^q: exact mass-matrix quadrature for q in {1, 2}, otherwise
     the 3-point edge-midpoint rule per triangle."""
@@ -260,13 +237,18 @@ def lq_integral(u: ScalarField, q: float) -> float:
         return float(u.mesh.load @ np.abs(u.values))
     if q == 2.0:
         return float(u.values @ (u.mesh.mass @ u.values))
-    tri = u.mesh.triangles
-    uv = u.values[tri]
+    mids, w = _midpoints(u.mesh, u.values)
+    return float(np.sum(w * np.abs(mids) ** q))
+
+
+def _midpoints(mesh: TriMesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values at the edge midpoints, column i opposite vertex i, (m, 3),
+    and their quadrature weights area/3, (m, 1)."""
+    uv = values[mesh.triangles]
     mids = 0.5 * np.stack([uv[:, 1] + uv[:, 2],
                            uv[:, 0] + uv[:, 2],
                            uv[:, 0] + uv[:, 1]], axis=1)
-    w = (u.mesh.signed_areas / 3.0)[:, None]
-    return float(np.sum(w * np.abs(mids) ** q))
+    return mids, (mesh.signed_areas / 3.0)[:, None]
 
 
 def _lq_gradient(mesh: TriMesh, values: np.ndarray, q: float) -> np.ndarray:
@@ -275,31 +257,22 @@ def _lq_gradient(mesh: TriMesh, values: np.ndarray, q: float) -> np.ndarray:
         return mesh.load * np.sign(values)
     if q == 2.0:
         return 2.0 * (mesh.mass @ values)
-    tri = mesh.triangles
-    uv = values[tri]
-    mids = 0.5 * np.stack([uv[:, 1] + uv[:, 2],
-                           uv[:, 0] + uv[:, 2],
-                           uv[:, 0] + uv[:, 1]], axis=1)
-    w = (mesh.signed_areas / 3.0)[:, None]
+    mids, w = _midpoints(mesh, values)
     dmid = w * (0.5 * q) * np.abs(mids) ** (q - 1.0) * np.sign(mids)
-    grad = np.zeros(mesh.n_vertices)
-    np.add.at(grad, tri[:, 1], dmid[:, 0])
-    np.add.at(grad, tri[:, 2], dmid[:, 0])
-    np.add.at(grad, tri[:, 0], dmid[:, 1])
-    np.add.at(grad, tri[:, 2], dmid[:, 1])
-    np.add.at(grad, tri[:, 0], dmid[:, 2])
-    np.add.at(grad, tri[:, 1], dmid[:, 2])
-    return grad
+    # midpoint i feeds the two vertices of its edge, the ones other than i
+    return np.bincount(mesh.triangles[:, [1, 2, 0, 2, 0, 1]].T.ravel(),
+                       np.repeat(dmid.T, 2, axis=0).ravel(),
+                       minlength=mesh.n_vertices)
 
 
 def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,
                          max_iter: int = 400) -> tuple[float, ScalarField]:
     """Smallest Dirichlet eigenvalue by inverse power iteration (shift 0)."""
-    idx = np.flatnonzero(mesh.interior_mask)
+    n = mesh.n_interior
     k = mesh._interior_stiffness
-    m = mesh.mass[np.ix_(idx, idx)].tocsr()
+    m = mesh.mass[:n, :n]
     lu = mesh._interior_factor
-    x = mesh.load[idx].copy()
+    x = mesh.load[:n].copy()
     x /= math.sqrt(x @ (m @ x))
     lam_prev = math.inf
     for it in range(1, max_iter + 1):
@@ -315,9 +288,7 @@ def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,
         raise SolverError("inverse power iteration stagnated")
     if np.sum(x) < 0:
         x = -x
-    values = np.zeros(mesh.n_vertices)
-    values[idx] = x
-    return lam, ScalarField(mesh, values)
+    return lam, ScalarField(mesh, _extend(mesh, x))
 
 
 def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
@@ -335,23 +306,18 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
     q = float(q)
     if not 1.0 <= q <= q_max:
         raise ValueError(f"exponent q={q} outside the supported range [1, {q_max}]")
-    idx = np.flatnonzero(mesh.interior_mask)
+    n = mesh.n_interior
     k = mesh._interior_stiffness
     lu = mesh._interior_factor
 
-    full = np.zeros(mesh.n_vertices)
-
     def norm_q(x):
-        full[idx] = x
-        return lq_integral(ScalarField(mesh, full.copy(), dirichlet=False), q) ** (1.0 / q)
+        return lq_integral(ScalarField(mesh, _extend(mesh, x)), q) ** (1.0 / q)
 
     def grad_rho(x):
         # gradient of ||.||_q at a unit-norm point, interior dofs
-        full[idx] = x
-        g = _lq_gradient(mesh, full, q)
-        return g[idx] / q
+        return _lq_gradient(mesh, _extend(mesh, x), q)[:n] / q
 
-    u = lu.solve(mesh.load[idx])  # torsion start, positive
+    u = lu.solve(mesh.load[:n])  # torsion start, positive
     u /= norm_q(u)
     rayleigh = float(u @ (k @ u))
     for it in range(max_iter):

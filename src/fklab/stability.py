@@ -175,19 +175,9 @@ def energy_gap(d: StarDomain, rings: int = DEFAULT_RINGS,
 
 
 def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
-                   rings_fine: int = DEFAULT_RINGS_FINE,
-                   with_order: bool = False):
-    """Scale-invariant energy deficit D, Richardson-extrapolated.
-
-    With ``with_order`` also returns the convergence order observed on
-    a coarser third level (a preasymptotic-mesh diagnostic).
-    """
-    levels = [rings // 2, rings, rings_fine] if with_order else [rings, rings_fine]
-    vals = _per_level(d, levels, _energy_term)
-    out = richardson(vals[-2], vals[-1])
-    if with_order:
-        return out, observed_order(*vals)
-    return out
+                   rings_fine: int = DEFAULT_RINGS_FINE) -> float:
+    """Scale-invariant energy deficit D, Richardson-extrapolated."""
+    return richardson(*_per_level(d, (rings, rings_fine), _energy_term))
 
 
 # -- expansions at the disk ----------------------------------------------
@@ -303,6 +293,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.random_count < 0:
             raise ValueError(f"random_count must be >= 0, got {self.random_count}")
+        if not self.eps_values and self.random_count == 0:
+            raise ValueError("empty family: eps_values is empty and random_count is 0")
 
 
 @dataclass

@@ -3,14 +3,17 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fklab
 from fklab import fem, stability, verify
-from fklab.cli import (RunConfig, UsageError, csv_header, csv_row, load_config,
-                       main, parse_domain_spec)
+from fklab.cli import (_CONFIG_KEYS, RunConfig, UsageError, csv_header, csv_row,
+                       load_config, main, parse_domain_spec)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfig:
@@ -37,6 +40,17 @@ class TestConfig:
         path.write_text("mesh.rings = 16\nmesh.rings_fine = 32\n")
         monkeypatch.setenv("FKLAB_CONFIG", str(path))
         assert load_config(None).rings == 16
+
+    def test_readme_config_block_matches_parser(self, tmp_path):
+        # the documented config names every key the parser knows and no
+        # other, with the default values
+        block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [ln.split("#", 1)[0].split("=", 1)[0].strip()
+                for ln in block.splitlines() if ln.split("#", 1)[0].strip()]
+        assert sorted(keys) == sorted(_CONFIG_KEYS)
+        path = tmp_path / "readme.conf"
+        path.write_text(block)
+        assert load_config(str(path)) == RunConfig()
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.conf"
@@ -113,9 +127,10 @@ class TestExitCodes:
                      "--rings-fine", "32"]) == 1
         assert main(["verify", "no-such-suite"]) == 1
 
-    @pytest.mark.parametrize("key", ["tol.cg", "tol.eig", "tol.descent"])
+    @pytest.mark.parametrize("key", ["tol.cg", "tol.eig", "tol.descent", "r_max"])
     def test_removed_tolerance_key_is_unknown(self, tmp_path, capsys, key):
-        # the solver tolerances are constants of fklab.fem, not config keys
+        # the solver tolerances are constants of fklab.fem and no command
+        # reads an outer radius r_max, so none of them is a config key
         path = tmp_path / "tol.conf"
         path.write_text(f"{key} = 1e-9\n")
         assert main(["--config", str(path), "ball-reference"]) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -50,6 +51,27 @@ class TestPolarMesh:
         r = np.hypot(pts[:, 0] - 0.2, pts[:, 1] + 0.1)
         assert np.max(np.abs(r - d.radius(theta))) < 1e-12
 
+    # SHA-256 of the little-endian int64 triangle array, recorded from the
+    # per-triangle loop the ring-by-ring construction replaced
+    TRIANGLES_SHA256 = {
+        4: "f67fa65e96f47bef89e8dc8e526ee562b8a4abd50c85ae6906b82ebc6026fad5",
+        12: "ad20879bce646d238c7c4e57ac30598fe1e172c46a6c4a4b8ef00b8972f2db14",
+        64: "2945a31977211ddb662091dca98a1686ecd3a0c42db5a037e9f4808fd771cf05",
+    }
+
+    @pytest.mark.parametrize("rings", [4, 12, 64])
+    def test_interior_first_contract(self, rings):
+        # the solvers take the interior unknowns as the leading slice [:n]
+        mesh = fem.polar_mesh(unit_disk(), rings)
+        n = mesh.n_interior
+        assert np.array_equal(mesh.boundary_vertices, np.arange(n, mesh.n_vertices))
+        radius = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        assert np.array_equal(np.flatnonzero(radius < 1.0 - 0.5 / rings), np.arange(n))
+        assert len(mesh.boundary_vertices) == 6 * rings
+        assert (mesh._interior_stiffness != mesh.stiffness[:n, :n]).nnz == 0
+        digest = hashlib.sha256(mesh.triangles.astype("<i8").tobytes()).hexdigest()
+        assert digest == self.TRIANGLES_SHA256[rings]
+
     def test_min_rings(self):
         fem.polar_mesh(unit_disk(), 4)
         with pytest.raises(ValueError):
@@ -78,15 +100,41 @@ class TestStiffness:
         assert abs(k - k.T).max() < 1e-12
 
     def test_positive_definite_on_interior(self, disk64, rng):
-        idx = np.flatnonzero(disk64.interior_mask)
-        kii = disk64.stiffness[np.ix_(idx, idx)]
+        n = disk64.n_interior
+        kii = disk64.stiffness[:n, :n]
         for _ in range(5):
-            x = rng.standard_normal(len(idx))
+            x = rng.standard_normal(n)
             assert x @ (kii @ x) > 0.0
 
     def test_mass_row_sums_equal_load(self, disk64):
         ones = np.ones(disk64.n_vertices)
         assert np.max(np.abs(disk64.mass @ ones - disk64.load)) < 1e-14
+
+
+class TestScatterSums:
+    # reference: one np.add.at per (midpoint, vertex) pair, in the order
+    # the single bincount must reproduce bit for bit
+    def test_lq_gradient_matches_add_at(self, rng):
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        tri = mesh.triangles
+        values = rng.standard_normal(mesh.n_vertices)
+        for q in (1.5, 3.0):
+            uv = values[tri]
+            mids = 0.5 * np.stack([uv[:, 1] + uv[:, 2], uv[:, 0] + uv[:, 2],
+                                   uv[:, 0] + uv[:, 1]], axis=1)
+            dmid = ((mesh.signed_areas / 3.0)[:, None] * (0.5 * q)
+                    * np.abs(mids) ** (q - 1.0) * np.sign(mids))
+            ref = np.zeros(mesh.n_vertices)
+            for col, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+                np.add.at(ref, tri[:, a], dmid[:, col])
+                np.add.at(ref, tri[:, b], dmid[:, col])
+            assert np.array_equal(fem._lq_gradient(mesh, values, q), ref)
+
+    def test_load_matches_add_at(self):
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        ref = np.zeros(mesh.n_vertices)
+        np.add.at(ref, mesh.triangles.ravel(), np.repeat(mesh.signed_areas / 3.0, 3))
+        assert np.array_equal(mesh.load, ref)
 
 
 class TestTorsion:
@@ -120,7 +168,7 @@ class TestTorsion:
 
     def test_discrete_energy_identity(self, torsion64):
         u, _ = torsion64
-        dir_energy = fem.dirichlet_energy(u)
+        dir_energy = u.values @ (u.mesh.stiffness @ u.values)
         mass = fem.integral(u)
         assert abs(0.5 * dir_energy - mass - (-0.5 * mass)) < 1e-8 * abs(mass)
 

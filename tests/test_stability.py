@@ -78,10 +78,12 @@ class TestEnergyDeficit:
         assert v2 == pytest.approx(v1, rel=1e-9)
 
     def test_observed_order_near_two(self):
+        # the order a sweep row reports for its energy deficit, from the
+        # rings 32/64/128 levels
         for eps in (0.1, 0.15):
-            _, order = st.energy_deficit(ellipse(eps), rings=64,
-                                         rings_fine=128, with_order=True)
-            assert order >= 1.8
+            r = st.evaluate_member(f"ellipse-{eps}", "ellipse", eps, ellipse(eps),
+                                   q_list=(2.0,), rings=64, rings_fine=128)
+            assert r.extrap_order >= 1.8
 
 
 ELLIPSE_Q = (2.0, 3.0, 4.0)
@@ -228,6 +230,12 @@ class TestSweep:
     def test_negative_random_count_rejected(self):
         with pytest.raises(ValueError, match="random_count"):
             st.build_family(st.SweepSpec(random_count=-2))
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="eps_values.*random_count"):
+            st.SweepSpec(eps_values=(), random_count=0, rings=8, rings_fine=16)
+        assert len(st.build_family(st.SweepSpec(eps_values=(), random_count=1))) == 1
+        assert len(st.build_family(st.SweepSpec(eps_values=(0.1,), random_count=0))) == 1
 
     def test_disk_report_has_nan_ratios(self):
         rep = st.evaluate_member("disk", "ellipse", 0.0, unit_disk(),
