@@ -44,17 +44,34 @@ ORDER_BAND = (1.6, 2.4)
 
 class Level:
     """Torsion energy, eigenvalue and L^q constants of one domain at one
-    ring count, computed lazily from one mesh and its one factorization."""
+    ring count, computed lazily from one mesh.
+
+    The eigenvalue and the L^q constants factor the mesh's interior
+    stiffness once and share that factor.  The torsion solve is CG
+    preconditioned with that factor when it exists, and otherwise with
+    the matched disk level's, so a torsion-only level factors nothing.
+    A ``SolverError`` from any solve is re-raised with the ring count.
+    """
 
     def __init__(self, d: StarDomain, rings: int):
+        self.rings = rings
         self.volume = volume(d)
         self.mesh = fem.polar_mesh(d, rings)
         self._energy: float | None = None
         self._lq: dict[float, float] = {}
 
+    def _solve(self, solver, *args, **kwargs):
+        try:
+            return solver(self.mesh, *args, **kwargs)
+        except fem.SolverError as exc:
+            raise fem.SolverError(f"rings {self.rings}: {exc}") from exc
+
     def energy(self) -> float:
         if self._energy is None:
-            u, _ = fem.solve_torsion(self.mesh)
+            # a computed lambda_q means the mesh's own factor exists; the
+            # disk level is its own matched level
+            ref = self if self._lq else disk_data(self.rings)
+            u, _ = self._solve(fem.solve_torsion, precond=ref.mesh._interior_factor)
             self._energy = fem.energy_of(u)
         return self._energy
 
@@ -65,9 +82,9 @@ class Level:
         q = float(q)
         if q not in self._lq:
             if q == 2.0:
-                self._lq[q], _ = fem.principal_eigenvalue(self.mesh)
+                self._lq[q], _ = self._solve(fem.principal_eigenvalue)
             else:
-                self._lq[q] = fem.poincare_sobolev(self.mesh, q)
+                self._lq[q] = self._solve(fem.poincare_sobolev, q)
         return self._lq[q]
 
 
@@ -82,8 +99,10 @@ def disk_data(rings: int) -> Level:
 
 
 def prepare_disk_references(levels, q_list=()) -> None:
-    """Precompute disk solves so forked sweep workers inherit them (workers
-    started by spawn or forkserver recompute them)."""
+    """Precompute the disk solves, and with them the disk factorizations
+    that precondition every domain torsion solve at the same ring count,
+    so forked sweep workers inherit them (workers started by spawn or
+    forkserver recompute them)."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()
@@ -349,7 +368,9 @@ def build_family(spec: SweepSpec) -> list[tuple[str, str, float, StarDomain]]:
 
 def _row_terms(dom: Level, ref: Level, q_list) -> dict:
     """Every extrapolated value of a sweep row, at one level."""
-    t = {"energy": dom.energy(), "eigenvalue": dom.eigenvalue(),
+    # the eigenvalue first: it factors the mesh, and the torsion solve then
+    # starts from that factor's direct solve instead of CG with the disk's
+    t = {"eigenvalue": dom.eigenvalue(), "energy": dom.energy(),
          "deficit_energy": _energy_term(dom, ref)}
     for q in q_list:
         t["lambda_q", q] = dom.lambda_q(q)

@@ -7,6 +7,7 @@ import pytest
 from fklab import fem
 from fklab.domain import (StarDomain, barycenter, ellipse, unit_disk, volume,
                           volume_corrected_profile)
+from fklab.stability import random_near_sphere_profile
 
 from oracles import disk_eigenvalue_shooting, disk_lambda_q_radial
 
@@ -291,6 +292,48 @@ class TestDirectTorsion:
         _, stats = fem.solve_torsion(disk64)
         assert stats.iterations == 1
         assert stats.residual <= fem.DEFAULT_CG_TOL
+
+
+def near_sphere():
+    rng = np.random.default_rng(2024)
+    return StarDomain((0.0, 0.0), random_near_sphere_profile(rng, 0.047))
+
+
+class TestPreconditionedTorsion:
+    @pytest.mark.parametrize("rings", [32, 64])
+    @pytest.mark.parametrize("name", ["ellipse", "near-sphere"])
+    def test_disk_preconditioner_matches_direct_solve(self, name, rings):
+        d = ellipse(0.2) if name == "ellipse" else near_sphere()
+        mesh = fem.polar_mesh(d, rings)
+        u, stats = fem.solve_torsion(
+            mesh, precond=fem.disk_mesh(rings)._interior_factor)
+        assert "_interior_factor" not in vars(mesh)  # no factorization built
+        assert 1 < stats.iterations <= 20
+        assert stats.residual <= fem.DEFAULT_CG_TOL
+        direct = mesh._interior_factor.solve(mesh.load[:mesh.n_interior])
+        e_direct = -0.5 * float(mesh.load[:mesh.n_interior] @ direct)
+        assert abs(fem.energy_of(u) / e_direct - 1.0) <= 1e-13
+
+    def test_wrong_size_preconditioner_rejected(self):
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        with pytest.raises(ValueError, match="preconditioner"):
+            fem.solve_torsion(mesh, precond=fem.disk_mesh(8)._interior_factor)
+
+    def test_unreachable_tolerance_raises_with_iterations(self):
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        with pytest.raises(fem.SolverError, match=r"iterations.*residual"):
+            fem.solve_torsion(mesh, tol=1e-30,
+                              precond=fem.disk_mesh(16)._interior_factor)
+
+
+class TestScalarField:
+    def test_caller_array_is_not_modified(self):
+        mesh = fem.disk_mesh(4)
+        v = np.ones(mesh.n_vertices)
+        f = fem.ScalarField(mesh, v)
+        assert np.all(v == 1.0)
+        assert f.values is not v
+        assert np.all(f.values[mesh.n_interior:] == 0.0)
 
 
 class TestMeshDump:

@@ -269,23 +269,57 @@ class TestSweep:
         assert quartic_slack > 5.0 * quadratic_slack
 
 
+def count_calls(monkeypatch):
+    """Count mesh builds and sparse factorizations while the test runs."""
+    calls = {"mesh": 0, "splu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fem, "polar_mesh", counted("mesh", fem.polar_mesh))
+    monkeypatch.setattr(fem.spla, "splu", counted("splu", fem.spla.splu))
+    return calls
+
+
 class TestSharedLevel:
-    def test_member_builds_one_mesh_and_one_factor_per_level(self, monkeypatch):
+    def test_member_factors_only_its_eigen_levels(self, monkeypatch):
         # three levels (order, coarse, fine); the asymmetries need no mesh
+        # and the torsion-only order level is preconditioned by the disk
         st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
-        calls = {"mesh": 0, "splu": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(fem, "polar_mesh", counted("mesh", fem.polar_mesh))
-        monkeypatch.setattr(fem.spla, "splu", counted("splu", fem.spla.splu))
+        calls = count_calls(monkeypatch)
         st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
                            rings_fine=16)
-        assert calls == {"mesh": 3, "splu": 3}
+        assert calls == {"mesh": 3, "splu": 2}
+
+    @pytest.mark.parametrize("gap", [
+        lambda: st.energy_gap(ellipse(0.1), 8, 16),
+        lambda: st.fuglede_margin(volume_corrected_profile(2, 0.01), 8, 16),
+        lambda: st.taylor_validation(2, (0.03, 0.05, 0.07), 8, 16),
+    ], ids=["energy_gap", "fuglede_margin", "taylor_validation"])
+    def test_torsion_only_paths_factor_nothing(self, monkeypatch, gap):
+        st.prepare_disk_references((8, 16))
+        calls = count_calls(monkeypatch)
+        gap()
+        assert calls["splu"] == 0
+        assert calls["mesh"] > 0
+
+
+class TestLevelFailure:
+    def test_sweep_failure_names_member_rings_and_solver(self, monkeypatch):
+        spec = st.SweepSpec(eps_values=(0.05,), random_count=0,
+                            rings=8, rings_fine=16)
+        st.prepare_disk_references((4, 8, 16), spec.q_list)
+        monkeypatch.setattr(fem, "solve_torsion",
+                            functools.partial(fem.solve_torsion, tol=1e-30))
+        with pytest.raises(fem.SolverError) as info:
+            st.sigma_scan(spec, workers=1)
+        assert str(info.value).startswith(
+            "sweep member ellipse-0.05 failed: rings 4: torsion PCG ")
+        assert "iterations" in str(info.value)
+        assert "residual" in str(info.value)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
