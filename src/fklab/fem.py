@@ -10,6 +10,17 @@ ring by ring, so the 6 * rings boundary vertices are the last block:
 the interior unknowns are the leading slice ``[:n_interior]`` of every
 nodal vector and matrix.
 
+Everything that depends on the ring count alone is built once per
+process in a read-only :class:`RingSkeleton`: the triangles, the vertex
+angles and ring radii, the unique edges, and the CSR pattern shared by
+stiffness and mass.  A domain's mesh evaluates its boundary radius and
+scales the skeleton's unit vectors, and assembly is one pass over the
+edges that fills the shared pattern: an off-diagonal stiffness entry
+sums e_i . e_j / (4A) over the edge's two triangles, the diagonal is
+minus the row sum, and mass follows from the per-edge areas and the
+load vector.  The L^q integrals use the 3-point edge-midpoint rule,
+each unique edge midpoint once.
+
 Each mesh owns at most one sparse factorization of its interior
 stiffness matrix (symmetric-mode SuperLU), built on first use.  Torsion
 (-Laplace u = 1, u = 0 on the boundary) is one conjugate-gradient solve
@@ -28,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,14 +62,122 @@ class SolverError(RuntimeError):
     """Signals non-convergence of an iterative solve."""
 
 
-class TriMesh:
-    """Conforming P1 triangulation whose first ``n_interior`` vertices are
-    the interior ones; every later vertex lies on the boundary."""
+@dataclass(frozen=True, eq=False)
+class RingSkeleton:
+    """Topology of the polar mesh with ``rings`` rings, shared read-only by
+    the meshes of every domain at that ring count.
 
-    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, n_interior: int):
+    Per vertex: the polar angle ``theta`` with its ``cos`` and ``sin``, and
+    the ring radius ``rho`` (ring / rings).  ``edges`` lists every edge
+    once, lower vertex first, in increasing order; ``triangle_edges[t, k]``
+    is the edge of triangle t opposite its vertex k.  ``indptr`` and
+    ``indices`` are the CSR pattern shared by stiffness and mass: the
+    diagonal and both directions of every edge, columns sorted.
+    ``edge_slots[e]`` holds the data positions of the entries (lo, hi) and
+    (hi, lo) of edge e, ``diagonal_slots[i]`` that of the entry (i, i).
+    ``midpoints`` is the sparse (edges x vertices) map from nodal values
+    to edge-midpoint values; its transpose sends half of each midpoint
+    value to either end of the edge.
+    """
+
+    rings: int
+    theta: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    rho: np.ndarray
+    triangles: np.ndarray
+    edges: np.ndarray
+    triangle_edges: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    edge_slots: np.ndarray
+    diagonal_slots: np.ndarray
+    midpoints: sp.csr_matrix
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.theta)
+
+    @property
+    def n_interior(self) -> int:
+        return self.n_vertices - 6 * self.rings
+
+
+@cache
+def ring_skeleton(rings: int) -> RingSkeleton:
+    """The skeleton of the ``rings``-ring mesh, built once per process.
+
+    Vertices are numbered center first, then ring by ring outward, each
+    ring counterclockwise from theta = 0; the outermost ring, the
+    boundary, is the last block.  Per ring and per sector of 60 degrees
+    the triangles run through the i outward ones (an edge on ring i)
+    and then the i - 1 inward ones (an edge on ring i - 1).
+    """
+    if rings < 4:
+        raise ValueError(f"rings must be >= 4, got {rings}")
+    n_vertices = 1 + 3 * rings * (rings + 1)
+    theta = np.zeros(n_vertices)
+    rho = np.zeros(n_vertices)
+    blocks = []
+    seg = np.arange(6)[:, None]
+    for i in range(1, rings + 1):
+        so, no = 1 + 3 * i * (i - 1), 6 * i  # first vertex and size of ring i
+        theta[so:so + no] = np.arange(no) * (2.0 * math.pi / no)
+        rho[so:so + no] = i / rings
+        k = np.arange(no).reshape(6, i)      # [seg, t]: outward triangle t of sector seg
+        if i == 1:  # the fan around the center
+            blocks.append(np.stack([np.zeros_like(k), so + k, so + (k + 1) % no], axis=-1))
+            continue
+        si, ni = so - (no - 6), no - 6       # first vertex and size of ring i - 1
+        m = np.arange(ni).reshape(6, i - 1)  # [seg, t]: inward triangle t of sector seg
+        outward = np.stack([so + k, so + (k + 1) % no, si + (k - seg) % ni], axis=-1)
+        inward = np.stack([si + m, so + m + seg + 1, si + (m + 1) % ni], axis=-1)
+        blocks.append(np.concatenate([outward, inward], axis=1))
+    tris = np.concatenate([b.reshape(-1, 3) for b in blocks]).astype(np.int32)
+
+    # the edge opposite vertex k joins vertices k + 1 and k + 2
+    ends = np.sort(np.stack([tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]], axis=-1), axis=-1)
+    keys, tri_edges = np.unique(ends[..., 0].astype(np.int64) * n_vertices + ends[..., 1],
+                                return_inverse=True)
+    edges = np.stack([keys // n_vertices, keys % n_vertices], axis=1).astype(np.int32)
+    n_edges = len(edges)
+    diagonal = np.arange(n_vertices, dtype=np.int32)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], diagonal])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], diagonal])
+    order = np.lexsort((cols, rows))
+    slots = np.empty(len(order), dtype=np.int32)
+    slots[order] = np.arange(len(order))
+    indptr = np.zeros(n_vertices + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_vertices), out=indptr[1:])
+    midpoints = sp.csr_matrix((np.full(2 * n_edges, 0.5), edges.ravel(),
+                               np.arange(0, 2 * n_edges + 1, 2, dtype=np.int32)),
+                              shape=(n_edges, n_vertices))
+
+    arrays = {
+        "theta": theta, "cos": np.cos(theta), "sin": np.sin(theta), "rho": rho,
+        "triangles": tris, "edges": edges,
+        "triangle_edges": tri_edges.reshape(-1, 3).astype(np.int32),
+        "indptr": indptr, "indices": cols[order],
+        "edge_slots": np.stack([slots[:n_edges], slots[n_edges:2 * n_edges]], axis=1),
+        "diagonal_slots": slots[2 * n_edges:],
+    }
+    for a in [*arrays.values(), midpoints.data, midpoints.indices, midpoints.indptr]:
+        a.flags.writeable = False
+    return RingSkeleton(rings, midpoints=midpoints, **arrays)
+
+
+class TriMesh:
+    """P1 triangulation of one domain on the shared skeleton of its ring
+    count: the first ``n_interior`` vertices are the interior ones, every
+    later vertex lies on the boundary."""
+
+    def __init__(self, vertices: np.ndarray, skeleton: RingSkeleton):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.n_interior = n_interior
+        self.skeleton = skeleton
+        self.triangles = skeleton.triangles
+        self.n_interior = skeleton.n_interior
+        if self.vertices.shape != (skeleton.n_vertices, 2):
+            raise ValueError("vertex array does not match the skeleton")
         if np.min(self.signed_areas) <= 0.0:
             raise ValueError("mesh has inverted or degenerate elements")
 
@@ -82,39 +201,48 @@ class TriMesh:
 
     @cached_property
     def h(self) -> float:
-        v = self.vertices[self.triangles]
-        e = np.concatenate([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1], v[:, 0] - v[:, 2]])
-        return float(np.max(np.hypot(e[:, 0], e[:, 1])))
+        e = self.skeleton.edges
+        d = self.vertices[e[:, 1]] - self.vertices[e[:, 0]]
+        return float(np.max(np.hypot(d[:, 0], d[:, 1])))
 
     @cached_property
-    def _gradients(self) -> np.ndarray:
-        # per-triangle gradients of the three barycentric functions, (m, 3, 2)
-        v = self.vertices[self.triangles]
-        edges = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]  # edge opposite vertex i
-        rot = np.stack([-edges[:, :, 1], edges[:, :, 0]], axis=-1)
-        return rot / (2.0 * self.signed_areas)[:, None, None]
+    def _edge_weights(self) -> np.ndarray:
+        """A third of the area of each edge's triangles: the weight of the
+        edge midpoint in the 3-point midpoint rule."""
+        return np.bincount(self.skeleton.triangle_edges.ravel(),
+                           np.repeat(self.signed_areas / 3.0, 3),
+                           minlength=len(self.skeleton.edges))
 
-    def _assemble(self, entry) -> sp.csr_matrix:
-        """Global matrix summing the element matrices; ``entry(i, j)`` is
-        the (i, j) entry of every triangle's 3x3 element matrix."""
-        tri = self.triangles
-        ij = [(i, j) for i in range(3) for j in range(3)]
-        a = sp.coo_matrix((np.concatenate([entry(i, j) for i, j in ij]),
-                           (np.concatenate([tri[:, i] for i, _ in ij]),
-                            np.concatenate([tri[:, j] for _, j in ij]))),
-                          shape=(self.n_vertices, self.n_vertices))
-        return a.tocsr()
+    def _csr(self, edge_values: np.ndarray, diagonal: np.ndarray) -> sp.csr_matrix:
+        """Symmetric matrix on the skeleton's pattern."""
+        sk = self.skeleton
+        data = np.empty(len(sk.indices))
+        data[sk.edge_slots] = edge_values[:, None]
+        data[sk.diagonal_slots] = diagonal
+        return sp.csr_matrix((data, sk.indices, sk.indptr),
+                             shape=(self.n_vertices, self.n_vertices))
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        g = self._gradients
-        a = self.signed_areas
-        return self._assemble(lambda i, j: a * np.sum(g[:, i] * g[:, j], axis=1))
+        """Edge (i, j) sums e_i . e_j / (4 A) over its triangles, e_k the
+        edge vector opposite vertex k; the constants span the kernel, so
+        each diagonal entry is minus the sum of its row."""
+        sk = self.skeleton
+        v = self.vertices[self.triangles]
+        e = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+        dots = np.einsum("tkd,tkd->tk", e[:, [1, 2, 0]], e[:, [2, 0, 1]])
+        per_edge = np.bincount(sk.triangle_edges.ravel(),
+                               (dots / (4.0 * self.signed_areas)[:, None]).ravel(),
+                               minlength=len(sk.edges))
+        row_sums = np.bincount(sk.edges.ravel(), np.repeat(per_edge, 2),
+                               minlength=self.n_vertices)
+        return self._csr(per_edge, -row_sums)
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
-        a = self.signed_areas
-        return self._assemble(lambda i, j: a * ((2.0 if i == j else 1.0) / 12.0))
+        """Edge (i, j) carries a twelfth of the area of its triangles,
+        vertex i a sixth of the area of its triangles (half its load)."""
+        return self._csr(self._edge_weights / 4.0, self.load / 2.0)
 
     @cached_property
     def load(self) -> np.ndarray:
@@ -172,42 +300,13 @@ def _extend(mesh: TriMesh, x: np.ndarray) -> np.ndarray:
 
 
 def polar_mesh(d: StarDomain, rings: int) -> TriMesh:
-    """Ring/sector triangulation of a star domain (6i vertices on ring i).
-
-    Vertices are numbered center first, then ring by ring outward, each
-    ring counterclockwise from theta = 0; the outermost ring, the
-    boundary, is the last block.  Per ring and per sector of 60 degrees
-    the triangles run through the i outward ones (an edge on ring i)
-    and then the i - 1 inward ones (an edge on ring i - 1).
-    """
-    if rings < 4:
-        raise ValueError(f"rings must be >= 4, got {rings}")
-    n_vertices = 1 + 3 * rings * (rings + 1)
-    theta = np.zeros(n_vertices)
-    rho = np.zeros(n_vertices)
-    blocks = []
-    seg = np.arange(6)[:, None]
-    for i in range(1, rings + 1):
-        so, no = 1 + 3 * i * (i - 1), 6 * i  # first vertex and size of ring i
-        theta[so:so + no] = np.arange(no) * (2.0 * math.pi / no)
-        rho[so:so + no] = i / rings
-        k = np.arange(no).reshape(6, i)      # [seg, t]: outward triangle t of sector seg
-        if i == 1:  # the fan around the center
-            blocks.append(np.stack([np.zeros_like(k), so + k, so + (k + 1) % no], axis=-1))
-            continue
-        si, ni = so - (no - 6), no - 6       # first vertex and size of ring i - 1
-        m = np.arange(ni).reshape(6, i - 1)  # [seg, t]: inward triangle t of sector seg
-        outward = np.stack([so + k, so + (k + 1) % no, si + (k - seg) % ni], axis=-1)
-        inward = np.stack([si + m, so + m + seg + 1, si + (m + 1) % ni], axis=-1)
-        blocks.append(np.concatenate([outward, inward], axis=1))
-    tris = np.concatenate([b.reshape(-1, 3) for b in blocks])
-
-    r_bound = d.radius(theta)
-    verts = np.stack([
-        d.center[0] + rho * r_bound * np.cos(theta),
-        d.center[1] + rho * r_bound * np.sin(theta),
-    ], axis=1)
-    return TriMesh(verts, tris, n_vertices - 6 * rings)
+    """The ``rings``-ring mesh of a star domain (6i vertices on ring i):
+    the vertices of :func:`ring_skeleton` pushed radially onto the
+    domain's boundary."""
+    sk = ring_skeleton(rings)
+    r = sk.rho * d.radius(sk.theta)
+    verts = np.stack([d.center[0] + r * sk.cos, d.center[1] + r * sk.sin], axis=1)
+    return TriMesh(verts, sk)
 
 
 def disk_mesh(rings: int) -> TriMesh:
@@ -266,38 +365,24 @@ def energy_of(u: ScalarField) -> float:
 
 
 def lq_integral(u: ScalarField, q: float) -> float:
-    """int |u|^q: exact mass-matrix quadrature for q in {1, 2}, otherwise
-    the 3-point edge-midpoint rule per triangle."""
+    """int |u|^q by the 3-point edge-midpoint rule, each edge midpoint
+    taken once with a third of the area of its triangles; exact for q = 2,
+    where |u|^2 is piecewise quadratic.  For q = 1, ``load @ |u|``, exact
+    when u has one sign."""
+    mesh = u.mesh
     if q == 1.0:
-        return float(u.mesh.load @ np.abs(u.values))
-    if q == 2.0:
-        return float(u.values @ (u.mesh.mass @ u.values))
-    mids, w = _midpoints(u.mesh, u.values)
-    return float(np.sum(w * np.abs(mids) ** q))
-
-
-def _midpoints(mesh: TriMesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values at the edge midpoints, column i opposite vertex i, (m, 3),
-    and their quadrature weights area/3, (m, 1)."""
-    uv = values[mesh.triangles]
-    mids = 0.5 * np.stack([uv[:, 1] + uv[:, 2],
-                           uv[:, 0] + uv[:, 2],
-                           uv[:, 0] + uv[:, 1]], axis=1)
-    return mids, (mesh.signed_areas / 3.0)[:, None]
+        return float(mesh.load @ np.abs(u.values))
+    mids = mesh.skeleton.midpoints @ u.values
+    return float(mesh._edge_weights @ np.abs(mids) ** q)
 
 
 def _lq_gradient(mesh: TriMesh, values: np.ndarray, q: float) -> np.ndarray:
-    """Gradient of v -> int |v|^q with respect to nodal values."""
+    """Gradient of ``lq_integral`` with respect to nodal values."""
     if q == 1.0:
         return mesh.load * np.sign(values)
-    if q == 2.0:
-        return 2.0 * (mesh.mass @ values)
-    mids, w = _midpoints(mesh, values)
-    dmid = w * (0.5 * q) * np.abs(mids) ** (q - 1.0) * np.sign(mids)
-    # midpoint i feeds the two vertices of its edge, the ones other than i
-    return np.bincount(mesh.triangles[:, [1, 2, 0, 2, 0, 1]].T.ravel(),
-                       np.repeat(dmid.T, 2, axis=0).ravel(),
-                       minlength=mesh.n_vertices)
+    mids = mesh.skeleton.midpoints @ values
+    dmid = mesh._edge_weights * q * np.abs(mids) ** (q - 1.0) * np.sign(mids)
+    return mesh.skeleton.midpoints.T @ dmid
 
 
 def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,

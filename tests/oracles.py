@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: circle
 quantities are integrated by quadrature instead of mode sums, the disk
 eigenvalue comes from radial shooting, the radial embedding constants
-from a one-dimensional minimizer, and areas from polygon resampling,
-Monte Carlo or the classical lens formula.
+from a one-dimensional minimizer, areas from polygon resampling,
+Monte Carlo or the classical lens formula, and the P1 matrices and the
+L^q midpoint rule triangle by triangle.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -124,6 +126,57 @@ def disk_lambda_q_radial(q: float, n: int = 2000, max_iter: int = 2000,
         if drop <= tol:
             break
     return rayleigh
+
+
+def p1_matrices_per_triangle(vertices: np.ndarray, triangles: np.ndarray):
+    """(stiffness, mass, load) of P1 elements, summing every triangle's
+    3x3 element matrices through one COO matrix.
+
+    Stiffness entry (i, j) of a triangle is A grad(l_i) . grad(l_j) with
+    the barycentric gradients rot(e_i) / (2A), e_i the edge opposite
+    vertex i; mass entries are A/6 on the diagonal and A/12 off it.
+    """
+    v = vertices[triangles]
+    d1 = v[:, 1] - v[:, 0]
+    d2 = v[:, 2] - v[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    edges = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+    grads = np.stack([-edges[:, :, 1], edges[:, :, 0]], axis=-1) / (2.0 * area)[:, None, None]
+    n = len(vertices)
+
+    def assemble(entry):
+        ij = [(i, j) for i in range(3) for j in range(3)]
+        return sp.coo_matrix((np.concatenate([entry(i, j) for i, j in ij]),
+                              (np.concatenate([triangles[:, i] for i, _ in ij]),
+                               np.concatenate([triangles[:, j] for _, j in ij]))),
+                             shape=(n, n)).tocsr()
+
+    stiffness = assemble(lambda i, j: area * np.sum(grads[:, i] * grads[:, j], axis=1))
+    mass = assemble(lambda i, j: area * ((2.0 if i == j else 1.0) / 12.0))
+    load = np.zeros(n)
+    np.add.at(load, triangles.ravel(), np.repeat(area / 3.0, 3))
+    return stiffness, mass, load
+
+
+def lq_midpoint_per_triangle(vertices: np.ndarray, triangles: np.ndarray,
+                             values: np.ndarray, q: float):
+    """(int |u|^q, its gradient in the nodal values) by the 3-point
+    edge-midpoint rule applied triangle by triangle: every interior edge
+    midpoint is evaluated once for each of its two triangles."""
+    v = vertices[triangles]
+    d1 = v[:, 1] - v[:, 0]
+    d2 = v[:, 2] - v[:, 0]
+    w = (0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / 3.0)[:, None]
+    uv = values[triangles]
+    pairs = ((1, 2), (0, 2), (0, 1))  # the edge opposite vertex 0, 1, 2
+    mids = 0.5 * np.stack([uv[:, a] + uv[:, b] for a, b in pairs], axis=1)
+    integral = float(np.sum(w * np.abs(mids) ** q))
+    dmid = w * (0.5 * q) * np.abs(mids) ** (q - 1.0) * np.sign(mids)
+    grad = np.zeros(len(vertices))
+    for col, (a, b) in enumerate(pairs):
+        np.add.at(grad, triangles[:, a], dmid[:, col])
+        np.add.at(grad, triangles[:, b], dmid[:, col])
+    return integral, grad
 
 
 def polygon_area(points: np.ndarray) -> float:

@@ -1,9 +1,13 @@
 """Guard for the trace targets of ``perfbench``: ``perfbench/spans.py``
 wraps fklab's public functions by attribute name, so every name it wraps
-must exist and must be restored when the traced block ends."""
+must exist, must still be the call that does its layer's work, and must
+be restored when the traced block ends."""
 
 import importlib.util
 from pathlib import Path
+
+from fklab import stability
+from fklab.domain import ellipse
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -25,3 +29,17 @@ def test_trace_targets_exist_and_are_restored(tmp_path):
     with spans.installed(rec):
         assert [f"{o.__name__}.{a}" for o, a, old in before if vars(o)[a] is old] == []
     assert [f"{o.__name__}.{a}" for o, a, old in before if vars(o)[a] is not old] == []
+
+
+def test_traced_member_counts_mesh_assembly_and_norm_evaluations(tmp_path):
+    # a layer whose work moved out of the wrapped call would read 0
+    spans = load_spans()
+    rec = spans.Recorder(tmp_path)
+    with spans.installed(rec):
+        stability.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
+                                  rings_fine=16)
+    inside = [s for s in rec.spans if s["member"] == "e"]
+    calls = {name: sum(s["name"] == name for s in inside)
+             for name in ("fem.mesh", "fem.assembly")}
+    calls["fem.norm_eval"] = sum(s["counts"].get("fem.norm_eval", 0) for s in inside)
+    assert all(calls.values()), calls

@@ -9,7 +9,8 @@ from fklab.domain import (StarDomain, barycenter, ellipse, unit_disk, volume,
                           volume_corrected_profile)
 from fklab.stability import random_near_sphere_profile
 
-from oracles import disk_eigenvalue_shooting, disk_lambda_q_radial
+from oracles import (disk_eigenvalue_shooting, disk_lambda_q_radial,
+                     lq_midpoint_per_triangle, p1_matrices_per_triangle)
 
 PI = math.pi
 
@@ -73,6 +74,24 @@ class TestPolarMesh:
         digest = hashlib.sha256(mesh.triangles.astype("<i8").tobytes()).hexdigest()
         assert digest == self.TRIANGLES_SHA256[rings]
 
+    def test_skeleton_shared_per_ring_count_and_read_only(self):
+        a = fem.polar_mesh(unit_disk(), 12)
+        b = fem.polar_mesh(ellipse(0.2), 12)
+        c = fem.polar_mesh(ellipse(0.2), 13)
+        assert a.skeleton is b.skeleton
+        assert c.skeleton is not a.skeleton
+        sk = a.skeleton
+        midpoints = sk.midpoints
+        arrays = [value for value in vars(sk).values() if isinstance(value, np.ndarray)]
+        arrays += [midpoints.data, midpoints.indices, midpoints.indptr]
+        assert len(arrays) == 14
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        for matrix in (a.stiffness, a.mass):  # the pattern is shared, not copied
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.indices[0] = matrix.indices[0]
+
     def test_min_rings(self):
         fem.polar_mesh(unit_disk(), 4)
         with pytest.raises(ValueError):
@@ -111,25 +130,41 @@ class TestStiffness:
         ones = np.ones(disk64.n_vertices)
         assert np.max(np.abs(disk64.mass @ ones - disk64.load)) < 1e-14
 
+    @pytest.mark.parametrize("rings", [4, 16, 64])
+    @pytest.mark.parametrize("name", ["disk", "ellipse", "near-sphere"])
+    def test_matches_per_triangle_assembly(self, name, rings):
+        d = {"disk": unit_disk, "ellipse": lambda: ellipse(0.2),
+             "near-sphere": near_sphere}[name]()
+        mesh = fem.polar_mesh(d, rings)
+        stiffness, mass, load = p1_matrices_per_triangle(mesh.vertices, mesh.triangles)
+        for got, ref in ((mesh.stiffness, stiffness), (mesh.mass, mass)):
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+        assert np.max(np.abs(mesh.load - load)) <= 1e-14 * np.max(load)
+
 
 class TestScatterSums:
-    # reference: one np.add.at per (midpoint, vertex) pair, in the order
-    # the single bincount must reproduce bit for bit
-    def test_lq_gradient_matches_add_at(self, rng):
+    # the edge rule sums each midpoint once with the weights of both of
+    # its triangles, so it matches the triangle-wise rule to rounding
+    def test_lq_matches_triangle_midpoint_rule(self, rng):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
-        tri = mesh.triangles
-        values = rng.standard_normal(mesh.n_vertices)
+        u = fem.ScalarField(mesh, rng.standard_normal(mesh.n_vertices))
         for q in (1.5, 3.0):
-            uv = values[tri]
-            mids = 0.5 * np.stack([uv[:, 1] + uv[:, 2], uv[:, 0] + uv[:, 2],
-                                   uv[:, 0] + uv[:, 1]], axis=1)
-            dmid = ((mesh.signed_areas / 3.0)[:, None] * (0.5 * q)
-                    * np.abs(mids) ** (q - 1.0) * np.sign(mids))
-            ref = np.zeros(mesh.n_vertices)
-            for col, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-                np.add.at(ref, tri[:, a], dmid[:, col])
-                np.add.at(ref, tri[:, b], dmid[:, col])
-            assert np.array_equal(fem._lq_gradient(mesh, values, q), ref)
+            integral, grad = lq_midpoint_per_triangle(mesh.vertices, mesh.triangles,
+                                                      u.values, q)
+            assert abs(fem.lq_integral(u, q) / integral - 1.0) <= 1e-14
+            got = fem._lq_gradient(mesh, u.values, q)
+            assert np.max(np.abs(got - grad)) <= 1e-14 * np.max(np.abs(grad))
+
+    def test_q2_is_the_mass_quadratic_form(self, rng):
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        u = fem.ScalarField(mesh, rng.standard_normal(mesh.n_vertices))
+        exact = float(u.values @ (mesh.mass @ u.values))
+        assert abs(fem.lq_integral(u, 2.0) / exact - 1.0) <= 1e-14
+        grad = 2.0 * (mesh.mass @ u.values)
+        got = fem._lq_gradient(mesh, u.values, 2.0)
+        assert np.max(np.abs(got - grad)) <= 1e-14 * np.max(np.abs(grad))
 
     def test_load_matches_add_at(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
