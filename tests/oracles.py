@@ -141,7 +141,8 @@ def p1_matrices_per_triangle(vertices: np.ndarray, triangles: np.ndarray):
     d2 = v[:, 2] - v[:, 0]
     area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     edges = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
-    grads = np.stack([-edges[:, :, 1], edges[:, :, 0]], axis=-1) / (2.0 * area)[:, None, None]
+    rot = np.stack([-edges[:, :, 1], edges[:, :, 0]], axis=-1)
+    grads = rot / (2.0 * area)[:, None, None]
     n = len(vertices)
 
     def assemble(entry):
