@@ -104,13 +104,20 @@ class BoundaryProfile:
         return float(np.max(np.abs(self.values(theta))))
 
     def values(self, theta) -> np.ndarray:
-        """Evaluate phi at the given angles (vectorized)."""
+        """Evaluate phi at the given angles (vectorized): cos and sin once
+        per angle, and the modes summed by Horner's rule in z = e^{i theta}
+        as the real part of sum (a_k - i b_k) z^k."""
         theta = np.asarray(theta, dtype=float)
         out = np.full(theta.shape, self.a0)
         if self.max_mode:
-            k = np.arange(1, self.max_mode + 1)
-            ang = np.multiply.outer(theta, k)
-            out = out + np.cos(ang) @ self.cos_coeffs + np.sin(ang) @ self.sin_coeffs
+            z = np.cos(theta) + 1j * np.sin(theta)
+            coeffs = self.cos_coeffs - 1j * self.sin_coeffs
+            acc = np.full(theta.shape, coeffs[-1])
+            for c in coeffs[-2::-1]:
+                acc *= z
+                acc += c
+            acc *= z
+            out = out + acc.real
         return out
 
     # -- algebra -------------------------------------------------------

@@ -243,13 +243,13 @@ def ball_reference(cfg: RunConfig) -> tuple[str, list[tuple]]:
     rows.append(("energy E(B_1)", e_exact, energy, abs(energy / e_exact - 1.0), 5e-3))
     rows.append(("eigenvalue lambda(B_1)", DISK_EIGENVALUE, lam,
                  abs(lam / DISK_EIGENVALUE - 1.0), 1e-2))
-    lam1 = fem.poincare_sobolev(mesh, 1.0)
+    lam1, _ = fem.poincare_sobolev(mesh, 1.0)
     rows.append(("lambda_{2,1}(B_1)", 8.0 / math.pi, lam1,
                  abs(lam1 * math.pi / 8.0 - 1.0), 5e-3))
     for q in cfg.q_list:
         if q in (1.0, 2.0):
             continue
-        lq = fem.poincare_sobolev(mesh, q)
+        lq, _ = fem.poincare_sobolev(mesh, q)
         rows.append((f"lambda_{{2,{_qlabel(q)}}}(B_1)", math.nan, lq, math.nan, math.nan))
     # quadrature cross-check of the weighted ball mass
     nodes, weights = np.polynomial.legendre.leggauss(64)

@@ -19,7 +19,9 @@ edges that fills the shared pattern: an off-diagonal stiffness entry
 sums e_i . e_j / (4A) over the edge's two triangles, the diagonal is
 minus the row sum, and mass follows from the per-edge areas and the
 load vector.  The L^q integrals use the 3-point edge-midpoint rule,
-each unique edge midpoint once.
+each unique edge midpoint once.  The 2r-ring skeleton is the red
+refinement of the r-ring one, and :func:`prolongation` carries nodal
+values from the coarser mesh to the finer one's interior.
 
 Each mesh owns at most one sparse factorization of its interior
 stiffness matrix (symmetric-mode SuperLU), built on first use.  Torsion
@@ -30,9 +32,13 @@ because the two meshes share their topology, so a torsion-only domain
 needs no factorization of its own.  The principal Dirichlet eigenvalue
 comes from inverse power iteration and the optimal Poincare-Sobolev
 constants from a normalized gradient descent in the energy inner product
-with backtracking line search; both solve with the mesh's own factor.
-Their stopping tolerances are the module constants below, the defaults
-of each solver's ``tol`` argument; nothing sets them process-wide.
+with backtracking line search; both solve with the mesh's own factor and
+return their solution field with the value.  Both take an optional
+``start``: started from the prolonged solution at half the ring count
+(nested iteration), each takes 2 factor solves at rings 128 instead of
+6-9 from its default start.  Their stopping tolerances are the module
+constants below, the defaults of each solver's ``tol`` argument; nothing
+sets them process-wide.
 """
 
 from __future__ import annotations
@@ -49,9 +55,10 @@ from .domain import StarDomain, unit_disk
 from .geometry import triangles_disk_area
 
 # bound on the torsion solve's true relative residual; preconditioned CG
-# iterates until its recursive residual is below DEFAULT_CG_TOL / 100.  A
-# solve by the mesh's own factor reaches 8e-14, 3.3e-13, 1.3e-12 and 5.4e-12
-# at rings 32/64/128/256, one by the matched disk factor takes 4-10 steps
+# iterates until its recursive residual is below DEFAULT_CG_TOL / 100 or
+# its backward error below 2 eps.  A solve by the mesh's own factor reaches
+# 8e-14, 3.3e-13, 1.3e-12 and 5.4e-12 at rings 32/64/128/256, a backward
+# error of 0.3 eps, and one by the matched disk factor takes 4-10 steps
 DEFAULT_CG_TOL = 1e-10
 DEFAULT_EIG_TOL = 1e-8
 DEFAULT_DESCENT_TOL = 1e-8
@@ -164,6 +171,47 @@ def ring_skeleton(rings: int) -> RingSkeleton:
     for a in [*arrays.values(), midpoints.data, midpoints.indices, midpoints.indptr]:
         a.flags.writeable = False
     return RingSkeleton(rings, midpoints=midpoints, **arrays)
+
+
+def _first_vertex(ring: np.ndarray) -> np.ndarray:
+    """Index of the first vertex of each ring (the center is ring 0)."""
+    return np.where(ring > 0, 1 + 3 * ring * (ring - 1), 0)
+
+
+@cache
+def prolongation(rings: int) -> sp.csr_matrix:
+    """The sparse map from nodal values of the ``rings``-ring mesh to the
+    interior values of the ``2 * rings``-ring mesh, built once per process
+    and read-only.
+
+    The finer skeleton is the red refinement of the coarser one: its
+    vertices are the coarse vertices, vertex k of ring i at vertex 2k of
+    ring 2i, and one per coarse edge.  An edge along ring i gives vertex
+    2k + 1 of ring 2i, with k its first end counterclockwise; an edge from
+    vertex k of ring i to vertex m of ring i + 1 gives vertex k + m of ring
+    2i + 1, counting k from 6i on the edge that closes the ring.  An
+    inherited vertex copies its value and an edge vertex takes the mean of
+    the edge's two ends, the row of the coarse ``midpoints`` map.
+    """
+    sk = ring_skeleton(rings)
+    n_fine = ring_skeleton(2 * rings).n_interior
+    ring = np.rint(sk.rho * rings).astype(np.int64)
+    local = np.arange(sk.n_vertices) - _first_vertex(ring)
+    a, b = sk.edges[:, 0], sk.edges[:, 1]
+    ra, ka, kb = ring[a], local[a], local[b]
+    along = np.where(kb == ka + 1, 2 * ka + 1, 2 * kb + 1)
+    across = ka + kb + np.where(kb - ka > 6, 6 * ra, 0)
+    fine_index = np.concatenate([
+        _first_vertex(2 * ring) + 2 * local,
+        np.where(ring[b] == ra, _first_vertex(2 * ra) + along,
+                 _first_vertex(2 * ra + 1) + across)])
+    rows = np.argsort(fine_index)[:n_fine]
+    stacked = sp.vstack([sp.identity(sk.n_vertices, format="csr"), sk.midpoints],
+                        format="csr")
+    p = stacked[rows]
+    for arr in (p.data, p.indices, p.indptr):
+        arr.flags.writeable = False
+    return p
 
 
 class TriMesh:
@@ -319,9 +367,11 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
     gradients preconditioned with ``precond``, a factorization with a
     ``solve`` method (default: the mesh's own, so the start is the
     direct solve).  The start is ``precond.solve(b)``; CG iterates until
-    the recursive relative residual is at most ``tol / 100``, and a true
-    relative residual above ``tol`` raises.  ``SolveStats.iterations``
-    counts the preconditioner solves."""
+    the recursive relative residual is at most ``tol / 100`` or the
+    normwise backward error |r| / (|A| |x| + |b|) is at most 2 eps, what
+    a backward-stable solve attains, and a true relative residual above
+    ``tol`` raises.  ``SolveStats.iterations`` counts the preconditioner
+    solves."""
     a = mesh._interior_stiffness
     b = mesh.load[:mesh.n_interior]
     if precond is None:
@@ -330,14 +380,20 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
         raise ValueError(f"preconditioner of shape {precond.shape} does not match "
                          f"the interior stiffness {a.shape}")
     b_norm = np.linalg.norm(b)
+    a_norm = float(abs(a).sum(axis=1).max())  # bounds the 2-norm of symmetric a
+
+    def stable(x):
+        # the residual norm a backward-stable solve attains: 2 eps (|A| |x| + |b|)
+        return 2.0 * np.finfo(float).eps * (a_norm * np.linalg.norm(x) + b_norm)
+
     x = precond.solve(b)
     r = b - a @ x
-    res = np.linalg.norm(r) / b_norm
+    r_norm = np.linalg.norm(r)
     it, p, rz = 1, np.zeros_like(b), 1.0
-    while res > tol / 100.0:
+    while r_norm > max(tol / 100.0 * b_norm, stable(x)):
         if it >= max_iter:
-            raise SolverError(f"torsion PCG did not converge in {it} iterations: "
-                              f"relative residual {res:.3g} > {tol / 100.0:.3g}")
+            raise SolverError(f"torsion PCG did not converge in {it} iterations: relative "
+                              f"residual {r_norm / b_norm:.3g} > {tol / 100.0:.3g}")
         z = precond.solve(r)
         it += 1
         rz, rz_prev = float(r @ z), rz
@@ -346,7 +402,7 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
-        res = np.linalg.norm(r) / b_norm
+        r_norm = np.linalg.norm(r)
     res = float(np.linalg.norm(a @ x - b) / b_norm)
     if not res <= tol:
         raise SolverError(f"torsion PCG stopped after {it} iterations with true "
@@ -385,14 +441,25 @@ def _lq_gradient(mesh: TriMesh, values: np.ndarray, q: float) -> np.ndarray:
     return mesh.skeleton.midpoints.T @ dmid
 
 
+def _start_values(mesh: TriMesh, start) -> np.ndarray:
+    """A copy of the interior values ``start`` of a solver's first iterate."""
+    x = np.array(start, dtype=float)
+    if x.shape != (mesh.n_interior,):
+        raise ValueError(f"start of shape {x.shape} does not match the "
+                         f"{mesh.n_interior} interior values")
+    return x
+
+
 def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,
-                         max_iter: int = 400) -> tuple[float, ScalarField]:
-    """Smallest Dirichlet eigenvalue by inverse power iteration (shift 0)."""
+                         max_iter: int = 400, start=None) -> tuple[float, ScalarField]:
+    """Smallest Dirichlet eigenvalue by inverse power iteration (shift 0),
+    from the interior values ``start`` (default: the load vector), until
+    the eigenvalue estimate changes by at most ``tol``."""
     n = mesh.n_interior
     k = mesh._interior_stiffness
     m = mesh.mass[:n, :n]
     lu = mesh._interior_factor
-    x = mesh.load[:n].copy()
+    x = mesh.load[:n].copy() if start is None else _start_values(mesh, start)
     x /= math.sqrt(x @ (m @ x))
     lam_prev = math.inf
     for it in range(1, max_iter + 1):
@@ -412,12 +479,15 @@ def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,
 
 
 def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
-                     q_max: float = DEFAULT_Q_MAX, max_iter: int = 500) -> float:
+                     q_max: float = DEFAULT_Q_MAX, max_iter: int = 500,
+                     start=None) -> tuple[float, ScalarField]:
     """Optimal constant of the embedding into L^q: min of the Dirichlet
-    integral over Dirichlet fields with unit L^q norm.
+    integral over Dirichlet fields with unit L^q norm, and the minimizer
+    found (unit L^q norm).
 
-    Descent in the energy inner product: from the current normalized
-    iterate, step against u - R(u) K^{-1} grad(norm term) with
+    Descent in the energy inner product from the interior values
+    ``start`` (default: the torsion solution, one factor solve), scaled
+    to unit norm: step against u - R(u) K^{-1} grad(norm term) with
     backtracking, and stop once the Rayleigh quotient decreases by less
     than ``tol`` in relative terms.  A line search that finds no decrease
     raises ``SolverError`` unless the direction's energy norm over sqrt(R)
@@ -437,7 +507,10 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
         # gradient of ||.||_q at a unit-norm point, interior dofs
         return _lq_gradient(mesh, _extend(mesh, x), q)[:n] / q
 
-    u = lu.solve(mesh.load[:n])  # torsion start, positive
+    def result(value, x):
+        return value, ScalarField(mesh, _extend(mesh, x))
+
+    u = lu.solve(mesh.load[:n]) if start is None else _start_values(mesh, start)
     u /= norm_q(u)
     rayleigh = float(u @ (k @ u))
     for it in range(max_iter):
@@ -460,11 +533,11 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
             if dnorm > tol:
                 raise SolverError(f"L^{q} descent line search failed at iteration {it} "
                                   f"with relative direction norm {dnorm:.3g} > {tol:.3g}")
-            return rayleigh
+            return result(rayleigh, u)
         drop = (rayleigh - r_trial) / rayleigh
         u, rayleigh = trial, r_trial
         if drop <= tol:
-            return rayleigh
+            return result(rayleigh, u)
     raise SolverError(f"L^{q} descent did not converge in {max_iter} iterations")
 
 

@@ -8,6 +8,15 @@ pair of ring counts and Richardson-extrapolated with assumed order 2;
 the energy route also solves one extra coarser level so an observed
 convergence order can be attached to each data point.
 
+Eigen and L^q solves use nested iteration: at every even ring count >= 8
+they start from the same domain's solutions at half the ring count,
+prolonged to the finer mesh, so every value depends on (domain, rings,
+q) alone.  A sweep row walks one chain of levels, the order level, the
+coarse and the fine one, and hands on only the solution vectors; the
+order level starts from levels below it, down to rings 4.  At most one
+domain factorization is alive at a time.  Torsion-only paths solve no
+eigen or L^q problem and factor nothing.
+
 Conventions (dimension is fixed to 2 for all meshed quantities):
 
 * energy gap     :  E(Omega) - E(B_1), both volumes pi
@@ -42,29 +51,48 @@ ORDER_BAND = (1.6, 2.4)
 # -- per-level functionals ------------------------------------------------
 
 
+def nested(rings: int) -> bool:
+    """Whether the eigen and L^q solves at ``rings`` start from the same
+    domain's solutions at ``rings // 2`` (even ring counts >= 8)."""
+    return rings % 2 == 0 and rings >= 8
+
+
 class Level:
     """Torsion energy, eigenvalue and L^q constants of one domain at one
     ring count, computed lazily from one mesh.
 
     The eigenvalue and the L^q constants factor the mesh's interior
-    stiffness once and share that factor.  The torsion solve is CG
-    preconditioned with that factor when it exists, and otherwise with
-    the matched disk level's, so a torsion-only level factors nothing.
-    A ``SolverError`` from any solve is re-raised with the ring count.
+    stiffness once and share that factor.  At a :func:`nested` ring count
+    each of them starts from the prolonged solution of the same domain
+    and q at ``rings // 2``: from ``start`` (q -> nodal values at rings //
+    2) where it holds q, otherwise from that solution computed by a new
+    level at rings // 2, which recurses the same way, so a value depends
+    on the domain, the ring count and q alone.  The coarser levels solve
+    before this one factors, so at most one factorization is alive at a
+    time.  The torsion solve is CG preconditioned with the mesh's factor
+    when it exists, and otherwise with the matched disk level's, so a
+    torsion-only level factors nothing.  A ``SolverError`` from any solve
+    is re-raised with the ring count.
     """
 
-    def __init__(self, d: StarDomain, rings: int):
+    def __init__(self, d: StarDomain, rings: int, start: dict | None = None):
+        self.domain = d
         self.rings = rings
         self.volume = volume(d)
         self.mesh = fem.polar_mesh(d, rings)
         self._energy: float | None = None
         self._lq: dict[float, float] = {}
+        self._fields: dict[float, np.ndarray] = {}
+        self._start = dict(start or {})
 
     def _solve(self, solver, *args, **kwargs):
         try:
             return solver(self.mesh, *args, **kwargs)
         except fem.SolverError as exc:
             raise fem.SolverError(f"rings {self.rings}: {exc}") from exc
+
+    def _coarse_fields(self, q_list) -> dict:
+        return Level(self.domain, self.rings // 2).fields(q_list)
 
     def energy(self) -> float:
         if self._energy is None:
@@ -81,11 +109,37 @@ class Level:
     def lambda_q(self, q: float) -> float:
         q = float(q)
         if q not in self._lq:
+            start = None
+            if nested(self.rings):
+                if q not in self._start:
+                    self._start.update(self._coarse_fields([q]))
+                start = fem.prolongation(self.rings // 2) @ self._start.pop(q)
             if q == 2.0:
-                self._lq[q], _ = self._solve(fem.principal_eigenvalue)
+                lam, u = self._solve(fem.principal_eigenvalue, start=start)
             else:
-                self._lq[q] = self._solve(fem.poincare_sobolev, q)
+                lam, u = self._solve(fem.poincare_sobolev, q, start=start)
+            self._lq[q], self._fields[q] = lam, u.values
         return self._lq[q]
+
+    def fields(self, q_list) -> dict:
+        """The nodal solution of each q in ``q_list``: the eigenfunction
+        for q = 2, the L^q minimizer otherwise.  Missing starts come from
+        one coarser level for all of ``q_list``."""
+        q_list = [float(q) for q in q_list]
+        missing = [q for q in q_list if q not in self._lq and q not in self._start]
+        if missing and nested(self.rings):
+            self._start.update(self._coarse_fields(missing))
+        for q in q_list:
+            self.lambda_q(q)
+        return {q: self._fields[q] for q in q_list}
+
+
+class _DiskLevel(Level):
+    """A cached unit-disk level: its solves start from the cached disk
+    level at ``rings // 2``."""
+
+    def _coarse_fields(self, q_list) -> dict:
+        return disk_data(self.rings // 2).fields(q_list)
 
 
 _DISK: dict[int, Level] = {}
@@ -94,7 +148,7 @@ _DISK: dict[int, Level] = {}
 def disk_data(rings: int) -> Level:
     """The matched unit-disk level, cached per process."""
     if rings not in _DISK:
-        _DISK[rings] = Level(unit_disk(), rings)
+        _DISK[rings] = _DiskLevel(unit_disk(), rings)
     return _DISK[rings]
 
 
@@ -102,7 +156,9 @@ def prepare_disk_references(levels, q_list=()) -> None:
     """Precompute the disk solves, and with them the disk factorizations
     that precondition every domain torsion solve at the same ring count,
     so forked sweep workers inherit them (workers started by spawn or
-    forkserver recompute them)."""
+    forkserver recompute them).  The eigen and L^q solves also cache the
+    coarser disk levels whose solutions start them, down to rings 4 at
+    most."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()
@@ -111,13 +167,23 @@ def prepare_disk_references(levels, q_list=()) -> None:
             data.lambda_q(q)
 
 
-def _per_level(d: StarDomain, levels, term, *args) -> list:
+def _per_level(d: StarDomain, levels, term, *args, q_list=()) -> list:
     """``term(domain level, disk level, *args)`` at each ring count.
 
+    With ``q_list``, every q of ``q_list`` is solved at each level before
+    ``term``, and a level at twice the previous one's ring count starts
+    from the previous one's solutions: only those vectors are handed on.
     Each domain level is dropped before the next one is built, so at most
     one domain factorization is alive at a time.
     """
-    return [term(Level(d, r), disk_data(r), *args) for r in levels]
+    out, fields = [], {}
+    for rings in levels:
+        dom = Level(d, rings, fields.get(rings // 2))
+        if q_list:
+            fields = {rings: dom.fields(q_list)}
+        out.append(term(dom, disk_data(rings), *args))
+        del dom
+    return out
 
 
 # -- extrapolation helpers ----------------------------------------------
@@ -369,7 +435,7 @@ def build_family(spec: SweepSpec) -> list[tuple[str, str, float, StarDomain]]:
 def _row_terms(dom: Level, ref: Level, q_list) -> dict:
     """Every extrapolated value of a sweep row, at one level."""
     # the eigenvalue first: it factors the mesh, and the torsion solve then
-    # starts from that factor's direct solve instead of CG with the disk's
+    # is that factor's direct solve instead of CG with the disk's
     t = {"eigenvalue": dom.eigenvalue(), "energy": dom.energy(),
          "deficit_energy": _energy_term(dom, ref)}
     for q in q_list:
@@ -385,12 +451,14 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
                     q_list=(1.5, 2.0, 3.0), rings: int = DEFAULT_RINGS,
                     rings_fine: int = DEFAULT_RINGS_FINE) -> DeficitReport:
     q_list = [float(q) for q in q_list]
-    # the extra coarse level only feeds the observed order of the energy deficit
-    [d_order] = _per_level(d, (rings // 2,), _energy_term)
-    lo, hi = _per_level(d, (rings, rings_fine), _row_terms, q_list)
+    # the extra coarse level feeds the observed order of the energy
+    # deficit, and its solutions start those of the coarse level
+    order_terms, lo, hi = _per_level(d, (rings // 2, rings, rings_fine), _row_terms,
+                                     q_list, q_list=q_list)
     x = {k: _extrapolate(lo[k], hi[k]) for k in lo}
     deficit_e = x["deficit_energy"]
-    order = observed_order(d_order, lo["deficit_energy"], hi["deficit_energy"])
+    order = observed_order(order_terms["deficit_energy"], lo["deficit_energy"],
+                           hi["deficit_energy"])
     flagged = not (ORDER_BAND[0] <= order <= ORDER_BAND[1]) if math.isfinite(order) else True
 
     def by_q(name):

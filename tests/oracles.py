@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: circle
 quantities are integrated by quadrature instead of mode sums, the disk
 eigenvalue comes from radial shooting, the radial embedding constants
 from a one-dimensional minimizer, areas from polygon resampling,
-Monte Carlo or the classical lens formula, and the P1 matrices and the
-L^q midpoint rule triangle by triangle.
+Monte Carlo or the classical lens formula, the P1 matrices and the
+L^q midpoint rule triangle by triangle, and profile values from full
+tables of cos(k theta) and sin(k theta).
 """
 
 from __future__ import annotations
@@ -178,6 +179,17 @@ def lq_midpoint_per_triangle(vertices: np.ndarray, triangles: np.ndarray,
         np.add.at(grad, triangles[:, a], dmid[:, col])
         np.add.at(grad, triangles[:, b], dmid[:, col])
     return integral, grad
+
+
+def profile_values_table(profile, theta) -> np.ndarray:
+    """Fourier profile values from the full (angles x modes) tables of
+    cos(k theta) and sin(k theta)."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.full(theta.shape, profile.a0)
+    if profile.max_mode:
+        ang = np.multiply.outer(theta, np.arange(1, profile.max_mode + 1))
+        out = out + np.cos(ang) @ profile.cos_coeffs + np.sin(ang) @ profile.sin_coeffs
+    return out
 
 
 def polygon_area(points: np.ndarray) -> float:

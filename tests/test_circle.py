@@ -9,7 +9,8 @@ from fklab.circle import (BoundaryProfile, boundary_l2_sq, coercivity_margin,
                           mode_rayleigh, steklov_min_rayleigh)
 
 from conftest import random_profile
-from oracles import boundary_l2_quadrature, extension_energy_quadrature
+from oracles import (boundary_l2_quadrature, extension_energy_quadrature,
+                     profile_values_table)
 
 PI = math.pi
 
@@ -296,3 +297,15 @@ class TestProfileBasics:
         fd = (p.values(theta + h) - p.values(theta - h)) / (2 * h)
         assert np.max(np.abs(p.derivative().values(theta) - fd)) < 1e-8
         assert BoundaryProfile.constant(0.3).derivative().values(theta) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 8, 32, 128])
+    def test_values_match_mode_tables(self, rng, kmax):
+        theta = np.concatenate([rng.uniform(-2 * PI, 4 * PI, 2000),
+                                np.linspace(0.0, 2 * PI, 97), [0.0, PI, 2 * PI]])
+        for _ in range(5):
+            p = BoundaryProfile(float(rng.standard_normal()), rng.standard_normal(kmax),
+                                rng.standard_normal(kmax))
+            err = np.max(np.abs(p.values(theta) - profile_values_table(p, theta)))
+            assert err <= 1e-14 * (1.0 + p.sup_norm_bound())
+        assert p.values(0.5).shape == ()
+        assert p.values(np.zeros((2, 3))).shape == (2, 3)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fklab import fem
 from fklab.domain import (StarDomain, barycenter, ellipse, unit_disk, volume,
@@ -255,22 +256,22 @@ class TestEigenvalue:
 class TestPoincareSobolev:
     def test_q1_matches_torsion_identity(self, disk64, torsion64):
         u, _ = torsion64
-        lam1 = fem.poincare_sobolev(disk64, 1.0)
+        lam1, _ = fem.poincare_sobolev(disk64, 1.0)
         assert abs(lam1 * PI / 8 - 1.0) < 5e-3
         assert lam1 == pytest.approx(-1.0 / (2 * fem.energy_of(u)), rel=1e-3)
 
     def test_q2_matches_eigenvalue(self, disk64):
-        lam2 = fem.poincare_sobolev(disk64, 2.0)
+        lam2, _ = fem.poincare_sobolev(disk64, 2.0)
         eig, _ = fem.principal_eigenvalue(disk64)
         assert abs(lam2 / eig - 1.0) < 1e-3
 
     def test_q15_matches_radial_oracle(self, disk64):
-        lam = fem.poincare_sobolev(disk64, 1.5)
+        lam, _ = fem.poincare_sobolev(disk64, 1.5)
         oracle = disk_lambda_q_radial(1.5)
         assert abs(lam / oracle - 1.0) < 5e-3
 
     def test_q3_matches_radial_oracle(self, disk64):
-        lam = fem.poincare_sobolev(disk64, 3.0)
+        lam, _ = fem.poincare_sobolev(disk64, 3.0)
         oracle = disk_lambda_q_radial(3.0)
         assert abs(lam / oracle - 1.0) < 5e-3
 
@@ -328,6 +329,13 @@ class TestDirectTorsion:
         assert stats.iterations == 1
         assert stats.residual <= fem.DEFAULT_CG_TOL
 
+    def test_own_factor_is_one_solve_at_rings_128(self):
+        # the direct solve's relative residual, 1.3e-12, lies above
+        # DEFAULT_CG_TOL / 100 but at the backward error of a stable solve
+        _, stats = fem.solve_torsion(fem.disk_mesh(128))
+        assert stats.iterations == 1
+        assert 1e-12 < stats.residual <= fem.DEFAULT_CG_TOL
+
 
 def near_sphere():
     rng = np.random.default_rng(2024)
@@ -359,6 +367,109 @@ class TestPreconditionedTorsion:
         with pytest.raises(fem.SolverError, match=r"iterations.*residual"):
             fem.solve_torsion(mesh, tol=1e-30,
                               precond=fem.disk_mesh(16)._interior_factor)
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("rings", [4, 8, 64])
+    def test_bijection_onto_coarse_vertices_and_edges(self, rings):
+        coarse, fine = fem.disk_mesh(rings), fem.disk_mesh(2 * rings)
+        p = fem.prolongation(rings)
+        assert p.shape == (fine.n_interior, coarse.n_vertices)
+        nnz = np.diff(p.indptr)
+        assert set(nnz) == {1, 2}
+        vertex_rows = np.flatnonzero(nnz == 1)
+        vertices = p.indices[p.indptr[vertex_rows]]
+        assert np.array_equal(np.sort(vertices), np.arange(coarse.n_interior))
+        edge_rows = np.flatnonzero(nnz == 2)
+        ends = np.sort(np.stack([p.indices[p.indptr[edge_rows]],
+                                 p.indices[p.indptr[edge_rows] + 1]], axis=1), axis=1)
+        edges = coarse.skeleton.edges
+        interior = edges[edges[:, 0] < coarse.n_interior]  # not along the boundary
+        keys = ends[:, 0] * coarse.n_vertices + ends[:, 1]
+        assert len(np.unique(keys)) == len(keys)
+        assert np.array_equal(np.sort(keys),
+                              interior[:, 0].astype(np.int64) * coarse.n_vertices
+                              + interior[:, 1])
+        # each row is the coarse vertex or edge midpoint nearest its fine vertex
+        images = p @ coarse.vertices
+        _, nearest = cKDTree(fine.vertices).query(images)
+        assert np.array_equal(nearest, np.arange(fine.n_interior))
+        offset = np.hypot(*(images - fine.vertices[:fine.n_interior]).T)
+        assert np.max(offset) <= 0.2 * fine.h
+        assert np.max(offset[vertex_rows]) <= 1e-15
+
+    def test_rows_average_and_inherited_values_copy(self, rng):
+        p = fem.prolongation(16)
+        x = rng.standard_normal(p.shape[1])
+        assert np.allclose(p @ np.ones(p.shape[1]), 1.0, rtol=0.0, atol=1e-15)
+        single = np.diff(p.indptr) == 1
+        assert np.all(p.data[p.indptr[:-1][single]] == 1.0)
+        assert np.array_equal((p @ x)[single], x[p.indices[p.indptr[:-1][single]]])
+        assert p is fem.prolongation(16)
+        for arr in (p.data, p.indices, p.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    def test_prolonged_eigenvector_is_within_h2(self):
+        coarse, fine = fem.disk_mesh(64), fem.disk_mesh(128)
+        _, u_coarse = fem.principal_eigenvalue(coarse)
+        _, u_fine = fem.principal_eigenvalue(fine)
+        n = fine.n_interior
+        m = fine.mass[:n, :n]
+        start = fem.prolongation(64) @ u_coarse.values
+        diff = start / math.sqrt(start @ (m @ start)) - u_fine.values[:n]
+        h2 = (1.0 / 64) ** 2
+        assert math.sqrt(diff @ (m @ diff)) <= 0.25 * h2
+        assert np.max(np.abs(diff)) <= 0.5 * h2 * np.max(u_fine.values)
+
+
+class CountingFactor:
+    """Delegates to a factorization and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.shape, self.solves = lu, lu.shape, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+def counted_factor(mesh):
+    factor = CountingFactor(mesh._interior_factor)
+    vars(mesh)["_interior_factor"] = factor  # overrides the cached property
+    return factor
+
+
+@pytest.fixture(scope="module", params=["ellipse", "near-sphere"])
+def nested_pair(request):
+    d = ellipse(0.1) if request.param == "ellipse" else near_sphere()
+    return fem.polar_mesh(d, 64), fem.polar_mesh(d, 128)
+
+
+class TestSolverStart:
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_prolonged_start_takes_at_most_three_solves(self, nested_pair, q):
+        def solve(mesh, start=None):
+            if q == 2.0:
+                return fem.principal_eigenvalue(mesh, start=start)
+            return fem.poincare_sobolev(mesh, q, start=start)
+
+        coarse, fine = nested_pair
+        _, u_coarse = solve(coarse)
+        cold, _ = solve(fine)
+        factor = counted_factor(fine)
+        warm, u_warm = solve(fine, start=fem.prolongation(64) @ u_coarse.values)
+        assert factor.solves <= 3
+        assert abs(warm / cold - 1.0) <= 1e-9
+        assert u_warm.mesh is fine
+        if q != 2.0:
+            assert fem.lq_integral(u_warm, q) == pytest.approx(1.0, rel=1e-12)
+
+    def test_start_is_interior_values(self, disk64):
+        with pytest.raises(ValueError, match="start"):
+            fem.principal_eigenvalue(disk64, start=np.ones(disk64.n_vertices))
+        with pytest.raises(ValueError, match="start"):
+            fem.poincare_sobolev(disk64, 3.0, start=np.ones(3))
 
 
 class TestScalarField:

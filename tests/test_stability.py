@@ -286,13 +286,14 @@ def count_calls(monkeypatch):
 
 class TestSharedLevel:
     def test_member_factors_only_its_eigen_levels(self, monkeypatch):
-        # three levels (order, coarse, fine); the asymmetries need no mesh
-        # and the torsion-only order level is preconditioned by the disk
+        # three levels (order, coarse, fine), each factored once; the order
+        # level's solutions start the coarse level's and the asymmetries
+        # need no mesh
         st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
         calls = count_calls(monkeypatch)
         st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
                            rings_fine=16)
-        assert calls == {"mesh": 3, "splu": 2}
+        assert calls == {"mesh": 3, "splu": 3}
 
     @pytest.mark.parametrize("gap", [
         lambda: st.energy_gap(ellipse(0.1), 8, 16),
@@ -305,6 +306,63 @@ class TestSharedLevel:
         gap()
         assert calls["splu"] == 0
         assert calls["mesh"] > 0
+
+
+def record_solves(monkeypatch):
+    """(rings, q) -> value of every eigen and L^q solve while the test runs."""
+    values = {}
+
+    def recorded(fn, fixed_q=None):
+        def wrapper(mesh, *args, **kwargs):
+            out = fn(mesh, *args, **kwargs)
+            values[mesh.skeleton.rings, fixed_q or float(args[0])] = out[0]
+            return out
+        return wrapper
+
+    monkeypatch.setattr(fem, "principal_eigenvalue",
+                        recorded(fem.principal_eigenvalue, 2.0))
+    monkeypatch.setattr(fem, "poincare_sobolev", recorded(fem.poincare_sobolev))
+    return values
+
+
+class TestNestedLevels:
+    def test_one_coarse_chain_for_all_q(self, monkeypatch):
+        assert [r for r in (4, 6, 7, 8, 9, 10, 128) if st.nested(r)] == [8, 10, 128]
+        calls = count_calls(monkeypatch)
+        st.Level(ellipse(0.1), 16).fields((1.5, 2.0, 3.0))
+        assert calls == {"mesh": 3, "splu": 3}  # rings 16, 8 and 4
+
+    def test_value_depends_on_domain_rings_and_q_alone(self, monkeypatch):
+        d = ellipse(0.1)
+        q_list = (2.0, 3.0)
+        st.prepare_disk_references((32, 64, 128), q_list)
+        member = record_solves(monkeypatch)
+        st.evaluate_member("e", "ellipse", 0.1, d, q_list)
+        monkeypatch.undo()
+        for q in q_list:
+            standalone = st.Level(d, 128).lambda_q(q)
+            assert standalone == member[128, q]
+        # the disk, its cache filled finest first instead of coarsest first
+        prepared = {q: st.disk_data(128).lambda_q(q) for q in q_list}
+        monkeypatch.setattr(st, "_DISK", {})
+        for q in q_list:
+            assert st.disk_data(128).lambda_q(q) == prepared[q]
+            assert st.Level(unit_disk(), 128).lambda_q(q) == prepared[q]
+        assert sorted(st._DISK) == [4, 8, 16, 32, 64, 128]
+
+    def test_missing_start_is_computed_not_cold(self, monkeypatch):
+        d = ellipse(0.15)
+        member = record_solves(monkeypatch)
+        st.evaluate_member("e", "ellipse", 0.15, d, (1.0, 3.0), rings=8, rings_fine=16)
+        member = dict(member)
+        calls = count_calls(monkeypatch)
+        level = st.Level(d, 16, start=st.Level(d, 8).fields((1.0,)))
+        assert level.lambda_q(1.0) == member[16, 1.0]
+        assert calls == {"mesh": 3, "splu": 3}  # rings 4, 8, 16
+        assert level.lambda_q(3.0) == member[16, 3.0]  # walks rings 4, 8 again
+        assert calls == {"mesh": 5, "splu": 5}
+        cold, _ = fem.poincare_sobolev(level.mesh, 3.0)
+        assert cold != member[16, 3.0]
 
 
 class TestLevelFailure:
