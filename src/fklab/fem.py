@@ -24,21 +24,26 @@ refinement of the r-ring one, and :func:`prolongation` carries nodal
 values from the coarser mesh to the finer one's interior.
 
 Each mesh owns at most one sparse factorization of its interior
-stiffness matrix (symmetric-mode SuperLU), built on first use.  Torsion
+stiffness matrix (symmetric-mode SuperLU), built on first use.  Every
+solver takes a ``precond``, a factorization with a ``solve`` method:
+by default the mesh's own, or the matched disk mesh's, which is
+spectrally equivalent because the two meshes share their topology, so a
+domain solved with it needs no factorization of its own.  Torsion
 (-Laplace u = 1, u = 0 on the boundary) is one conjugate-gradient solve
-preconditioned by a factorization: the mesh's own, which makes it a
-direct solve, or the matched disk mesh's, which is spectrally equivalent
-because the two meshes share their topology, so a torsion-only domain
-needs no factorization of its own.  The principal Dirichlet eigenvalue
-comes from inverse power iteration and the optimal Poincare-Sobolev
-constants from a normalized gradient descent in the energy inner product
-with backtracking line search; both solve with the mesh's own factor and
-return their solution field with the value.  Both take an optional
-``start``: started from the prolonged solution at half the ring count
-(nested iteration), each takes 2 factor solves at rings 128 instead of
-6-9 from its default start.  Their stopping tolerances are the module
-constants below, the defaults of each solver's ``tol`` argument; nothing
-sets them process-wide.
+preconditioned by it; with the mesh's own factor that is a direct solve.
+The principal Dirichlet eigenvalue comes from preconditioned
+Rayleigh-Ritz, LOBPCG with one vector (A. V. Knyazev, SIAM J. Sci.
+Comput. 23, 2001), and the optimal Poincare-Sobolev constants from a
+normalized preconditioned gradient descent with backtracking line
+search, a Sobolev-gradient descent in the inner product of the
+preconditioner (J. W. Neuberger, Sobolev Gradients and Differential
+Equations).  Both return their solution field with the value, and both
+take an optional ``start``.  The start is first smoothed by damped
+Jacobi sweeps, which cost no solve; started from the prolonged solution
+at half the ring count (nested iteration), each takes 2 solves at rings
+128 with the mesh's own factor and 2-4 with the matched disk's.  The
+stopping tolerances are the module constants below, the defaults of
+each solver's ``tol`` argument; nothing sets them process-wide.
 """
 
 from __future__ import annotations
@@ -361,6 +366,19 @@ def disk_mesh(rings: int) -> TriMesh:
     return polar_mesh(unit_disk(), rings)
 
 
+def _preconditioner(mesh: TriMesh, precond):
+    """``precond``, a factorization of a matrix of the shape of the mesh's
+    interior stiffness with a ``solve`` method, or by default the mesh's
+    own factorization."""
+    if precond is None:
+        return mesh._interior_factor
+    shape = (mesh.n_interior, mesh.n_interior)
+    if precond.shape != shape:
+        raise ValueError(f"preconditioner of shape {precond.shape} does not match "
+                         f"the interior stiffness {shape}")
+    return precond
+
+
 def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
                   max_iter: int = 100) -> tuple[ScalarField, SolveStats]:
     """Solve -Laplace u = 1 with zero boundary values by conjugate
@@ -374,11 +392,7 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
     solves."""
     a = mesh._interior_stiffness
     b = mesh.load[:mesh.n_interior]
-    if precond is None:
-        precond = mesh._interior_factor
-    if precond.shape != a.shape:
-        raise ValueError(f"preconditioner of shape {precond.shape} does not match "
-                         f"the interior stiffness {a.shape}")
+    precond = _preconditioner(mesh, precond)
     b_norm = np.linalg.norm(b)
     a_norm = float(abs(a).sum(axis=1).max())  # bounds the 2-norm of symmetric a
 
@@ -450,29 +464,99 @@ def _start_values(mesh: TriMesh, start) -> np.ndarray:
     return x
 
 
+def _smoothed(k, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x`` after three damped Jacobi sweeps on K x - (x.Kx / x.g) g, with
+    g the gradient of the solver's norm at ``x``: the Euler-Lagrange
+    residual of its Rayleigh quotient with g held fixed.  They cost matrix
+    products only and remove most of the high-frequency error of a
+    prolonged start, as the smoother of cascadic multigrid does: from the
+    rings-64 solution of a mode-8 profile, the eigen solve at rings 128 by
+    the matched disk factor then takes 4 solves instead of 5."""
+    diagonal = k.diagonal()
+    for _ in range(3):
+        kx = k @ x
+        x = x - (2.0 / 3.0) * (kx - float(x @ kx) / float(x @ g) * g) / diagonal
+    return x
+
+
+def _ritz(x, directions) -> tuple[list, list]:
+    """The lowest Ritz vector of K v = lambda M v on the span of ``x`` and
+    ``directions``, each given as the triple (v, M v, K v) with x M-unit:
+    the combination with a positive coefficient on x, and its part
+    outside x, the next step's previous direction, both as triples.
+
+    The span gets an M-orthonormal basis, x first, by two Gram-Schmidt
+    passes that carry the triples along, so no matrix product is needed.
+    A direction whose M-norm falls below 1e-10 of its own lies in the span
+    of the earlier ones up to rounding and is left out, so the projected
+    problem is a symmetric eigenproblem, never a near-singular pencil."""
+    basis = [np.empty((len(x[0]), 1 + len(directions)), order="F") for _ in x]
+    for arr, col in zip(basis, x):
+        arr[:, 0] = col
+    j = 1
+    for d in directions:
+        own = math.sqrt(max(float(d[0] @ d[1]), 0.0))
+        for _ in range(2):
+            coeffs = basis[1][:, :j].T @ d[0]
+            d = [col - arr[:, :j] @ coeffs for col, arr in zip(d, basis)]
+        norm = math.sqrt(max(float(d[0] @ d[1]), 0.0))
+        if norm > 1e-10 * own:
+            for arr, col in zip(basis, d):
+                arr[:, j] = col / norm
+            j += 1
+    basis = [arr[:, :j] for arr in basis]
+    projected = basis[0].T @ basis[2]
+    c = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
+    c *= math.copysign(1.0, c[0])
+    return [arr @ c for arr in basis], [arr[:, 1:] @ c[1:] for arr in basis]
+
+
 def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,
-                         max_iter: int = 400, start=None) -> tuple[float, ScalarField]:
-    """Smallest Dirichlet eigenvalue by inverse power iteration (shift 0),
-    from the interior values ``start`` (default: the load vector), until
-    the eigenvalue estimate changes by at most ``tol``."""
+                         max_iter: int = 400, start=None,
+                         precond=None) -> tuple[float, ScalarField]:
+    """Smallest Dirichlet eigenvalue by preconditioned Rayleigh-Ritz
+    (LOBPCG with one vector) from the interior values ``start`` (default:
+    the load vector), smoothed, until the eigenvalue estimate changes by
+    at most ``tol``.
+
+    Each step takes the lowest Ritz pair of K x = lambda M x on the span
+    of the iterate x, the preconditioned residual P(K x - lambda M x) and
+    the previous direction, with P ``precond``, a factorization with a
+    ``solve`` method (default: the mesh's own, and the span then holds the
+    inverse-iteration step).  Reaching ``max_iter`` steps raises
+    ``SolverError`` with the last change of lambda and the relative
+    preconditioned residual |P(K x - lambda M x)|_M / |x|_M of the iterate
+    the last step started from."""
     n = mesh.n_interior
     k = mesh._interior_stiffness
     m = mesh.mass[:n, :n]
-    lu = mesh._interior_factor
+    precond = _preconditioner(mesh, precond)
     x = mesh.load[:n].copy() if start is None else _start_values(mesh, start)
-    x /= math.sqrt(x @ (m @ x))
-    lam_prev = math.inf
+    x = _smoothed(k, x, m @ x)
+
+    def m_unit(triple):
+        scale = math.sqrt(float(triple[0] @ triple[1]))
+        return [v / scale for v in triple]
+
+    x, mx, kx = m_unit([x, m @ x, k @ x])
+    lam, previous, delta, residual = float(x @ kx), [], math.nan, math.nan
     for it in range(1, max_iter + 1):
-        y = lu.solve(m @ x)
-        y /= math.sqrt(y @ (m @ y))
-        lam = float(y @ (k @ y))
-        if abs(lam - lam_prev) <= tol:
-            x = y
+        w = precond.solve(kx - lam * mx)
+        mw = m @ w
+        residual = math.sqrt(float(w @ mw))
+        if not math.isfinite(residual):
+            raise SolverError(f"eigen iteration {it}: non-finite preconditioned residual")
+        ritz, p = _ritz([x, mx, kx], [[w, mw, k @ w], *previous])
+        x, mx, kx = m_unit(ritz)
+        previous = [p]
+        lam_new = float(x @ kx)
+        delta, lam = abs(lam_new - lam), lam_new
+        if delta <= tol:
             break
-        lam_prev = lam
-        x = y
     else:
-        raise SolverError("inverse power iteration stagnated")
+        raise SolverError(f"eigen iteration did not converge in {max_iter} iterations: "
+                          f"last |d lambda| {delta:.3g} > {tol:.3g}, relative "
+                          f"preconditioned residual {residual:.3g}")
     if np.sum(x) < 0:
         x = -x
     return lam, ScalarField(mesh, _extend(mesh, x))
@@ -480,25 +564,29 @@ def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,
 
 def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
                      q_max: float = DEFAULT_Q_MAX, max_iter: int = 500,
-                     start=None) -> tuple[float, ScalarField]:
+                     start=None, precond=None) -> tuple[float, ScalarField]:
     """Optimal constant of the embedding into L^q: min of the Dirichlet
     integral over Dirichlet fields with unit L^q norm, and the minimizer
     found (unit L^q norm).
 
-    Descent in the energy inner product from the interior values
-    ``start`` (default: the torsion solution, one factor solve), scaled
-    to unit norm: step against u - R(u) K^{-1} grad(norm term) with
-    backtracking, and stop once the Rayleigh quotient decreases by less
-    than ``tol`` in relative terms.  A line search that finds no decrease
-    raises ``SolverError`` unless the direction's energy norm over sqrt(R)
-    is at most ``tol``, i.e. the iterate is already critical.
+    Preconditioned gradient descent on the Rayleigh quotient R(u) =
+    u.Ku / |u|_q^2 from the interior values ``start`` (default: P applied
+    to the load vector), smoothed and scaled to unit norm: step against
+    P(K u - R(u) grad |u|_q) with backtracking, P ``precond``, a
+    factorization with a ``solve`` method (default: the mesh's own, which
+    makes it a descent in the energy inner product), and stop once R
+    decreases by less than ``tol`` in relative terms.  A line search that
+    finds no decrease raises ``SolverError`` unless the direction's energy
+    norm over sqrt(R) is at most ``tol``, i.e. the iterate is already
+    critical; so does reaching ``max_iter`` iterations, with the last
+    relative decrease.
     """
     q = float(q)
     if not 1.0 <= q <= q_max:
         raise ValueError(f"exponent q={q} outside the supported range [1, {q_max}]")
     n = mesh.n_interior
     k = mesh._interior_stiffness
-    lu = mesh._interior_factor
+    precond = _preconditioner(mesh, precond)
 
     def norm_q(x):
         return lq_integral(ScalarField(mesh, _extend(mesh, x)), q) ** (1.0 / q)
@@ -510,12 +598,13 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
     def result(value, x):
         return value, ScalarField(mesh, _extend(mesh, x))
 
-    u = lu.solve(mesh.load[:n]) if start is None else _start_values(mesh, start)
+    u = precond.solve(mesh.load[:n]) if start is None else _start_values(mesh, start)
+    u = _smoothed(k, u, grad_rho(u))
     u /= norm_q(u)
-    rayleigh = float(u @ (k @ u))
+    ku = k @ u
+    rayleigh, drop = float(u @ ku), math.nan
     for it in range(max_iter):
-        w = grad_rho(u)
-        direction = u - rayleigh * lu.solve(w)
+        direction = precond.solve(ku - rayleigh * grad_rho(u))
         step = 1.0
         improved = False
         for _ in range(40):
@@ -523,22 +612,24 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
             nrm = norm_q(trial)
             if nrm > 0.0:
                 trial = trial / nrm
-                r_trial = float(trial @ (k @ trial))
+                k_trial = k @ trial
+                r_trial = float(trial @ k_trial)
                 if r_trial < rayleigh:
                     improved = True
                     break
             step *= 0.5
         if not improved:
             dnorm = math.sqrt(float(direction @ (k @ direction)) / rayleigh)
-            if dnorm > tol:
+            if not dnorm <= tol:
                 raise SolverError(f"L^{q} descent line search failed at iteration {it} "
                                   f"with relative direction norm {dnorm:.3g} > {tol:.3g}")
             return result(rayleigh, u)
         drop = (rayleigh - r_trial) / rayleigh
-        u, rayleigh = trial, r_trial
+        u, ku, rayleigh = trial, k_trial, r_trial
         if drop <= tol:
             return result(rayleigh, u)
-    raise SolverError(f"L^{q} descent did not converge in {max_iter} iterations")
+    raise SolverError(f"L^{q} descent did not converge in {max_iter} iterations: "
+                      f"last relative drop {drop:.3g} > {tol:.3g}")
 
 
 def tail_sup(u: ScalarField, ball_radius: float) -> tuple[float, float]:

@@ -13,9 +13,11 @@ they start from the same domain's solutions at half the ring count,
 prolonged to the finer mesh, so every value depends on (domain, rings,
 q) alone.  A sweep row walks one chain of levels, the order level, the
 coarse and the fine one, and hands on only the solution vectors; the
-order level starts from levels below it, down to rings 4.  At most one
-domain factorization is alive at a time.  Torsion-only paths solve no
-eigen or L^q problem and factor nothing.
+order level starts from levels below it, down to rings 4.  No domain is
+ever factored: every torsion, eigen and L^q solve is preconditioned by
+the factorization of the matched unit-disk level at the same ring count,
+one per ring count and process, which all domains share.  Torsion-only
+paths solve no eigen or L^q problem.
 
 Conventions (dimension is fixed to 2 for all meshed quantities):
 
@@ -61,18 +63,16 @@ class Level:
     """Torsion energy, eigenvalue and L^q constants of one domain at one
     ring count, computed lazily from one mesh.
 
-    The eigenvalue and the L^q constants factor the mesh's interior
-    stiffness once and share that factor.  At a :func:`nested` ring count
-    each of them starts from the prolonged solution of the same domain
-    and q at ``rings // 2``: from ``start`` (q -> nodal values at rings //
-    2) where it holds q, otherwise from that solution computed by a new
-    level at rings // 2, which recurses the same way, so a value depends
-    on the domain, the ring count and q alone.  The coarser levels solve
-    before this one factors, so at most one factorization is alive at a
-    time.  The torsion solve is CG preconditioned with the mesh's factor
-    when it exists, and otherwise with the matched disk level's, so a
-    torsion-only level factors nothing.  A ``SolverError`` from any solve
-    is re-raised with the ring count.
+    Every solve is preconditioned by the factorization of the matched
+    disk level, ``disk_data(rings)``, so a domain level factors nothing;
+    the disk level itself uses its own.  At a :func:`nested` ring count
+    the eigenvalue and each L^q constant start from the prolonged
+    solution of the same domain and q at ``rings // 2``: from ``start``
+    (q -> nodal values at rings // 2) where it holds q, otherwise from
+    that solution computed by a new level at rings // 2, which recurses
+    the same way, so a value depends on the domain, the ring count and q
+    alone.  A ``SolverError`` from any solve is re-raised with the ring
+    count.
     """
 
     def __init__(self, d: StarDomain, rings: int, start: dict | None = None):
@@ -86,8 +86,9 @@ class Level:
         self._start = dict(start or {})
 
     def _solve(self, solver, *args, **kwargs):
+        precond = disk_data(self.rings).mesh._interior_factor
         try:
-            return solver(self.mesh, *args, **kwargs)
+            return solver(self.mesh, *args, precond=precond, **kwargs)
         except fem.SolverError as exc:
             raise fem.SolverError(f"rings {self.rings}: {exc}") from exc
 
@@ -96,10 +97,7 @@ class Level:
 
     def energy(self) -> float:
         if self._energy is None:
-            # a computed lambda_q means the mesh's own factor exists; the
-            # disk level is its own matched level
-            ref = self if self._lq else disk_data(self.rings)
-            u, _ = self._solve(fem.solve_torsion, precond=ref.mesh._interior_factor)
+            u, _ = self._solve(fem.solve_torsion)
             self._energy = fem.energy_of(u)
         return self._energy
 
@@ -154,11 +152,10 @@ def disk_data(rings: int) -> Level:
 
 def prepare_disk_references(levels, q_list=()) -> None:
     """Precompute the disk solves, and with them the disk factorizations
-    that precondition every domain torsion solve at the same ring count,
-    so forked sweep workers inherit them (workers started by spawn or
-    forkserver recompute them).  The eigen and L^q solves also cache the
-    coarser disk levels whose solutions start them, down to rings 4 at
-    most."""
+    that precondition every domain solve at the same ring count, so forked
+    sweep workers inherit them (workers started by spawn or forkserver
+    recompute them).  The eigen and L^q solves also cache the coarser disk
+    levels whose solutions start them, down to rings 4 at most."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()
@@ -173,8 +170,6 @@ def _per_level(d: StarDomain, levels, term, *args, q_list=()) -> list:
     With ``q_list``, every q of ``q_list`` is solved at each level before
     ``term``, and a level at twice the previous one's ring count starts
     from the previous one's solutions: only those vectors are handed on.
-    Each domain level is dropped before the next one is built, so at most
-    one domain factorization is alive at a time.
     """
     out, fields = [], {}
     for rings in levels:
@@ -182,7 +177,6 @@ def _per_level(d: StarDomain, levels, term, *args, q_list=()) -> list:
         if q_list:
             fields = {rings: dom.fields(q_list)}
         out.append(term(dom, disk_data(rings), *args))
-        del dom
     return out
 
 
@@ -434,8 +428,6 @@ def build_family(spec: SweepSpec) -> list[tuple[str, str, float, StarDomain]]:
 
 def _row_terms(dom: Level, ref: Level, q_list) -> dict:
     """Every extrapolated value of a sweep row, at one level."""
-    # the eigenvalue first: it factors the mesh, and the torsion solve then
-    # is that factor's direct solve instead of CG with the disk's
     t = {"eigenvalue": dom.eigenvalue(), "energy": dom.energy(),
          "deficit_energy": _energy_term(dom, ref)}
     for q in q_list:

@@ -434,10 +434,11 @@ class CountingFactor:
         return self.lu.solve(rhs)
 
 
-def counted_factor(mesh):
-    factor = CountingFactor(mesh._interior_factor)
-    vars(mesh)["_interior_factor"] = factor  # overrides the cached property
-    return factor
+def lambda_q(mesh, q, **kwargs):
+    """The eigen solve for q = 2, the L^q descent otherwise."""
+    if q == 2.0:
+        return fem.principal_eigenvalue(mesh, **kwargs)
+    return fem.poincare_sobolev(mesh, q, **kwargs)
 
 
 @pytest.fixture(scope="module", params=["ellipse", "near-sphere"])
@@ -446,30 +447,118 @@ def nested_pair(request):
     return fem.polar_mesh(d, 64), fem.polar_mesh(d, 128)
 
 
+@pytest.fixture(scope="module")
+def disk128_factor():
+    return fem.disk_mesh(128)._interior_factor
+
+
+AGREEMENT_DOMAINS = {
+    "ellipse-0.02": lambda: ellipse(0.02),
+    "ellipse-0.1": lambda: ellipse(0.1),
+    "ellipse-0.2": lambda: ellipse(0.2),
+    "mode-3": lambda: StarDomain((0.0, 0.0), volume_corrected_profile(3, 0.07)),
+    "mode-8": lambda: StarDomain((0.0, 0.0), volume_corrected_profile(8, 0.05)),
+}
+
+
+@pytest.fixture(scope="module", params=list(AGREEMENT_DOMAINS))
+def prolonged_starts(request):
+    """The rings-128 mesh and, per q, the prolonged rings-64 solution."""
+    d = AGREEMENT_DOMAINS[request.param]()
+    coarse, fine = fem.polar_mesh(d, 64), fem.polar_mesh(d, 128)
+    return fine, {q: fem.prolongation(64) @ lambda_q(coarse, q)[1].values
+                  for q in (1.5, 2.0, 3.0)}
+
+
 class TestSolverStart:
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_prolonged_start_takes_at_most_three_solves(self, nested_pair, q):
-        def solve(mesh, start=None):
-            if q == 2.0:
-                return fem.principal_eigenvalue(mesh, start=start)
-            return fem.poincare_sobolev(mesh, q, start=start)
-
         coarse, fine = nested_pair
-        _, u_coarse = solve(coarse)
-        cold, _ = solve(fine)
-        factor = counted_factor(fine)
-        warm, u_warm = solve(fine, start=fem.prolongation(64) @ u_coarse.values)
+        _, u_coarse = lambda_q(coarse, q)
+        cold, _ = lambda_q(fine, q)
+        factor = CountingFactor(fine._interior_factor)
+        warm, u_warm = lambda_q(fine, q, start=fem.prolongation(64) @ u_coarse.values,
+                                precond=factor)
         assert factor.solves <= 3
         assert abs(warm / cold - 1.0) <= 1e-9
         assert u_warm.mesh is fine
         if q != 2.0:
             assert fem.lq_integral(u_warm, q) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_disk_factor_agrees_with_own_factor(self, prolonged_starts,
+                                                disk128_factor, q):
+        # the matched disk factor preconditions the domain's solve: at most
+        # 4 disk solves from the prolonged start, and the value of the
+        # solve by the domain's own factor within 1e-9
+        fine, starts = prolonged_starts
+        own, _ = lambda_q(fine, q, start=starts[q])
+        disk = CountingFactor(disk128_factor)
+        matched, u = lambda_q(fine, q, start=starts[q], precond=disk)
+        assert disk.solves <= 4
+        assert abs(matched / own - 1.0) <= 1e-9
+        if q != 2.0:
+            assert fem.lq_integral(u, q) == pytest.approx(1.0, rel=1e-12)
+
     def test_start_is_interior_values(self, disk64):
         with pytest.raises(ValueError, match="start"):
             fem.principal_eigenvalue(disk64, start=np.ones(disk64.n_vertices))
         with pytest.raises(ValueError, match="start"):
             fem.poincare_sobolev(disk64, 3.0, start=np.ones(3))
+
+
+class FixedDirection:
+    """A preconditioner that returns the same vector whatever it is given."""
+
+    def __init__(self, v):
+        self.v, self.shape = v, (len(v), len(v))
+
+    def solve(self, rhs):
+        return self.v.copy()
+
+
+class TestSolverEvidence:
+    def test_wrong_size_preconditioner_rejected(self):
+        mesh = fem.polar_mesh(ellipse(0.1), 128)
+        factor = fem.disk_mesh(64)._interior_factor
+        with pytest.raises(ValueError, match="preconditioner"):
+            fem.principal_eigenvalue(mesh, precond=factor)
+        with pytest.raises(ValueError, match="preconditioner"):
+            fem.poincare_sobolev(mesh, 3.0, precond=factor)
+
+    def test_eigen_iteration_cap_names_increment_and_residual(self):
+        mesh = fem.polar_mesh(ellipse(0.2), 32)
+        with pytest.raises(fem.SolverError,
+                           match=r"did not converge in 1 iterations: last \|d lambda\| "
+                                 r"\S+ > 1e-08, relative preconditioned residual \S+$"):
+            fem.principal_eigenvalue(mesh, max_iter=1)
+
+    def test_descent_iteration_cap_names_last_drop(self):
+        mesh = fem.polar_mesh(ellipse(0.2), 32)
+        with pytest.raises(fem.SolverError,
+                           match=r"L\^3.0 descent did not converge in 1 iterations: "
+                                 r"last relative drop \S+ > 1e-08$"):
+            fem.poincare_sobolev(mesh, 3.0, max_iter=1)
+
+    def test_non_finite_preconditioner_raises(self):
+        mesh = fem.polar_mesh(ellipse(0.2), 16)
+        broken = FixedDirection(np.full(mesh.n_interior, np.nan))
+        with pytest.raises(fem.SolverError, match="non-finite"):
+            fem.principal_eigenvalue(mesh, precond=broken)
+        with pytest.raises(fem.SolverError, match="line search failed"):
+            fem.poincare_sobolev(mesh, 3.0, start=mesh.load[:mesh.n_interior],
+                                 precond=broken)
+
+    def test_dependent_directions_are_dropped(self):
+        # the same direction every step: the second step's previous
+        # direction is parallel to it, and Rayleigh-Ritz must not see a
+        # singular Gram matrix
+        mesh = fem.polar_mesh(ellipse(0.2), 16)
+        exact, _ = fem.principal_eigenvalue(mesh)
+        fixed = FixedDirection(np.linspace(0.0, 1.0, mesh.n_interior))
+        lam, u = fem.principal_eigenvalue(mesh, precond=fixed)
+        assert math.isfinite(lam) and lam >= exact
+        assert np.all(np.isfinite(u.values))
 
 
 class TestScalarField:

@@ -285,15 +285,16 @@ def count_calls(monkeypatch):
 
 
 class TestSharedLevel:
-    def test_member_factors_only_its_eigen_levels(self, monkeypatch):
-        # three levels (order, coarse, fine), each factored once; the order
+    def test_member_builds_three_meshes_and_factors_nothing(self, monkeypatch):
+        # three levels (order, coarse, fine), one mesh each; every solve
+        # takes the prepared disk factor of its ring count, the order
         # level's solutions start the coarse level's and the asymmetries
         # need no mesh
         st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
         calls = count_calls(monkeypatch)
         st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
                            rings_fine=16)
-        assert calls == {"mesh": 3, "splu": 3}
+        assert calls == {"mesh": 3, "splu": 0}
 
     @pytest.mark.parametrize("gap", [
         lambda: st.energy_gap(ellipse(0.1), 8, 16),
@@ -328,9 +329,10 @@ def record_solves(monkeypatch):
 class TestNestedLevels:
     def test_one_coarse_chain_for_all_q(self, monkeypatch):
         assert [r for r in (4, 6, 7, 8, 9, 10, 128) if st.nested(r)] == [8, 10, 128]
+        st.prepare_disk_references((4, 8, 16))
         calls = count_calls(monkeypatch)
         st.Level(ellipse(0.1), 16).fields((1.5, 2.0, 3.0))
-        assert calls == {"mesh": 3, "splu": 3}  # rings 16, 8 and 4
+        assert calls == {"mesh": 3, "splu": 0}  # rings 16, 8 and 4
 
     def test_value_depends_on_domain_rings_and_q_alone(self, monkeypatch):
         d = ellipse(0.1)
@@ -355,12 +357,13 @@ class TestNestedLevels:
         member = record_solves(monkeypatch)
         st.evaluate_member("e", "ellipse", 0.15, d, (1.0, 3.0), rings=8, rings_fine=16)
         member = dict(member)
+        st.prepare_disk_references((4, 8, 16))
         calls = count_calls(monkeypatch)
         level = st.Level(d, 16, start=st.Level(d, 8).fields((1.0,)))
         assert level.lambda_q(1.0) == member[16, 1.0]
-        assert calls == {"mesh": 3, "splu": 3}  # rings 4, 8, 16
+        assert calls == {"mesh": 3, "splu": 0}  # rings 4, 8, 16
         assert level.lambda_q(3.0) == member[16, 3.0]  # walks rings 4, 8 again
-        assert calls == {"mesh": 5, "splu": 5}
+        assert calls == {"mesh": 5, "splu": 0}
         cold, _ = fem.poincare_sobolev(level.mesh, 3.0)
         assert cold != member[16, 3.0]
 
