@@ -253,23 +253,6 @@ def h_half_norm_sq(p: BoundaryProfile) -> float:
     return boundary_l2_sq(p) + extension_energy(p)
 
 
-def _boundary_inner(p: BoundaryProfile, q: BoundaryProfile) -> float:
-    k = max(p.max_mode, q.max_mode)
-    pc, ps = p._padded(k)
-    qc, qs = q._padded(k)
-    return TWO_PI * p.a0 * q.a0 + math.pi * float(pc @ qc + ps @ qs)
-
-
-def _extension_inner(p: BoundaryProfile, q: BoundaryProfile) -> float:
-    kmax = max(p.max_mode, q.max_mode)
-    if kmax == 0:
-        return 0.0
-    pc, ps = p._padded(kmax)
-    qc, qs = q._padded(kmax)
-    k = np.arange(1, kmax + 1, dtype=float)
-    return math.pi * float(np.sum(k * (pc * qc + ps * qs)))
-
-
 def _check_dim(dim: int) -> int:
     dim = int(dim)
     if dim < 2:
@@ -286,12 +269,6 @@ def hessian_form(p: BoundaryProfile, dim: int = 2) -> float:
     """
     dim = _check_dim(dim)
     return (extension_energy(p) - boundary_l2_sq(p)) / dim ** 2
-
-
-def hessian_bilinear(p1: BoundaryProfile, p2: BoundaryProfile, dim: int = 2) -> float:
-    """Symmetric bilinear form polarizing :func:`hessian_form`."""
-    dim = _check_dim(dim)
-    return (_extension_inner(p1, p2) - _boundary_inner(p1, p2)) / dim ** 2
 
 
 def low_mode_projection(p: BoundaryProfile) -> ProjectionSplit:
@@ -346,11 +323,3 @@ def steklov_min_rayleigh(max_mode: int, min_mode: int = 2) -> float:
     if max_mode < min_mode:
         raise ValueError(f"max_mode must be >= {min_mode}, got {max_mode}")
     return min(mode_rayleigh(k) for k in range(min_mode, max_mode + 1))
-
-
-def coercivity_margin(p: BoundaryProfile, dim: int = 2) -> float:
-    """Ratio hessian_form / h_half_norm_sq, in [-1, 1] for nonzero input."""
-    norm_sq = h_half_norm_sq(p)
-    if norm_sq == 0.0:
-        raise ValueError("coercivity margin is undefined for the zero profile")
-    return hessian_form(p, dim) / norm_sq

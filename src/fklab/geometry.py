@@ -61,12 +61,6 @@ def _edge_areas(px, py, qx, qy, r):
     return out
 
 
-def triangle_disk_area(tri: np.ndarray, center, r: float) -> float:
-    """Exact area of a single triangle intersected with a disk."""
-    v = np.asarray(tri, dtype=float)[None, :, :]
-    return triangles_disk_area(v, center, r)
-
-
 def triangles_disk_area(verts: np.ndarray, center, r: float) -> float:
     """Sum of |T cap disk| over a stack of triangles, shape (m, 3, 2).
 

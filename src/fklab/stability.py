@@ -11,9 +11,10 @@ convergence order can be attached to each data point.
 Eigen and L^q solves use nested iteration: at every even ring count >= 8
 they start from the same domain's solutions at half the ring count,
 prolonged to the finer mesh, so every value depends on (domain, rings,
-q) alone.  A sweep row walks one chain of levels, the order level, the
-coarse and the fine one, and hands on only the solution vectors; the
-order level starts from levels below it, down to rings 4.  No domain is
+q) alone.  Each level is linked to the same domain's level at half its
+ring count: a sweep row walks one chain of levels, the order level, the
+coarse and the fine one, and the order level builds the levels below
+it, down to rings 4, so each q is solved once per level.  No domain is
 ever factored: every torsion, eigen and L^q solve is preconditioned by
 the factorization of the matched unit-disk level at the same ring count,
 one per ring count and process, which all domains share.  Torsion-only
@@ -66,24 +67,24 @@ class Level:
     Every solve is preconditioned by the factorization of the matched
     disk level, ``disk_data(rings)``, so a domain level factors nothing;
     the disk level itself uses its own.  At a :func:`nested` ring count
-    the eigenvalue and each L^q constant start from the prolonged
-    solution of the same domain and q at ``rings // 2``: from ``start``
-    (q -> nodal values at rings // 2) where it holds q, otherwise from
-    that solution computed by a new level at rings // 2, which recurses
-    the same way, so a value depends on the domain, the ring count and q
-    alone.  A ``SolverError`` from any solve is re-raised with the ring
-    count.
+    a level is linked to the same domain's level at ``rings // 2``:
+    ``coarse`` when given, otherwise one it builds on first use.  The
+    eigenvalue and each L^q constant start from the prolonged solution
+    of the same q on that level, which is linked the same way down to
+    rings 4, so each q is solved once per level and a value depends on
+    the domain, the ring count and q alone.  A ``SolverError`` from any
+    solve is re-raised with the ring count.
     """
 
-    def __init__(self, d: StarDomain, rings: int, start: dict | None = None):
+    def __init__(self, d: StarDomain, rings: int, coarse: Level | None = None):
         self.domain = d
         self.rings = rings
         self.volume = volume(d)
         self.mesh = fem.polar_mesh(d, rings)
+        self._coarse = coarse
         self._energy: float | None = None
         self._lq: dict[float, float] = {}
         self._fields: dict[float, np.ndarray] = {}
-        self._start = dict(start or {})
 
     def _solve(self, solver, *args, **kwargs):
         precond = disk_data(self.rings).mesh._interior_factor
@@ -91,9 +92,6 @@ class Level:
             return solver(self.mesh, *args, precond=precond, **kwargs)
         except fem.SolverError as exc:
             raise fem.SolverError(f"rings {self.rings}: {exc}") from exc
-
-    def _coarse_fields(self, q_list) -> dict:
-        return Level(self.domain, self.rings // 2).fields(q_list)
 
     def energy(self) -> float:
         if self._energy is None:
@@ -105,13 +103,15 @@ class Level:
         return self.lambda_q(2.0)
 
     def lambda_q(self, q: float) -> float:
+        """The eigenvalue for q = 2, the L^q constant otherwise."""
         q = float(q)
         if q not in self._lq:
             start = None
             if nested(self.rings):
-                if q not in self._start:
-                    self._start.update(self._coarse_fields([q]))
-                start = fem.prolongation(self.rings // 2) @ self._start.pop(q)
+                if self._coarse is None:
+                    self._coarse = Level(self.domain, self.rings // 2)
+                self._coarse.lambda_q(q)
+                start = fem.prolongation(self.rings // 2) @ self._coarse._fields[q]
             if q == 2.0:
                 lam, u = self._solve(fem.principal_eigenvalue, start=start)
             else:
@@ -119,34 +119,16 @@ class Level:
             self._lq[q], self._fields[q] = lam, u.values
         return self._lq[q]
 
-    def fields(self, q_list) -> dict:
-        """The nodal solution of each q in ``q_list``: the eigenfunction
-        for q = 2, the L^q minimizer otherwise.  Missing starts come from
-        one coarser level for all of ``q_list``."""
-        q_list = [float(q) for q in q_list]
-        missing = [q for q in q_list if q not in self._lq and q not in self._start]
-        if missing and nested(self.rings):
-            self._start.update(self._coarse_fields(missing))
-        for q in q_list:
-            self.lambda_q(q)
-        return {q: self._fields[q] for q in q_list}
-
-
-class _DiskLevel(Level):
-    """A cached unit-disk level: its solves start from the cached disk
-    level at ``rings // 2``."""
-
-    def _coarse_fields(self, q_list) -> dict:
-        return disk_data(self.rings // 2).fields(q_list)
-
 
 _DISK: dict[int, Level] = {}
 
 
 def disk_data(rings: int) -> Level:
-    """The matched unit-disk level, cached per process."""
+    """The matched unit-disk level, cached per process and linked to the
+    cached disk level at ``rings // 2`` at a :func:`nested` ring count."""
     if rings not in _DISK:
-        _DISK[rings] = _DiskLevel(unit_disk(), rings)
+        _DISK[rings] = Level(unit_disk(), rings,
+                             disk_data(rings // 2) if nested(rings) else None)
     return _DISK[rings]
 
 
@@ -154,8 +136,9 @@ def prepare_disk_references(levels, q_list=()) -> None:
     """Precompute the disk solves, and with them the disk factorizations
     that precondition every domain solve at the same ring count, so forked
     sweep workers inherit them (workers started by spawn or forkserver
-    recompute them).  The eigen and L^q solves also cache the coarser disk
-    levels whose solutions start them, down to rings 4 at most."""
+    recompute them).  A disk level is linked to the cached disk levels
+    below it, down to rings 4 at most, whose eigen and L^q solves start
+    its own."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()
@@ -164,18 +147,16 @@ def prepare_disk_references(levels, q_list=()) -> None:
             data.lambda_q(q)
 
 
-def _per_level(d: StarDomain, levels, term, *args, q_list=()) -> list:
+def _per_level(d: StarDomain, levels, term, *args) -> list:
     """``term(domain level, disk level, *args)`` at each ring count.
 
-    With ``q_list``, every q of ``q_list`` is solved at each level before
-    ``term``, and a level at twice the previous one's ring count starts
-    from the previous one's solutions: only those vectors are handed on.
+    A level at twice the previous one's ring count is linked to it, so
+    its eigen and L^q solves start from the previous level's.
     """
-    out, fields = [], {}
+    out, dom = [], None
     for rings in levels:
-        dom = Level(d, rings, fields.get(rings // 2))
-        if q_list:
-            fields = {rings: dom.fields(q_list)}
+        coarse = dom if dom is not None and 2 * dom.rings == rings else None
+        dom = Level(d, rings, coarse)
         out.append(term(dom, disk_data(rings), *args))
     return out
 
@@ -445,8 +426,7 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
     q_list = [float(q) for q in q_list]
     # the extra coarse level feeds the observed order of the energy
     # deficit, and its solutions start those of the coarse level
-    order_terms, lo, hi = _per_level(d, (rings // 2, rings, rings_fine), _row_terms,
-                                     q_list, q_list=q_list)
+    order_terms, lo, hi = _per_level(d, (rings // 2, rings, rings_fine), _row_terms, q_list)
     x = {k: _extrapolate(lo[k], hi[k]) for k in lo}
     deficit_e = x["deficit_energy"]
     order = observed_order(order_terms["deficit_energy"], lo["deficit_energy"],

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fklab.circle import (BoundaryProfile, boundary_l2_sq, coercivity_margin,
-                          extension_energy, h_half_norm_sq, hessian_bilinear,
-                          hessian_form, low_mode_projection, m_delta_defect,
-                          mode_rayleigh, steklov_min_rayleigh)
+from fklab.circle import (BoundaryProfile, boundary_l2_sq, extension_energy,
+                          h_half_norm_sq, hessian_form, low_mode_projection,
+                          m_delta_defect, mode_rayleigh, steklov_min_rayleigh)
 
 from conftest import random_profile
 from oracles import (boundary_l2_quadrature, extension_energy_quadrature,
@@ -102,29 +101,6 @@ class TestHessianForm:
             hessian_form(BoundaryProfile.constant(1.0), 1)
 
 
-class TestHessianBilinear:
-    def test_orthogonal_modes_vanish(self):
-        p = BoundaryProfile.single_mode(2, cos_amp=1.0)
-        q = BoundaryProfile.single_mode(2, sin_amp=1.0)
-        assert hessian_bilinear(p, q, 2) == 0.0
-        assert hessian_bilinear(BoundaryProfile.constant(1.0), p, 2) == 0.0
-
-    def test_diagonal_matches_quadratic_form(self, rng):
-        for _ in range(20):
-            p = random_profile(rng)
-            assert hessian_bilinear(p, p, 2) == pytest.approx(
-                hessian_form(p, 2), rel=1e-13, abs=1e-15)
-
-    def test_symmetric_and_bounded(self, rng):
-        for _ in range(50):
-            p, q = random_profile(rng), random_profile(rng)
-            b1 = hessian_bilinear(p, q, 2)
-            assert b1 == pytest.approx(hessian_bilinear(q, p, 2), rel=1e-14,
-                                       abs=1e-15)
-            bound = math.sqrt(h_half_norm_sq(p) * h_half_norm_sq(q))
-            assert abs(b1) <= bound * (1 + 1e-12)
-
-
 class TestLowModeProjection:
     def test_high_mode_passthrough(self):
         p = BoundaryProfile.single_mode(2, cos_amp=1.0)
@@ -201,25 +177,29 @@ class TestSteklov:
 
 
 class TestCoercivity:
+    """The coercivity margin hessian_form / h_half_norm_sq."""
+
     def test_mode_two(self):
         p = BoundaryProfile.single_mode(2, cos_amp=1.0)
-        assert coercivity_margin(p, 2) == pytest.approx(1 / 12, rel=1e-14)
-        assert coercivity_margin(p, 2) >= 1 / 32
+        margin = hessian_form(p, 2) / h_half_norm_sq(p)
+        assert margin == pytest.approx(1 / 12, rel=1e-14)
+        assert margin >= 1 / 32
 
     def test_mode_five(self):
         p = BoundaryProfile.single_mode(5, cos_amp=1.0)
-        assert coercivity_margin(p, 2) == pytest.approx(1 / 6, rel=1e-14)
+        assert hessian_form(p, 2) / h_half_norm_sq(p) == pytest.approx(
+            1 / 6, rel=1e-14)
 
     def test_translation_direction_excluded(self):
         p = BoundaryProfile.single_mode(1, cos_amp=1.0)
-        assert coercivity_margin(p, 2) == 0.0
+        assert hessian_form(p, 2) / h_half_norm_sq(p) == 0.0
 
     def test_bounded_by_one(self, rng):
         for _ in range(50):
             p = random_profile(rng)
             if h_half_norm_sq(p) == 0.0:
                 continue
-            assert -1.0 <= coercivity_margin(p, 2) <= 1.0
+            assert -1.0 <= hessian_form(p, 2) / h_half_norm_sq(p) <= 1.0
 
     def test_high_mode_lower_bound(self, rng):
         # on mean-free, moment-free profiles the margin is >= 1/16,
@@ -230,10 +210,11 @@ class TestCoercivity:
             high = low_mode_projection(p).high
             if h_half_norm_sq(high) == 0.0:
                 continue
-            margins.append(coercivity_margin(high, 2))
+            margins.append(hessian_form(high, 2) / h_half_norm_sq(high))
         assert min(margins) >= 1 / 16
         mode2 = BoundaryProfile.single_mode(2, sin_amp=0.3)
-        assert coercivity_margin(mode2, 2) == pytest.approx(1 / 12, rel=1e-14)
+        assert hessian_form(mode2, 2) / h_half_norm_sq(mode2) == pytest.approx(
+            1 / 12, rel=1e-14)
 
     def test_near_moment_free_keeps_quarter_of_bound(self, rng):
         # small mean/moment contamination cannot push the margin below 1/32
@@ -248,7 +229,7 @@ class TestCoercivity:
             while m_delta_defect(mixed) > 0.02:
                 low = low * 0.5
                 mixed = high + low * 1e-3
-            assert coercivity_margin(mixed, 2) >= 1 / 32
+            assert hessian_form(mixed, 2) / h_half_norm_sq(mixed) >= 1 / 32
 
 
 class TestSerialization:

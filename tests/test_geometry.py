@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fklab.geometry import triangle_disk_area, triangles_disk_area
+from fklab.geometry import triangles_disk_area
 
 from oracles import mc_two_disk_symdiff, two_disks_symmetric_difference
 
@@ -25,28 +25,29 @@ def mc_triangle_disk(tri, center, r, n=400_000, seed=5):
 class TestTriangleDiskArea:
     def test_triangle_inside_disk(self):
         tri = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]])
-        assert triangle_disk_area(tri, (0, 0), 2.0) == pytest.approx(0.06, rel=1e-14)
+        assert triangles_disk_area(tri[None], (0, 0), 2.0) == pytest.approx(
+            0.06, rel=1e-14)
 
     def test_disk_inside_triangle(self):
         tri = np.array([[-10.0, -10.0], [10.0, -10.0], [0.0, 15.0]])
-        assert triangle_disk_area(tri, (0, 1), 0.5) == pytest.approx(
+        assert triangles_disk_area(tri[None], (0, 1), 0.5) == pytest.approx(
             PI * 0.25, rel=1e-12)
 
     def test_disjoint(self):
         tri = np.array([[2.0, 2.0], [3.0, 2.0], [2.0, 3.0]])
-        assert triangle_disk_area(tri, (0, 0), 1.0) == 0.0
+        assert triangles_disk_area(tri[None], (0, 0), 1.0) == 0.0
 
     def test_half_disk(self):
         # right triangle covering exactly the upper half plane near the disk
         tri = np.array([[-50.0, 0.0], [50.0, 0.0], [0.0, 50.0]])
-        assert triangle_disk_area(tri, (0, 0), 1.0) == pytest.approx(
+        assert triangles_disk_area(tri[None], (0, 0), 1.0) == pytest.approx(
             PI / 2, rel=1e-12)
 
     def test_orientation_invariance(self):
         tri = np.array([[0.0, 0.0], [1.5, 0.2], [0.3, 1.4]])
         rev = tri[::-1].copy()
-        a1 = triangle_disk_area(tri, (0.4, 0.3), 0.8)
-        a2 = triangle_disk_area(rev, (0.4, 0.3), 0.8)
+        a1 = triangles_disk_area(tri[None], (0.4, 0.3), 0.8)
+        a2 = triangles_disk_area(rev[None], (0.4, 0.3), 0.8)
         assert a1 == pytest.approx(a2, rel=1e-14)
 
     def test_against_monte_carlo(self):
@@ -56,7 +57,7 @@ class TestTriangleDiskArea:
             center = rng.uniform(-1, 1, 2)
             r = rng.uniform(0.3, 1.8)
             mc, area = mc_triangle_disk(tri, center, r, seed=seed)
-            exact = triangle_disk_area(tri, center, r)
+            exact = triangles_disk_area(tri[None], center, r)
             sigma = 0.5 * area / math.sqrt(400_000)
             assert abs(exact - mc) < 5 * sigma + 1e-12
 
@@ -75,7 +76,7 @@ class TestTrianglesDiskArea:
         rng = np.random.default_rng(3)
         tris = rng.uniform(-1.5, 1.5, (40, 3, 2))
         total = triangles_disk_area(tris, (0.1, 0.2), 0.9)
-        persum = sum(triangle_disk_area(t, (0.1, 0.2), 0.9) for t in tris)
+        persum = sum(triangles_disk_area(t[None], (0.1, 0.2), 0.9) for t in tris)
         assert total == pytest.approx(persum, rel=1e-12)
 
 
