@@ -51,8 +51,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.rings < 4 or self.rings_fine < 4:
             raise UsageError("mesh ring counts must be >= 4")
-        if self.rings_fine <= self.rings:
-            raise UsageError("mesh.rings_fine must exceed mesh.rings")
+        if self.rings_fine != 2 * self.rings:
+            raise UsageError("mesh.rings_fine must be twice mesh.rings")
         if not (0.0 < self.eps_min < self.eps_max < 0.5):
             raise UsageError("sweep eps range must satisfy 0 < min < max < 0.5")
         if self.eps_count < 2:

@@ -23,27 +23,27 @@ each unique edge midpoint once.  The 2r-ring skeleton is the red
 refinement of the r-ring one, and :func:`prolongation` carries nodal
 values from the coarser mesh to the finer one's interior.
 
-Each mesh owns at most one sparse factorization of its interior
-stiffness matrix (symmetric-mode SuperLU), built on first use.  Every
-solver takes a ``precond``, a factorization with a ``solve`` method:
-by default the mesh's own, or the matched disk mesh's, which is
-spectrally equivalent because the two meshes share their topology, so a
-domain solved with it needs no factorization of its own.  Torsion
-(-Laplace u = 1, u = 0 on the boundary) is one conjugate-gradient solve
-preconditioned by it; with the mesh's own factor that is a direct solve.
-The principal Dirichlet eigenvalue comes from preconditioned
-Rayleigh-Ritz, LOBPCG with one vector (A. V. Knyazev, SIAM J. Sci.
-Comput. 23, 2001), and the optimal Poincare-Sobolev constants from a
-normalized preconditioned gradient descent with backtracking line
-search, a Sobolev-gradient descent in the inner product of the
-preconditioner (J. W. Neuberger, Sobolev Gradients and Differential
-Equations).  Both return their solution field with the value, and both
-take an optional ``start``.  The start is first smoothed by damped
-Jacobi sweeps, which cost no solve; started from the prolonged solution
-at half the ring count (nested iteration), each takes 2 solves at rings
-128 with the mesh's own factor and 2-4 with the matched disk's.  The
-stopping tolerances are the module constants below, the defaults of
-each solver's ``tol`` argument; nothing sets them process-wide.
+Every solver takes a ``precond``, any fixed SPD operator on the interior
+values with a ``solve`` method and a ``shape``: by default the mesh's own
+sparse factorization of its interior stiffness (symmetric-mode SuperLU,
+built on first use), or a :class:`VCycle`, one symmetric multigrid
+V-cycle over the same domain's meshes at half, a quarter, ... of the ring
+count, down to a small mesh that is factored.  Torsion (-Laplace u = 1,
+u = 0 on the boundary) is one conjugate-gradient solve preconditioned by
+it; with the mesh's own factor that is a direct solve.  The principal
+Dirichlet eigenvalue comes from preconditioned Rayleigh-Ritz, LOBPCG with
+one vector (A. V. Knyazev, SIAM J. Sci. Comput. 23, 2001), and the
+optimal Poincare-Sobolev constants from a normalized preconditioned
+gradient descent with backtracking line search, a Sobolev-gradient
+descent in the inner product of the preconditioner (J. W. Neuberger,
+Sobolev Gradients and Differential Equations).  Both return their
+solution field with the value, and both take an optional ``start``.  The
+start is first smoothed by damped Jacobi sweeps, which cost no solve;
+started from the prolonged solution at half the ring count (nested
+iteration), each takes 2-3 solves at rings 128, by the mesh's own factor
+or by the V-cycle.  The stopping tolerances are the module constants
+below, the defaults of each solver's ``tol`` argument; nothing sets them
+process-wide.
 """
 
 from __future__ import annotations
@@ -63,11 +63,14 @@ from .geometry import triangles_disk_area
 # iterates until its recursive residual is below DEFAULT_CG_TOL / 100 or
 # its backward error below 2 eps.  A solve by the mesh's own factor reaches
 # 8e-14, 3.3e-13, 1.3e-12 and 5.4e-12 at rings 32/64/128/256, a backward
-# error of 0.3 eps, and one by the matched disk factor takes 4-10 steps
+# error of 0.3 eps, and one by the V-cycle takes 10-19 steps at rings 128
 DEFAULT_CG_TOL = 1e-10
 DEFAULT_EIG_TOL = 1e-8
 DEFAULT_DESCENT_TOL = 1e-8
 DEFAULT_Q_MAX = 4.0
+# damping of the V-cycle's Jacobi sweeps, lowered on a mesh whose
+# Gershgorin bound would make it diverge
+JACOBI_WEIGHT = 0.8
 
 
 class SolverError(RuntimeError):
@@ -214,9 +217,26 @@ def prolongation(rings: int) -> sp.csr_matrix:
     stacked = sp.vstack([sp.identity(sk.n_vertices, format="csr"), sk.midpoints],
                         format="csr")
     p = stacked[rows]
-    for arr in (p.data, p.indices, p.indptr):
-        arr.flags.writeable = False
+    _freeze(p)
     return p
+
+
+def _freeze(m: sp.csr_matrix) -> None:
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+
+
+@cache
+def _interior_transfer(rings: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """:func:`prolongation` restricted to the interior columns, the map
+    between the interior values of the ``rings``- and ``2 * rings``-ring
+    meshes, and its transpose, the restriction; built once per process
+    and read-only."""
+    p = prolongation(rings)[:, :ring_skeleton(rings).n_interior].tocsr()
+    r = p.T.tocsr()
+    _freeze(p)
+    _freeze(r)
+    return p, r
 
 
 class TriMesh:
@@ -366,10 +386,50 @@ def disk_mesh(rings: int) -> TriMesh:
     return polar_mesh(unit_disk(), rings)
 
 
+class VCycle:
+    """One symmetric multigrid V-cycle for the interior stiffness A of the
+    ``rings``-ring ``mesh``, a fixed SPD operator B approximating A^{-1}
+    (W. Hackbusch, Multi-Grid Methods and Applications, Springer 1985).
+
+    ``solve(b)`` runs two damped Jacobi sweeps from zero, restricts the
+    residual by the transposed interior prolongation, applies
+    ``coarse.solve`` on the ``rings // 2``-ring mesh of the same domain,
+    prolongs the correction and runs two more Jacobi sweeps.  ``coarse``
+    is any SPD operator with ``solve`` and ``shape``: the coarse level's
+    own V-cycle, or at the bottom of the chain a factorization.  The
+    Jacobi weight is ``JACOBI_WEIGHT`` capped at 1.9 / max_i sum_j
+    |a_ij| / a_ii, a Gershgorin bound on the spectrum of D^{-1} A, so a
+    sweep contracts the error in the energy norm and B is SPD on every
+    mesh; I - B A is the product of the sweeps and the coarse correction,
+    self-adjoint in that norm."""
+
+    def __init__(self, mesh: TriMesh, rings: int, coarse):
+        a = mesh._interior_stiffness
+        self._p, self._r = _interior_transfer(rings // 2)
+        if self._p.shape != (a.shape[0], coarse.shape[0]):
+            raise ValueError(f"coarse operator of shape {coarse.shape} does not match "
+                             f"the {rings // 2}-ring interior of a {a.shape} stiffness")
+        diagonal = a.diagonal()
+        gershgorin = float(np.max(np.asarray(abs(a).sum(axis=1)).ravel() / diagonal))
+        self.weight = min(JACOBI_WEIGHT, 1.9 / gershgorin)
+        self.shape = a.shape
+        self._a, self._coarse = a, coarse
+        self._d_inv = self.weight / diagonal
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        a, d_inv = self._a, self._d_inv
+        x = d_inv * b
+        x += d_inv * (b - a @ x)
+        x += self._p @ self._coarse.solve(self._r @ (b - a @ x))
+        for _ in range(2):
+            x += d_inv * (b - a @ x)
+        return x
+
+
 def _preconditioner(mesh: TriMesh, precond):
-    """``precond``, a factorization of a matrix of the shape of the mesh's
-    interior stiffness with a ``solve`` method, or by default the mesh's
-    own factorization."""
+    """``precond``, any fixed SPD operator on the mesh's interior values
+    with a ``solve`` method and a ``shape``, such as a factorization or a
+    :class:`VCycle`, or by default the mesh's own factorization."""
     if precond is None:
         return mesh._interior_factor
     shape = (mesh.n_interior, mesh.n_interior)
@@ -382,9 +442,9 @@ def _preconditioner(mesh: TriMesh, precond):
 def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
                   max_iter: int = 100) -> tuple[ScalarField, SolveStats]:
     """Solve -Laplace u = 1 with zero boundary values by conjugate
-    gradients preconditioned with ``precond``, a factorization with a
-    ``solve`` method (default: the mesh's own, so the start is the
-    direct solve).  The start is ``precond.solve(b)``; CG iterates until
+    gradients preconditioned with ``precond``, any fixed SPD operator with
+    ``solve`` and ``shape`` (default: the mesh's own factorization, so the
+    start is the direct solve).  The start is ``precond.solve(b)``; CG iterates until
     the recursive relative residual is at most ``tol / 100`` or the
     normwise backward error |r| / (|A| |x| + |b|) is at most 2 eps, what
     a backward-stable solve attains, and a true relative residual above
@@ -470,8 +530,8 @@ def _smoothed(k, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     residual of its Rayleigh quotient with g held fixed.  They cost matrix
     products only and remove most of the high-frequency error of a
     prolonged start, as the smoother of cascadic multigrid does: from the
-    rings-64 solution of a mode-8 profile, the eigen solve at rings 128 by
-    the matched disk factor then takes 4 solves instead of 5."""
+    rings-64 solution of a mode-8 profile, the q = 1.5 descent at rings 128
+    preconditioned by the V-cycle then takes 3 solves instead of 5."""
     diagonal = k.diagonal()
     for _ in range(3):
         kx = k @ x
@@ -521,9 +581,9 @@ def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,
 
     Each step takes the lowest Ritz pair of K x = lambda M x on the span
     of the iterate x, the preconditioned residual P(K x - lambda M x) and
-    the previous direction, with P ``precond``, a factorization with a
-    ``solve`` method (default: the mesh's own, and the span then holds the
-    inverse-iteration step).  Reaching ``max_iter`` steps raises
+    the previous direction, with P ``precond``, any fixed SPD operator with
+    ``solve`` and ``shape`` (default: the mesh's own factorization, and the
+    span then holds the inverse-iteration step).  Reaching ``max_iter`` steps raises
     ``SolverError`` with the last change of lambda and the relative
     preconditioned residual |P(K x - lambda M x)|_M / |x|_M of the iterate
     the last step started from."""
@@ -572,9 +632,9 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
     Preconditioned gradient descent on the Rayleigh quotient R(u) =
     u.Ku / |u|_q^2 from the interior values ``start`` (default: P applied
     to the load vector), smoothed and scaled to unit norm: step against
-    P(K u - R(u) grad |u|_q) with backtracking, P ``precond``, a
-    factorization with a ``solve`` method (default: the mesh's own, which
-    makes it a descent in the energy inner product), and stop once R
+    P(K u - R(u) grad |u|_q) with backtracking, P ``precond``, any fixed
+    SPD operator with ``solve`` and ``shape`` (default: the mesh's own
+    factorization, which makes it a descent in the energy inner product), and stop once R
     decreases by less than ``tol`` in relative terms.  A line search that
     finds no decrease raises ``SolverError`` unless the direction's energy
     norm over sqrt(R) is at most ``tol``, i.e. the iterate is already

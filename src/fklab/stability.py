@@ -14,11 +14,12 @@ prolonged to the finer mesh, so every value depends on (domain, rings,
 q) alone.  Each level is linked to the same domain's level at half its
 ring count: a sweep row walks one chain of levels, the order level, the
 coarse and the fine one, and the order level builds the levels below
-it, down to rings 4, so each q is solved once per level.  No domain is
-ever factored: every torsion, eigen and L^q solve is preconditioned by
-the factorization of the matched unit-disk level at the same ring count,
-one per ring count and process, which all domains share.  Torsion-only
-paths solve no eigen or L^q problem.
+it, down to rings 4, so each q is solved once per level.  The same chain
+is a multigrid hierarchy: every torsion, eigen and L^q solve of a level
+is preconditioned by a symmetric V-cycle over it, and only the bottom
+level, 37 unknowns at rings 4, is factored.  The unit disk's levels
+follow the same rule.  Torsion-only paths solve no eigen or L^q
+problem.
 
 Conventions (dimension is fixed to 2 for all meshed quantities):
 
@@ -34,6 +35,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +57,9 @@ ORDER_BAND = (1.6, 2.4)
 
 
 def nested(rings: int) -> bool:
-    """Whether the eigen and L^q solves at ``rings`` start from the same
-    domain's solutions at ``rings // 2`` (even ring counts >= 8)."""
+    """Whether a level at ``rings`` is linked to the same domain's level at
+    ``rings // 2``, whose solutions start its eigen and L^q solves and
+    whose V-cycle is its coarse solve (even ring counts >= 8)."""
     return rings % 2 == 0 and rings >= 8
 
 
@@ -64,16 +67,16 @@ class Level:
     """Torsion energy, eigenvalue and L^q constants of one domain at one
     ring count, computed lazily from one mesh.
 
-    Every solve is preconditioned by the factorization of the matched
-    disk level, ``disk_data(rings)``, so a domain level factors nothing;
-    the disk level itself uses its own.  At a :func:`nested` ring count
-    a level is linked to the same domain's level at ``rings // 2``:
-    ``coarse`` when given, otherwise one it builds on first use.  The
-    eigenvalue and each L^q constant start from the prolonged solution
-    of the same q on that level, which is linked the same way down to
-    rings 4, so each q is solved once per level and a value depends on
-    the domain, the ring count and q alone.  A ``SolverError`` from any
-    solve is re-raised with the ring count.
+    At a :func:`nested` ring count a level is linked to the same domain's
+    level at ``rings // 2``: ``coarse`` when given, otherwise one it
+    builds on first use.  Every solve is preconditioned by ``precond``,
+    a multigrid V-cycle over that chain of levels, down to a ring count
+    that is not nested (rings 4 on the default chain), whose small mesh
+    is factored; so no level factors more than a few dozen unknowns.  The
+    eigenvalue and each L^q constant start from the prolonged solution of
+    the same q on the coarse level, so each q is solved once per level
+    and a value depends on the domain, the ring count and q alone.  A
+    ``SolverError`` from any solve is re-raised with the ring count.
     """
 
     def __init__(self, d: StarDomain, rings: int, coarse: Level | None = None):
@@ -86,10 +89,24 @@ class Level:
         self._lq: dict[float, float] = {}
         self._fields: dict[float, np.ndarray] = {}
 
+    @property
+    def coarse(self) -> Level:
+        """The same domain's level at ``rings // 2``, built on first use."""
+        if self._coarse is None:
+            self._coarse = Level(self.domain, self.rings // 2)
+        return self._coarse
+
+    @cached_property
+    def precond(self):
+        """The V-cycle over the coarse chain at a nested ring count, the
+        mesh's own factorization otherwise."""
+        if nested(self.rings):
+            return fem.VCycle(self.mesh, self.rings, self.coarse.precond)
+        return self.mesh._interior_factor
+
     def _solve(self, solver, *args, **kwargs):
-        precond = disk_data(self.rings).mesh._interior_factor
         try:
-            return solver(self.mesh, *args, precond=precond, **kwargs)
+            return solver(self.mesh, *args, precond=self.precond, **kwargs)
         except fem.SolverError as exc:
             raise fem.SolverError(f"rings {self.rings}: {exc}") from exc
 
@@ -108,10 +125,8 @@ class Level:
         if q not in self._lq:
             start = None
             if nested(self.rings):
-                if self._coarse is None:
-                    self._coarse = Level(self.domain, self.rings // 2)
-                self._coarse.lambda_q(q)
-                start = fem.prolongation(self.rings // 2) @ self._coarse._fields[q]
+                self.coarse.lambda_q(q)
+                start = fem.prolongation(self.rings // 2) @ self.coarse._fields[q]
             if q == 2.0:
                 lam, u = self._solve(fem.principal_eigenvalue, start=start)
             else:
@@ -124,8 +139,9 @@ _DISK: dict[int, Level] = {}
 
 
 def disk_data(rings: int) -> Level:
-    """The matched unit-disk level, cached per process and linked to the
-    cached disk level at ``rings // 2`` at a :func:`nested` ring count."""
+    """The matched unit-disk level, the reference of every deficit at
+    ``rings``, cached per process and linked to the cached disk level at
+    ``rings // 2`` at a :func:`nested` ring count."""
     if rings not in _DISK:
         _DISK[rings] = Level(unit_disk(), rings,
                              disk_data(rings // 2) if nested(rings) else None)
@@ -133,12 +149,12 @@ def disk_data(rings: int) -> Level:
 
 
 def prepare_disk_references(levels, q_list=()) -> None:
-    """Precompute the disk solves, and with them the disk factorizations
-    that precondition every domain solve at the same ring count, so forked
-    sweep workers inherit them (workers started by spawn or forkserver
-    recompute them).  A disk level is linked to the cached disk levels
-    below it, down to rings 4 at most, whose eigen and L^q solves start
-    its own."""
+    """Precompute the disk values that every deficit subtracts, so forked
+    sweep workers inherit them with the disk levels' V-cycles (workers
+    started by spawn or forkserver recompute them).  A disk level is
+    linked to the cached disk levels below it, down to rings 4 at most,
+    whose eigen and L^q solves start its own and whose V-cycles are its
+    coarse solves."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()
@@ -151,7 +167,8 @@ def _per_level(d: StarDomain, levels, term, *args) -> list:
     """``term(domain level, disk level, *args)`` at each ring count.
 
     A level at twice the previous one's ring count is linked to it, so
-    its eigen and L^q solves start from the previous level's.
+    its eigen and L^q solves start from the previous level's and its
+    V-cycle's coarse solve is the previous level's V-cycle.
     """
     out, dom = [], None
     for rings in levels:
@@ -162,6 +179,16 @@ def _per_level(d: StarDomain, levels, term, *args) -> list:
 
 
 # -- extrapolation helpers ----------------------------------------------
+
+
+def _pair(rings: int, rings_fine: int) -> tuple[int, int]:
+    """The Richardson pair ``(rings, rings_fine)``, rejected unless the fine
+    level has twice the rings of the coarse one: :func:`richardson` and
+    :func:`observed_order` assume a mesh ratio of 2."""
+    if rings_fine != 2 * rings:
+        raise ValueError(f"rings_fine must be twice rings, got rings {rings} "
+                         f"and rings_fine {rings_fine}")
+    return rings, rings_fine
 
 
 def richardson(coarse: float, fine: float, order: float = 2.0) -> float:
@@ -231,13 +258,13 @@ def _ratio_terms(dom: Level, ref: Level, q: float) -> tuple[float, float]:
 def energy_gap(d: StarDomain, rings: int = DEFAULT_RINGS,
                rings_fine: int = DEFAULT_RINGS_FINE) -> float:
     """Extrapolated E(Omega) - E(B_1) on matched meshes (volumes must be pi)."""
-    return richardson(*_per_level(d, (rings, rings_fine), _gap_term))
+    return richardson(*_per_level(d, _pair(rings, rings_fine), _gap_term))
 
 
 def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
                    rings_fine: int = DEFAULT_RINGS_FINE) -> float:
     """Scale-invariant energy deficit D, Richardson-extrapolated."""
-    return richardson(*_per_level(d, (rings, rings_fine), _energy_term))
+    return richardson(*_per_level(d, _pair(rings, rings_fine), _energy_term))
 
 
 # -- expansions at the disk ----------------------------------------------
@@ -351,6 +378,7 @@ class SweepSpec:
     rings_fine: int = DEFAULT_RINGS_FINE
 
     def __post_init__(self):
+        _pair(self.rings, self.rings_fine)
         if self.random_count < 0:
             raise ValueError(f"random_count must be >= 0, got {self.random_count}")
         if not self.eps_values and self.random_count == 0:
@@ -426,7 +454,8 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
     q_list = [float(q) for q in q_list]
     # the extra coarse level feeds the observed order of the energy
     # deficit, and its solutions start those of the coarse level
-    order_terms, lo, hi = _per_level(d, (rings // 2, rings, rings_fine), _row_terms, q_list)
+    order_terms, lo, hi = _per_level(d, (rings // 2, *_pair(rings, rings_fine)),
+                                     _row_terms, q_list)
     x = {k: _extrapolate(lo[k], hi[k]) for k in lo}
     deficit_e = x["deficit_energy"]
     order = observed_order(order_terms["deficit_energy"], lo["deficit_energy"],

@@ -71,6 +71,15 @@ class TestConfig:
             RunConfig(workers=-3).validate()
         RunConfig(workers=0).validate()
 
+    def test_fine_level_must_be_twice_the_coarse_one(self, capsys):
+        # Richardson extrapolation and the observed order assume a mesh
+        # ratio of 2; 32/48 would extrapolate with the wrong factor
+        with pytest.raises(UsageError, match="twice"):
+            RunConfig(rings=32, rings_fine=48).validate()
+        assert main(["--rings", "32", "--rings-fine", "48",
+                     "deficit", "ellipse:0.1"]) == 1
+        assert "twice" in capsys.readouterr().err
+
 
 class TestDomainSpecs:
     def test_ellipse_spec(self):

@@ -369,6 +369,78 @@ class TestPreconditionedTorsion:
                               precond=fem.disk_mesh(16)._interior_factor)
 
 
+def vcycle_chain(d, rings):
+    """The ``rings``-ring mesh of ``d`` and its V-cycle over the meshes of
+    d at rings / 2, rings / 4, ... down to rings 4, which is factored."""
+    mesh = fem.polar_mesh(d, rings)
+    if rings == 4:
+        return mesh, mesh._interior_factor
+    return mesh, fem.VCycle(mesh, rings, vcycle_chain(d, rings // 2)[1])
+
+
+VCYCLE_DOMAINS = {
+    "disk": unit_disk,
+    "ellipse-0.2": lambda: ellipse(0.2),
+    "mode-8": lambda: StarDomain((0.0, 0.0), volume_corrected_profile(8, 0.09)),
+}
+
+
+class TestVCycle:
+    @pytest.fixture(scope="class", params=list(VCYCLE_DOMAINS))
+    def dense16(self, request):
+        """The dense stiffness A, V-cycle operator B and V-cycle at rings 16."""
+        mesh, vcycle = vcycle_chain(VCYCLE_DOMAINS[request.param](), 16)
+        n = mesh.n_interior
+        b = np.column_stack([vcycle.solve(e) for e in np.eye(n)])
+        return mesh._interior_stiffness.toarray(), b, vcycle
+
+    def test_operator_is_symmetric_positive_definite(self, dense16):
+        _, b, _ = dense16
+        assert np.max(np.abs(b - b.T)) <= 1e-13 * np.max(np.abs(b))
+        assert np.linalg.eigvalsh(0.5 * (b + b.T))[0] > 0.0
+
+    def test_energy_norm_contraction(self, dense16):
+        # |I - BA|_A is the largest |1 - mu| over the eigenvalues mu of
+        # L'BL, A = LL'; 0.15, 0.16 and 0.30 on the three domains
+        a, b, _ = dense16
+        low = np.linalg.cholesky(a)
+        s = low.T @ b @ low
+        mu = np.linalg.eigvalsh(0.5 * (s + s.T))
+        assert np.max(np.abs(1.0 - mu)) <= 0.35
+
+    def test_weight_within_gershgorin_bound(self, dense16):
+        a, _, vcycle = dense16
+        assert 0.0 < vcycle.weight <= fem.JACOBI_WEIGHT
+        gershgorin = np.max(np.abs(a).sum(axis=1) / np.diag(a))
+        assert vcycle.weight * gershgorin <= 1.9 * (1.0 + 1e-15)
+
+    @pytest.mark.parametrize("name,bound", [("disk", 12), ("ellipse-0.2", 12),
+                                            ("mode-8", 20)])
+    def test_torsion_iterations_at_rings_64(self, name, bound):
+        # 10, 11 and 18 preconditioner applications; the solve by the
+        # mesh's own factor gives the same energy
+        mesh, vcycle = vcycle_chain(VCYCLE_DOMAINS[name](), 64)
+        u, stats = fem.solve_torsion(mesh, precond=vcycle)
+        assert stats.iterations <= bound
+        assert stats.residual <= fem.DEFAULT_CG_TOL
+        direct = fem.energy_of(fem.solve_torsion(mesh)[0])
+        assert abs(fem.energy_of(u) / direct - 1.0) <= 1e-13
+
+    def test_coarse_operator_must_match(self):
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        with pytest.raises(ValueError, match="coarse operator"):
+            fem.VCycle(mesh, 16, fem.disk_mesh(4)._interior_factor)
+
+    def test_transfer_is_cached_read_only(self):
+        p, r = fem._interior_transfer(8)
+        assert p.shape == (fem.ring_skeleton(16).n_interior,
+                           fem.ring_skeleton(8).n_interior)
+        assert (r != p.T).nnz == 0
+        assert fem._interior_transfer(8)[0] is p
+        with pytest.raises(ValueError, match="read-only"):
+            r.data[0] = 0.0
+
+
 class TestProlongation:
     @pytest.mark.parametrize("rings", [4, 8, 64])
     def test_bijection_onto_coarse_vertices_and_edges(self, rings):

@@ -34,6 +34,25 @@ class TestExtrapolation:
         assert st.observed_order(*vals) == pytest.approx(2.0, abs=1e-9)
         assert math.isnan(st.observed_order(1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("entry", [
+        lambda: st.energy_gap(ellipse(0.1), 32, 48),
+        lambda: st.energy_deficit(ellipse(0.1), 32, 48),
+        lambda: st.taylor_validation(2, (0.03, 0.05, 0.07), 32, 48),
+        lambda: st.fuglede_margin(volume_corrected_profile(2, 0.01), 32, 48),
+        lambda: st.sharpness_fit(np.linspace(0.02, 0.2, 5), 32, 48),
+        lambda: st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=32,
+                                   rings_fine=48),
+        lambda: st.SweepSpec(rings=32, rings_fine=48),
+    ], ids=["energy_gap", "energy_deficit", "taylor_validation", "fuglede_margin",
+            "sharpness_fit", "evaluate_member", "SweepSpec"])
+    def test_fine_level_must_be_twice_the_coarse_one(self, monkeypatch, entry):
+        # richardson (factor 2^order) and observed_order (log2) assume a
+        # mesh ratio of 2; rejected before any mesh is built
+        calls = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match="twice"):
+            entry()
+        assert calls == {"mesh": 0, "splu": []}
+
     def test_disk_reference_is_cached(self):
         a = st.disk_data(16)
         b = st.disk_data(16)
@@ -269,44 +288,57 @@ class TestSweep:
         assert quartic_slack > 5.0 * quadratic_slack
 
 
+# rows of the interior stiffness at the bottom of the default level chain,
+# rings 4: the largest matrix a run factors
+BOTTOM = fem.ring_skeleton(4).n_interior
+
+
 def count_calls(monkeypatch):
-    """Count mesh builds and sparse factorizations while the test runs."""
-    calls = {"mesh": 0, "splu": 0}
+    """Count mesh builds and record the row count of every sparse
+    factorization while the test runs."""
+    calls = {"mesh": 0, "splu": []}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def mesh(*args, **kwargs):
+        calls["mesh"] += 1
+        return polar_mesh(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "polar_mesh", counted("mesh", fem.polar_mesh))
-    monkeypatch.setattr(fem.spla, "splu", counted("splu", fem.spla.splu))
+    def splu(a, *args, **kwargs):
+        calls["splu"].append(a.shape[0])
+        return factor(a, *args, **kwargs)
+
+    polar_mesh, factor = fem.polar_mesh, fem.spla.splu
+    monkeypatch.setattr(fem, "polar_mesh", mesh)
+    monkeypatch.setattr(fem.spla, "splu", splu)
     return calls
 
 
 class TestSharedLevel:
-    def test_member_builds_three_meshes_and_factors_nothing(self, monkeypatch):
+    def test_member_factors_only_its_chain_bottom(self, monkeypatch):
         # three levels (order, coarse, fine), one mesh each; every solve
-        # takes the prepared disk factor of its ring count, the order
+        # takes the V-cycle over the member's own chain, whose bottom, the
+        # rings-4 order level, is the only matrix factored; the order
         # level's solutions start the coarse level's and the asymmetries
         # need no mesh
+        assert BOTTOM == 37
         st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
         calls = count_calls(monkeypatch)
         st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
                            rings_fine=16)
-        assert calls == {"mesh": 3, "splu": 0}
+        assert calls == {"mesh": 3, "splu": [BOTTOM]}
 
-    @pytest.mark.parametrize("gap", [
-        lambda: st.energy_gap(ellipse(0.1), 8, 16),
-        lambda: st.fuglede_margin(volume_corrected_profile(2, 0.01), 8, 16),
-        lambda: st.taylor_validation(2, (0.03, 0.05, 0.07), 8, 16),
+    @pytest.mark.parametrize("gap,domains", [
+        (lambda: st.energy_gap(ellipse(0.1), 8, 16), 1),
+        (lambda: st.fuglede_margin(volume_corrected_profile(2, 0.01), 8, 16), 1),
+        (lambda: st.taylor_validation(2, (0.03, 0.05, 0.07), 8, 16), 3),
     ], ids=["energy_gap", "fuglede_margin", "taylor_validation"])
-    def test_torsion_only_paths_factor_nothing(self, monkeypatch, gap):
+    def test_torsion_only_paths_factor_only_chain_bottoms(self, monkeypatch, gap,
+                                                          domains):
+        # per domain: the rings 8 and 16 levels and the rings-4 level below
+        # them, the bottom of the V-cycle chain and the only one factored
         st.prepare_disk_references((8, 16))
         calls = count_calls(monkeypatch)
         gap()
-        assert calls["splu"] == 0
-        assert calls["mesh"] > 0
+        assert calls == {"mesh": 3 * domains, "splu": [BOTTOM] * domains}
 
 
 def record_solves(monkeypatch):
@@ -337,7 +369,7 @@ class TestNestedLevels:
         level = st.Level(ellipse(0.1), 16)
         for q in (1.5, 2.0, 3.0):
             level.lambda_q(q)
-        assert calls == {"mesh": 3, "splu": 0}  # rings 16, 8 and 4
+        assert calls == {"mesh": 3, "splu": [BOTTOM]}  # rings 16, 8 and 4
 
     def test_value_depends_on_domain_rings_and_q_alone(self, monkeypatch):
         d = ellipse(0.1)
@@ -366,9 +398,9 @@ class TestNestedLevels:
         calls = count_calls(monkeypatch)
         level = st.Level(d, 16, coarse=st.Level(d, 8))
         assert [level.lambda_q(1.0)] == member[16, 1.0]
-        assert calls == {"mesh": 3, "splu": 0}  # rings 16, 8 and 4
+        assert calls == {"mesh": 3, "splu": [BOTTOM]}  # rings 16, 8 and 4
         assert [level.lambda_q(3.0)] == member[16, 3.0]  # on the same chain
-        assert calls == {"mesh": 3, "splu": 0}
+        assert calls == {"mesh": 3, "splu": [BOTTOM]}
         cold, _ = fem.poincare_sobolev(level.mesh, 3.0)
         assert cold != member[16, 3.0][0]
 
@@ -381,7 +413,7 @@ class TestNestedLevels:
         solves = record_solves(monkeypatch)
         part = st.evaluate_member("e", "ellipse", 0.1, d, (1.0, 3.0),
                                   rings=8, rings_fine=16)
-        assert calls == {"mesh": 3, "splu": 0}  # rings 4, 8 and 16
+        assert calls == {"mesh": 3, "splu": [BOTTOM]}  # rings 4, 8 and 16
         assert {k: len(v) for k, v in solves.items()} == {
             (r, q): 1 for r in (4, 8, 16) for q in (1.0, 2.0, 3.0)}
         assert part.eigenvalue == full.eigenvalue
