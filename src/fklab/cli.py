@@ -49,8 +49,8 @@ class RunConfig:
     workers: int = 0  # 0 = all available cores
 
     def validate(self) -> "RunConfig":
-        if self.rings < 4 or self.rings_fine < 4:
-            raise UsageError("mesh ring counts must be >= 4")
+        if self.rings < 8 or self.rings % 2:
+            raise UsageError("mesh.rings must be even and >= 8")
         if self.rings_fine != 2 * self.rings:
             raise UsageError("mesh.rings_fine must be twice mesh.rings")
         if not (0.0 < self.eps_min < self.eps_max < 0.5):

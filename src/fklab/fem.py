@@ -30,17 +30,17 @@ built on first use), or a :class:`VCycle`, one symmetric multigrid
 V-cycle over the same domain's meshes at half, a quarter, ... of the ring
 count, down to a small mesh that is factored.  Torsion (-Laplace u = 1,
 u = 0 on the boundary) is one conjugate-gradient solve preconditioned by
-it; with the mesh's own factor that is a direct solve.  The principal
-Dirichlet eigenvalue comes from preconditioned Rayleigh-Ritz, LOBPCG with
-one vector (A. V. Knyazev, SIAM J. Sci. Comput. 23, 2001), and the
-optimal Poincare-Sobolev constants from a normalized preconditioned
-gradient descent with backtracking line search, a Sobolev-gradient
-descent in the inner product of the preconditioner (J. W. Neuberger,
-Sobolev Gradients and Differential Equations).  Both return their
-solution field with the value, and both take an optional ``start``.  The
-start is first smoothed by damped Jacobi sweeps, which cost no solve;
+it; with the mesh's own factor that is a direct solve.  Every optimal
+Poincare-Sobolev constant lambda_q comes from one normalized
+preconditioned gradient descent with backtracking line search, a
+Sobolev-gradient descent in the inner product of the preconditioner (J.
+W. Neuberger, Sobolev Gradients and Differential Equations).  The
+principal Dirichlet eigenvalue is its q = 2 member, where the L^2 norm of
+the midpoint rule is exactly the mass quadratic form.  The descent
+returns its solution field with the value and takes an optional
+``start``, first smoothed by damped Jacobi sweeps, which cost no solve;
 started from the prolonged solution at half the ring count (nested
-iteration), each takes 2-3 solves at rings 128, by the mesh's own factor
+iteration), it takes 2-3 solves at rings 128, by the mesh's own factor
 or by the V-cycle.  The stopping tolerances are the module constants
 below, the defaults of each solver's ``tol`` argument; nothing sets them
 process-wide.
@@ -65,7 +65,6 @@ from .geometry import triangles_disk_area
 # 8e-14, 3.3e-13, 1.3e-12 and 5.4e-12 at rings 32/64/128/256, a backward
 # error of 0.3 eps, and one by the V-cycle takes 10-19 steps at rings 128
 DEFAULT_CG_TOL = 1e-10
-DEFAULT_EIG_TOL = 1e-8
 DEFAULT_DESCENT_TOL = 1e-8
 DEFAULT_Q_MAX = 4.0
 # damping of the V-cycle's Jacobi sweeps, lowered on a mesh whose
@@ -526,8 +525,8 @@ def _start_values(mesh: TriMesh, start) -> np.ndarray:
 
 def _smoothed(k, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``x`` after three damped Jacobi sweeps on K x - (x.Kx / x.g) g, with
-    g the gradient of the solver's norm at ``x``: the Euler-Lagrange
-    residual of its Rayleigh quotient with g held fixed.  They cost matrix
+    g the gradient of the L^q norm at ``x``: the Euler-Lagrange residual
+    of the descent's Rayleigh quotient with g held fixed.  They cost matrix
     products only and remove most of the high-frequency error of a
     prolonged start, as the smoother of cascadic multigrid does: from the
     rings-64 solution of a mode-8 profile, the q = 1.5 descent at rings 128
@@ -539,95 +538,14 @@ def _smoothed(k, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ritz(x, directions) -> tuple[list, list]:
-    """The lowest Ritz vector of K v = lambda M v on the span of ``x`` and
-    ``directions``, each given as the triple (v, M v, K v) with x M-unit:
-    the combination with a positive coefficient on x, and its part
-    outside x, the next step's previous direction, both as triples.
-
-    The span gets an M-orthonormal basis, x first, by two Gram-Schmidt
-    passes that carry the triples along, so no matrix product is needed.
-    A direction whose M-norm falls below 1e-10 of its own lies in the span
-    of the earlier ones up to rounding and is left out, so the projected
-    problem is a symmetric eigenproblem, never a near-singular pencil."""
-    basis = [np.empty((len(x[0]), 1 + len(directions)), order="F") for _ in x]
-    for arr, col in zip(basis, x):
-        arr[:, 0] = col
-    j = 1
-    for d in directions:
-        own = math.sqrt(max(float(d[0] @ d[1]), 0.0))
-        for _ in range(2):
-            coeffs = basis[1][:, :j].T @ d[0]
-            d = [col - arr[:, :j] @ coeffs for col, arr in zip(d, basis)]
-        norm = math.sqrt(max(float(d[0] @ d[1]), 0.0))
-        if norm > 1e-10 * own:
-            for arr, col in zip(basis, d):
-                arr[:, j] = col / norm
-            j += 1
-    basis = [arr[:, :j] for arr in basis]
-    projected = basis[0].T @ basis[2]
-    c = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
-    c *= math.copysign(1.0, c[0])
-    return [arr @ c for arr in basis], [arr[:, 1:] @ c[1:] for arr in basis]
-
-
-def principal_eigenvalue(mesh: TriMesh, tol: float = DEFAULT_EIG_TOL,
-                         max_iter: int = 400, start=None,
-                         precond=None) -> tuple[float, ScalarField]:
-    """Smallest Dirichlet eigenvalue by preconditioned Rayleigh-Ritz
-    (LOBPCG with one vector) from the interior values ``start`` (default:
-    the load vector), smoothed, until the eigenvalue estimate changes by
-    at most ``tol``.
-
-    Each step takes the lowest Ritz pair of K x = lambda M x on the span
-    of the iterate x, the preconditioned residual P(K x - lambda M x) and
-    the previous direction, with P ``precond``, any fixed SPD operator with
-    ``solve`` and ``shape`` (default: the mesh's own factorization, and the
-    span then holds the inverse-iteration step).  Reaching ``max_iter`` steps raises
-    ``SolverError`` with the last change of lambda and the relative
-    preconditioned residual |P(K x - lambda M x)|_M / |x|_M of the iterate
-    the last step started from."""
-    n = mesh.n_interior
-    k = mesh._interior_stiffness
-    m = mesh.mass[:n, :n]
-    precond = _preconditioner(mesh, precond)
-    x = mesh.load[:n].copy() if start is None else _start_values(mesh, start)
-    x = _smoothed(k, x, m @ x)
-
-    def m_unit(triple):
-        scale = math.sqrt(float(triple[0] @ triple[1]))
-        return [v / scale for v in triple]
-
-    x, mx, kx = m_unit([x, m @ x, k @ x])
-    lam, previous, delta, residual = float(x @ kx), [], math.nan, math.nan
-    for it in range(1, max_iter + 1):
-        w = precond.solve(kx - lam * mx)
-        mw = m @ w
-        residual = math.sqrt(float(w @ mw))
-        if not math.isfinite(residual):
-            raise SolverError(f"eigen iteration {it}: non-finite preconditioned residual")
-        ritz, p = _ritz([x, mx, kx], [[w, mw, k @ w], *previous])
-        x, mx, kx = m_unit(ritz)
-        previous = [p]
-        lam_new = float(x @ kx)
-        delta, lam = abs(lam_new - lam), lam_new
-        if delta <= tol:
-            break
-    else:
-        raise SolverError(f"eigen iteration did not converge in {max_iter} iterations: "
-                          f"last |d lambda| {delta:.3g} > {tol:.3g}, relative "
-                          f"preconditioned residual {residual:.3g}")
-    if np.sum(x) < 0:
-        x = -x
-    return lam, ScalarField(mesh, _extend(mesh, x))
-
-
 def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
                      q_max: float = DEFAULT_Q_MAX, max_iter: int = 500,
                      start=None, precond=None) -> tuple[float, ScalarField]:
     """Optimal constant of the embedding into L^q: min of the Dirichlet
     integral over Dirichlet fields with unit L^q norm, and the minimizer
-    found (unit L^q norm).
+    found (unit L^q norm).  For q = 2 the midpoint rule is exact, so the
+    constant is the principal eigenvalue of K x = lambda M x and the
+    minimizer its M-unit eigenvector.
 
     Preconditioned gradient descent on the Rayleigh quotient R(u) =
     u.Ku / |u|_q^2 from the interior values ``start`` (default: P applied
@@ -690,6 +608,12 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
             return result(rayleigh, u)
     raise SolverError(f"L^{q} descent did not converge in {max_iter} iterations: "
                       f"last relative drop {drop:.3g} > {tol:.3g}")
+
+
+def principal_eigenvalue(mesh: TriMesh, **kwargs) -> tuple[float, ScalarField]:
+    """Smallest Dirichlet eigenvalue and its M-unit eigenvector: the q = 2
+    constant of :func:`poincare_sobolev`, which takes the same keywords."""
+    return poincare_sobolev(mesh, 2.0, **kwargs)
 
 
 def tail_sup(u: ScalarField, ball_radius: float) -> tuple[float, float]:

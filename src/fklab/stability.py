@@ -8,18 +8,18 @@ pair of ring counts and Richardson-extrapolated with assumed order 2;
 the energy route also solves one extra coarser level so an observed
 convergence order can be attached to each data point.
 
-Eigen and L^q solves use nested iteration: at every even ring count >= 8
-they start from the same domain's solutions at half the ring count,
-prolonged to the finer mesh, so every value depends on (domain, rings,
-q) alone.  Each level is linked to the same domain's level at half its
-ring count: a sweep row walks one chain of levels, the order level, the
-coarse and the fine one, and the order level builds the levels below
-it, down to rings 4, so each q is solved once per level.  The same chain
-is a multigrid hierarchy: every torsion, eigen and L^q solve of a level
-is preconditioned by a symmetric V-cycle over it, and only the bottom
-level, 37 unknowns at rings 4, is factored.  The unit disk's levels
-follow the same rule.  Torsion-only paths solve no eigen or L^q
-problem.
+The eigenvalue is the q = 2 Poincare-Sobolev constant, and every L^q
+solve uses nested iteration: at every even ring count >= 8 it starts
+from the same domain's solution at half the ring count, prolonged to the
+finer mesh, so every value depends on (domain, rings, q) alone.  Each
+level is linked to the same domain's level at half its ring count: a
+sweep row walks one chain of levels, the order level, the coarse and the
+fine one, and the order level builds the levels below it, down to rings
+4, so each q is solved once per level.  The same chain is a multigrid
+hierarchy: every torsion and L^q solve of a level is preconditioned by a
+symmetric V-cycle over it, and only the bottom level, 37 unknowns at
+rings 4, is factored.  The unit disk's levels follow the same rule.
+Torsion-only paths solve no L^q problem.
 
 Conventions (dimension is fixed to 2 for all meshed quantities):
 
@@ -58,8 +58,8 @@ ORDER_BAND = (1.6, 2.4)
 
 def nested(rings: int) -> bool:
     """Whether a level at ``rings`` is linked to the same domain's level at
-    ``rings // 2``, whose solutions start its eigen and L^q solves and
-    whose V-cycle is its coarse solve (even ring counts >= 8)."""
+    ``rings // 2``, whose solutions start its L^q solves and whose
+    V-cycle is its coarse solve (even ring counts >= 8)."""
     return rings % 2 == 0 and rings >= 8
 
 
@@ -72,11 +72,12 @@ class Level:
     builds on first use.  Every solve is preconditioned by ``precond``,
     a multigrid V-cycle over that chain of levels, down to a ring count
     that is not nested (rings 4 on the default chain), whose small mesh
-    is factored; so no level factors more than a few dozen unknowns.  The
-    eigenvalue and each L^q constant start from the prolonged solution of
-    the same q on the coarse level, so each q is solved once per level
-    and a value depends on the domain, the ring count and q alone.  A
-    ``SolverError`` from any solve is re-raised with the ring count.
+    is factored; so no level factors more than a few dozen unknowns.  Each
+    L^q constant, the eigenvalue being the one at q = 2, is one descent
+    started from the prolonged solution of the same q on the coarse
+    level, so each q is solved once per level and a value depends on the
+    domain, the ring count and q alone.  A ``SolverError`` from any solve
+    is re-raised with the ring count.
     """
 
     def __init__(self, d: StarDomain, rings: int, coarse: Level | None = None):
@@ -120,17 +121,14 @@ class Level:
         return self.lambda_q(2.0)
 
     def lambda_q(self, q: float) -> float:
-        """The eigenvalue for q = 2, the L^q constant otherwise."""
+        """The L^q constant, for q = 2 the eigenvalue."""
         q = float(q)
         if q not in self._lq:
             start = None
             if nested(self.rings):
                 self.coarse.lambda_q(q)
                 start = fem.prolongation(self.rings // 2) @ self.coarse._fields[q]
-            if q == 2.0:
-                lam, u = self._solve(fem.principal_eigenvalue, start=start)
-            else:
-                lam, u = self._solve(fem.poincare_sobolev, q, start=start)
+            lam, u = self._solve(fem.poincare_sobolev, q, start=start)
             self._lq[q], self._fields[q] = lam, u.values
         return self._lq[q]
 
@@ -153,8 +151,8 @@ def prepare_disk_references(levels, q_list=()) -> None:
     sweep workers inherit them with the disk levels' V-cycles (workers
     started by spawn or forkserver recompute them).  A disk level is
     linked to the cached disk levels below it, down to rings 4 at most,
-    whose eigen and L^q solves start its own and whose V-cycles are its
-    coarse solves."""
+    whose L^q solves start its own and whose V-cycles are its coarse
+    solves."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()
@@ -167,8 +165,8 @@ def _per_level(d: StarDomain, levels, term, *args) -> list:
     """``term(domain level, disk level, *args)`` at each ring count.
 
     A level at twice the previous one's ring count is linked to it, so
-    its eigen and L^q solves start from the previous level's and its
-    V-cycle's coarse solve is the previous level's V-cycle.
+    its L^q solves start from the previous level's and its V-cycle's
+    coarse solve is the previous level's V-cycle.
     """
     out, dom = [], None
     for rings in levels:
@@ -182,9 +180,12 @@ def _per_level(d: StarDomain, levels, term, *args) -> list:
 
 
 def _pair(rings: int, rings_fine: int) -> tuple[int, int]:
-    """The Richardson pair ``(rings, rings_fine)``, rejected unless the fine
-    level has twice the rings of the coarse one: :func:`richardson` and
-    :func:`observed_order` assume a mesh ratio of 2."""
+    """The Richardson pair ``(rings, rings_fine)``, rejected unless the
+    coarse level is :func:`nested`, so that the order level at
+    ``rings // 2`` is half of it, and the fine level has twice its rings:
+    :func:`richardson` and :func:`observed_order` assume a mesh ratio of 2."""
+    if not nested(rings):
+        raise ValueError(f"rings must be even and >= 8, got {rings}")
     if rings_fine != 2 * rings:
         raise ValueError(f"rings_fine must be twice rings, got rings {rings} "
                          f"and rings_fine {rings_fine}")

@@ -63,5 +63,6 @@ def test_traced_member_factors_only_its_chain_bottom(tmp_path):
     solves = {name: [s for s in inside if s["name"] == name]
               for name in ("fem.torsion", "fem.eigen", "fem.descent")}
     assert {name: len(v) for name, v in solves.items()} == {
-        "fem.torsion": 3, "fem.eigen": 3, "fem.descent": 6}  # rings 4, 8, 16
+        "fem.torsion": 3, "fem.eigen": 0, "fem.descent": 9}  # rings 4, 8, 16, and
+    # q = 2 is one of the descents
     assert all(s["iters"] > 1 for s in solves["fem.torsion"][1:])

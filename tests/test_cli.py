@@ -80,6 +80,19 @@ class TestConfig:
                      "deficit", "ellipse:0.1"]) == 1
         assert "twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rings", [4, 6, 33])
+    def test_coarse_level_must_be_even_and_at_least_8(self, capsys, rings):
+        # a row's order level sits at rings // 2, half the coarse level
+        # and at least rings 4 only for even rings >= 8; rejected before
+        # the CSV header is written
+        with pytest.raises(UsageError, match="even and >= 8"):
+            RunConfig(rings=rings, rings_fine=2 * rings).validate()
+        assert main(["--rings", str(rings), "--rings-fine", str(2 * rings),
+                     "deficit", "ellipse:0.1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "even and >= 8" in err
+
 
 class TestDomainSpecs:
     def test_ellipse_spec(self):

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.spatial import cKDTree
 
 from fklab import fem
 from fklab.domain import (StarDomain, barycenter, ellipse, unit_disk, volume,
                           volume_corrected_profile)
-from fklab.stability import random_near_sphere_profile
+from fklab.stability import Level, random_near_sphere_profile
 
 from oracles import (disk_eigenvalue_shooting, disk_lambda_q_radial,
                      lq_midpoint_per_triangle, p1_matrices_per_triangle)
@@ -260,10 +261,19 @@ class TestPoincareSobolev:
         assert abs(lam1 * PI / 8 - 1.0) < 5e-3
         assert lam1 == pytest.approx(-1.0 / (2 * fem.energy_of(u)), rel=1e-3)
 
-    def test_q2_matches_eigenvalue(self, disk64):
-        lam2, _ = fem.poincare_sobolev(disk64, 2.0)
-        eig, _ = fem.principal_eigenvalue(disk64)
-        assert abs(lam2 / eig - 1.0) < 1e-3
+    def test_q2_matches_eigenvalue(self):
+        # against a dense generalized eigensolve of K x = lambda M x, by the
+        # mesh's own factor and by a level's V-cycle chain
+        for make in VCYCLE_DOMAINS.values():
+            d = make()
+            mesh = fem.polar_mesh(d, 16)
+            n = mesh.n_interior
+            exact = scipy.linalg.eigh(mesh._interior_stiffness.toarray(),
+                                      mesh.mass[:n, :n].toarray(), eigvals_only=True,
+                                      subset_by_index=[0, 0])[0]
+            own, _ = fem.poincare_sobolev(mesh, 2.0)
+            assert abs(own / exact - 1.0) <= 1e-9
+            assert abs(Level(d, 16).lambda_q(2.0) / exact - 1.0) <= 1e-9
 
     def test_q15_matches_radial_oracle(self, disk64):
         lam, _ = fem.poincare_sobolev(disk64, 1.5)
@@ -496,7 +506,7 @@ class TestProlongation:
 
 
 class CountingFactor:
-    """Delegates to a factorization and counts its solves."""
+    """Delegates to a preconditioner and counts its solves."""
 
     def __init__(self, lu):
         self.lu, self.shape, self.solves = lu, lu.shape, 0
@@ -506,22 +516,10 @@ class CountingFactor:
         return self.lu.solve(rhs)
 
 
-def lambda_q(mesh, q, **kwargs):
-    """The eigen solve for q = 2, the L^q descent otherwise."""
-    if q == 2.0:
-        return fem.principal_eigenvalue(mesh, **kwargs)
-    return fem.poincare_sobolev(mesh, q, **kwargs)
-
-
 @pytest.fixture(scope="module", params=["ellipse", "near-sphere"])
 def nested_pair(request):
     d = ellipse(0.1) if request.param == "ellipse" else near_sphere()
     return fem.polar_mesh(d, 64), fem.polar_mesh(d, 128)
-
-
-@pytest.fixture(scope="module")
-def disk128_factor():
-    return fem.disk_mesh(128)._interior_factor
 
 
 AGREEMENT_DOMAINS = {
@@ -535,42 +533,42 @@ AGREEMENT_DOMAINS = {
 
 @pytest.fixture(scope="module", params=list(AGREEMENT_DOMAINS))
 def prolonged_starts(request):
-    """The rings-128 mesh and, per q, the prolonged rings-64 solution."""
+    """The rings-128 mesh, its V-cycle chain and, per q, the prolonged
+    rings-64 solution."""
     d = AGREEMENT_DOMAINS[request.param]()
-    coarse, fine = fem.polar_mesh(d, 64), fem.polar_mesh(d, 128)
-    return fine, {q: fem.prolongation(64) @ lambda_q(coarse, q)[1].values
-                  for q in (1.5, 2.0, 3.0)}
+    coarse = fem.polar_mesh(d, 64)
+    fine, vcycle = vcycle_chain(d, 128)
+    return fine, vcycle, {q: fem.prolongation(64) @ fem.poincare_sobolev(coarse, q)[1].values
+                          for q in (1.5, 2.0, 3.0)}
 
 
 class TestSolverStart:
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_prolonged_start_takes_at_most_three_solves(self, nested_pair, q):
         coarse, fine = nested_pair
-        _, u_coarse = lambda_q(coarse, q)
-        cold, _ = lambda_q(fine, q)
+        _, u_coarse = fem.poincare_sobolev(coarse, q)
+        cold, _ = fem.poincare_sobolev(fine, q)
         factor = CountingFactor(fine._interior_factor)
-        warm, u_warm = lambda_q(fine, q, start=fem.prolongation(64) @ u_coarse.values,
-                                precond=factor)
+        warm, u_warm = fem.poincare_sobolev(
+            fine, q, start=fem.prolongation(64) @ u_coarse.values, precond=factor)
         assert factor.solves <= 3
         assert abs(warm / cold - 1.0) <= 1e-9
         assert u_warm.mesh is fine
-        if q != 2.0:
-            assert fem.lq_integral(u_warm, q) == pytest.approx(1.0, rel=1e-12)
+        assert fem.lq_integral(u_warm, q) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
-    def test_disk_factor_agrees_with_own_factor(self, prolonged_starts,
-                                                disk128_factor, q):
-        # the matched disk factor preconditions the domain's solve: at most
-        # 4 disk solves from the prolonged start, and the value of the
+    def test_disk_factor_agrees_with_own_factor(self, prolonged_starts, q):
+        # the V-cycle over the domain's own level chain, the preconditioner
+        # of a Level, in place of the matched disk factor it replaced: at
+        # most 3 V-cycles from the prolonged start, and the value of the
         # solve by the domain's own factor within 1e-9
-        fine, starts = prolonged_starts
-        own, _ = lambda_q(fine, q, start=starts[q])
-        disk = CountingFactor(disk128_factor)
-        matched, u = lambda_q(fine, q, start=starts[q], precond=disk)
-        assert disk.solves <= 4
-        assert abs(matched / own - 1.0) <= 1e-9
-        if q != 2.0:
-            assert fem.lq_integral(u, q) == pytest.approx(1.0, rel=1e-12)
+        fine, vcycle, starts = prolonged_starts
+        own, _ = fem.poincare_sobolev(fine, q, start=starts[q])
+        counted = CountingFactor(vcycle)
+        chained, u = fem.poincare_sobolev(fine, q, start=starts[q], precond=counted)
+        assert counted.solves <= 3
+        assert abs(chained / own - 1.0) <= 1e-9
+        assert fem.lq_integral(u, q) == pytest.approx(1.0, rel=1e-12)
 
     def test_start_is_interior_values(self, disk64):
         with pytest.raises(ValueError, match="start"):
@@ -598,39 +596,22 @@ class TestSolverEvidence:
         with pytest.raises(ValueError, match="preconditioner"):
             fem.poincare_sobolev(mesh, 3.0, precond=factor)
 
-    def test_eigen_iteration_cap_names_increment_and_residual(self):
-        mesh = fem.polar_mesh(ellipse(0.2), 32)
-        with pytest.raises(fem.SolverError,
-                           match=r"did not converge in 1 iterations: last \|d lambda\| "
-                                 r"\S+ > 1e-08, relative preconditioned residual \S+$"):
-            fem.principal_eigenvalue(mesh, max_iter=1)
-
     def test_descent_iteration_cap_names_last_drop(self):
         mesh = fem.polar_mesh(ellipse(0.2), 32)
-        with pytest.raises(fem.SolverError,
-                           match=r"L\^3.0 descent did not converge in 1 iterations: "
-                                 r"last relative drop \S+ > 1e-08$"):
-            fem.poincare_sobolev(mesh, 3.0, max_iter=1)
+        for q in (2.0, 3.0):  # the eigenvalue and an L^q constant
+            with pytest.raises(fem.SolverError,
+                               match=rf"L\^{q} descent did not converge in 1 iterations: "
+                                     r"last relative drop \S+ > 1e-08$"):
+                fem.poincare_sobolev(mesh, q, max_iter=1)
 
     def test_non_finite_preconditioner_raises(self):
         mesh = fem.polar_mesh(ellipse(0.2), 16)
         broken = FixedDirection(np.full(mesh.n_interior, np.nan))
-        with pytest.raises(fem.SolverError, match="non-finite"):
+        with pytest.raises(fem.SolverError, match="line search failed"):
             fem.principal_eigenvalue(mesh, precond=broken)
         with pytest.raises(fem.SolverError, match="line search failed"):
             fem.poincare_sobolev(mesh, 3.0, start=mesh.load[:mesh.n_interior],
                                  precond=broken)
-
-    def test_dependent_directions_are_dropped(self):
-        # the same direction every step: the second step's previous
-        # direction is parallel to it, and Rayleigh-Ritz must not see a
-        # singular Gram matrix
-        mesh = fem.polar_mesh(ellipse(0.2), 16)
-        exact, _ = fem.principal_eigenvalue(mesh)
-        fixed = FixedDirection(np.linspace(0.0, 1.0, mesh.n_interior))
-        lam, u = fem.principal_eigenvalue(mesh, precond=fixed)
-        assert math.isfinite(lam) and lam >= exact
-        assert np.all(np.isfinite(u.values))
 
 
 class TestScalarField:

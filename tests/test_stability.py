@@ -22,6 +22,20 @@ def scaled(d: StarDomain, t: float) -> StarDomain:
                                                 t * p.sin_coeffs))
 
 
+# every public entry point that takes a Richardson pair (rings, rings_fine)
+PAIR_ENTRIES = {
+    "energy_gap": lambda r, f: st.energy_gap(ellipse(0.1), r, f),
+    "energy_deficit": lambda r, f: st.energy_deficit(ellipse(0.1), r, f),
+    "taylor_validation": lambda r, f: st.taylor_validation(2, (0.03, 0.05, 0.07), r, f),
+    "fuglede_margin": lambda r, f: st.fuglede_margin(volume_corrected_profile(2, 0.01),
+                                                     r, f),
+    "sharpness_fit": lambda r, f: st.sharpness_fit(np.linspace(0.02, 0.2, 5), r, f),
+    "evaluate_member": lambda r, f: st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1),
+                                                       rings=r, rings_fine=f),
+    "SweepSpec": lambda r, f: st.SweepSpec(rings=r, rings_fine=f),
+}
+
+
 class TestExtrapolation:
     def test_richardson_kills_quadratic_error(self):
         exact = 0.7
@@ -34,23 +48,24 @@ class TestExtrapolation:
         assert st.observed_order(*vals) == pytest.approx(2.0, abs=1e-9)
         assert math.isnan(st.observed_order(1.0, 1.0, 1.0))
 
-    @pytest.mark.parametrize("entry", [
-        lambda: st.energy_gap(ellipse(0.1), 32, 48),
-        lambda: st.energy_deficit(ellipse(0.1), 32, 48),
-        lambda: st.taylor_validation(2, (0.03, 0.05, 0.07), 32, 48),
-        lambda: st.fuglede_margin(volume_corrected_profile(2, 0.01), 32, 48),
-        lambda: st.sharpness_fit(np.linspace(0.02, 0.2, 5), 32, 48),
-        lambda: st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=32,
-                                   rings_fine=48),
-        lambda: st.SweepSpec(rings=32, rings_fine=48),
-    ], ids=["energy_gap", "energy_deficit", "taylor_validation", "fuglede_margin",
-            "sharpness_fit", "evaluate_member", "SweepSpec"])
+    @pytest.mark.parametrize("entry", list(PAIR_ENTRIES.values()), ids=list(PAIR_ENTRIES))
     def test_fine_level_must_be_twice_the_coarse_one(self, monkeypatch, entry):
         # richardson (factor 2^order) and observed_order (log2) assume a
         # mesh ratio of 2; rejected before any mesh is built
         calls = count_calls(monkeypatch)
         with pytest.raises(ValueError, match="twice"):
-            entry()
+            entry(32, 48)
+        assert calls == {"mesh": 0, "splu": []}
+
+    @pytest.mark.parametrize("rings", [4, 6, 33])
+    @pytest.mark.parametrize("entry", list(PAIR_ENTRIES.values()), ids=list(PAIR_ENTRIES))
+    def test_coarse_level_must_be_even_and_at_least_8(self, monkeypatch, entry, rings):
+        # the order level of a row sits at rings // 2, which is half the
+        # coarse level and at least the chain's bottom at rings 4 only for
+        # a nested coarse level; rejected before any mesh is built
+        calls = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match="even and >= 8"):
+            entry(rings, 2 * rings)
         assert calls == {"mesh": 0, "splu": []}
 
     def test_disk_reference_is_cached(self):
@@ -342,22 +357,20 @@ class TestSharedLevel:
 
 
 def record_solves(monkeypatch):
-    """(rings, q) -> values of every domain eigen and L^q solve while the
-    test runs, in call order; solves on the cached disk meshes are left out."""
+    """(rings, q) -> values of every domain L^q solve, the eigenvalue's at
+    q = 2, while the test runs, in call order; solves on the cached disk
+    meshes are left out."""
     values = {}
+    solve = fem.poincare_sobolev
 
-    def recorded(fn, fixed_q=None):
-        def wrapper(mesh, *args, **kwargs):
-            out = fn(mesh, *args, **kwargs)
-            rings = mesh.skeleton.rings
-            if mesh is not st.disk_data(rings).mesh:
-                values.setdefault((rings, fixed_q or float(args[0])), []).append(out[0])
-            return out
-        return wrapper
+    def recorded(mesh, q, *args, **kwargs):
+        out = solve(mesh, q, *args, **kwargs)
+        rings = mesh.skeleton.rings
+        if mesh is not st.disk_data(rings).mesh:
+            values.setdefault((rings, float(q)), []).append(out[0])
+        return out
 
-    monkeypatch.setattr(fem, "principal_eigenvalue",
-                        recorded(fem.principal_eigenvalue, 2.0))
-    monkeypatch.setattr(fem, "poincare_sobolev", recorded(fem.poincare_sobolev))
+    monkeypatch.setattr(fem, "poincare_sobolev", recorded)
     return values
 
 
