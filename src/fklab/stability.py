@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import asymmetry, fem
-from .circle import BoundaryProfile, h_half_norm_sq
+from .circle import BoundaryProfile, h_half_norm_sq, hessian_form
 from .domain import (StarDomain, ellipse, recenter_rescale, unit_disk, volume,
                      volume_corrected, volume_corrected_profile)
 
@@ -272,9 +272,10 @@ def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
 
 
 def hessian_target(k: int) -> float:
-    """Second-order energy gap per squared amplitude of a cosine mode:
+    """Second-order energy gap per squared amplitude of a cosine mode,
+    half the shape Hessian ``circle.hessian_form`` of cos k theta:
     pi (k - 1) / 8 in two dimensions."""
-    return math.pi * (k - 1) / 8.0
+    return 0.5 * hessian_form(BoundaryProfile.single_mode(k, cos_amp=1.0))
 
 
 def taylor_validation(k: int, s_values, rings: int = DEFAULT_RINGS,

@@ -5,8 +5,9 @@ quantities are integrated by quadrature instead of mode sums, the disk
 eigenvalue comes from radial shooting, the radial embedding constants
 from a one-dimensional minimizer, areas from polygon resampling,
 Monte Carlo or the classical lens formula, the P1 matrices and the
-L^q midpoint rule triangle by triangle, and profile values from full
-tables of cos(k theta) and sin(k theta).
+L^q midpoint rule triangle by triangle, profile values from full
+tables of cos(k theta) and sin(k theta), and asymmetry minima from a
+derivative-free polish.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 
 def extension_energy_quadrature(profile, n_r: int = 64, n_theta: int = 256) -> float:
@@ -214,6 +215,22 @@ def two_disks_symmetric_difference(d: float, r: float = 1.0) -> float:
     lens = (2.0 * r * r * math.acos(d / (2.0 * r))
             - 0.5 * d * math.sqrt(4.0 * r * r - d * d))
     return 2.0 * math.pi * r * r - 2.0 * lens
+
+
+def polished_minimum(objective, center, step: float = 1e-3) -> float:
+    """Value of a tight Nelder-Mead polish of ``objective`` from ``center``.
+
+    The start simplex is given explicitly, ``step`` wide in each
+    coordinate, so it has width even where a coordinate of ``center`` is
+    zero (scipy's default simplex scales each coordinate by 5% of its own
+    value); no derivative enters.
+    """
+    x0 = np.asarray(center, dtype=float)
+    simplex = np.array([x0, x0 + (step, 0.0), x0 + (0.0, step)])
+    res = minimize(objective, x0, method="Nelder-Mead",
+                   options={"initial_simplex": simplex, "xatol": 1e-11,
+                            "fatol": 1e-16, "maxiter": 4000, "maxfev": 8000})
+    return float(res.fun)
 
 
 def mc_two_disk_symdiff(d: float, n: int = 10_000_000, seed: int = 42) -> float:

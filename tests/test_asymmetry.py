@@ -8,13 +8,25 @@ from fklab.asymmetry import (PolarOverlap, alpha, ball_energy, ball_overlaps,
                              ball_penalized_energy, beta_const, eta_threshold,
                              f_eta, fraenkel, radial_coercivity,
                              sym_diff_fraction, unit_ball_volume)
+from fklab.circle import BoundaryProfile
 from fklab.domain import (StarDomain, barycenter, ellipse, unit_disk,
-                          volume_corrected_profile)
-from fklab.stability import random_near_sphere_profile
+                          volume_corrected, volume_corrected_profile)
+from fklab.stability import SweepSpec, build_family, random_near_sphere_profile
 
-from oracles import mc_alpha, two_disks_symmetric_difference
+from oracles import mc_alpha, polished_minimum, two_disks_symmetric_difference
 
 PI = math.pi
+
+
+def sweep_member(name):
+    """The named member of the default combined sweep."""
+    return next(d for member, _, _, d in build_family(SweepSpec()) if member == name)
+
+
+def peanut():
+    """A two-mode shape whose lowest basin BFGS from the barycenter misses."""
+    return StarDomain((0.0, 0.0),
+                      volume_corrected(BoundaryProfile(0.0, [0.0, 0.35, 0.0, -0.2], [0.0] * 4)))
 
 
 class TestBallConstants:
@@ -80,6 +92,33 @@ class TestFraenkel:
         val, _ = fraenkel(d)
         assert val <= PolarOverlap(d).sym_diff_fraction(barycenter(d)) + 1e-12
 
+    @pytest.mark.parametrize("make, tol", [
+        (lambda: ellipse(0.1), 1e-12),
+        (lambda: StarDomain((0, 0), volume_corrected_profile(3, 0.15)), 1e-12),
+        (lambda: sweep_member("random-32"), 1e-12),
+        (peanut, 1e-12),
+        # its minimum lies on a crease, where a tangency adds two crossings
+        # and the one-sided derivatives differ
+        (lambda: sweep_member("random-13"), 1e-8),
+    ], ids=["ellipse-0.1", "mode-3", "random-32", "peanut", "random-13"])
+    def test_matches_polished_reference(self, make, tol):
+        d = make()
+        val, center = fraenkel(d)
+        overlap = PolarOverlap(d)
+        assert val == pytest.approx(overlap.sym_diff_fraction(center), abs=1e-15)
+        assert abs(val - polished_minimum(overlap.sym_diff_fraction, center)) <= tol
+
+    def test_no_overestimate_on_random_38(self):
+        # a search whose start simplex has no width in a zero coordinate
+        # stops at 0.0116413 on this member
+        val, _ = fraenkel(sweep_member("random-38"))
+        assert val <= 0.011272795
+
+    def test_peanut_takes_the_lowest_basin(self):
+        # BFGS from the barycenter alone stops 2.7e-3 higher, in another basin
+        val, _ = fraenkel(peanut())
+        assert val <= 0.4333395033
+
 
 class TestPolarOverlap:
     @pytest.mark.parametrize("offset", [0.0, 0.3, 0.5, 1.0, 1.5, 1.99, 2.5])
@@ -108,6 +147,24 @@ class TestPolarOverlap:
         m64, m128 = (sym_diff_fraction(fem.polar_mesh(d, r), c) for r in (64, 128))
         exact = PolarOverlap(d).sym_diff_fraction(c)
         assert (4.0 * m128 - m64) / 3.0 == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ellipse(0.1),
+        lambda: StarDomain((0, 0), volume_corrected_profile(3, 0.15)),
+        lambda: sweep_member("random-13"),
+        peanut,
+        lambda: unit_disk(1.5),
+    ], ids=["ellipse-0.1", "mode-3", "random-13", "peanut", "containing-disk"])
+    def test_center_gradient_matches_central_differences(self, make):
+        overlap = PolarOverlap(make())
+        rng = np.random.default_rng(18)
+        h = 1e-6
+        for c in rng.uniform(-0.3, 0.3, (6, 2)):
+            area, grad = overlap.area_and_gradient(c)
+            assert area == overlap.area(c)
+            fd = [(overlap.area(c + h * e) - overlap.area(c - h * e)) / (2.0 * h)
+                  for e in np.eye(2)]
+            assert grad == pytest.approx(fd, abs=1e-7)
 
     def test_translation_covariance(self):
         d = StarDomain((0, 0), volume_corrected_profile(3, 0.15))

@@ -159,6 +159,16 @@ class TestScatterSums:
             got = fem._lq_gradient(mesh, u.values, q)
             assert np.max(np.abs(got - grad)) <= 1e-14 * np.max(np.abs(grad))
 
+    def test_q1_is_the_load_form_on_one_sign_fields(self, rng):
+        # |u| is linear on each triangle when u has one sign
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        u = fem.ScalarField(mesh, np.abs(rng.standard_normal(mesh.n_vertices)))
+        exact = float(mesh.load @ u.values)
+        assert abs(fem.lq_integral(u, 1.0) / exact - 1.0) <= 1e-14
+        n = mesh.n_interior  # the field vanishes on the boundary
+        got = fem._lq_gradient(mesh, u.values, 1.0)[:n]
+        assert np.max(np.abs(got - mesh.load[:n])) <= 1e-14 * np.max(mesh.load)
+
     def test_q2_is_the_mass_quadratic_form(self, rng):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
         u = fem.ScalarField(mesh, rng.standard_normal(mesh.n_vertices))
@@ -259,7 +269,9 @@ class TestPoincareSobolev:
         u, _ = torsion64
         lam1, _ = fem.poincare_sobolev(disk64, 1.0)
         assert abs(lam1 * PI / 8 - 1.0) < 5e-3
-        assert lam1 == pytest.approx(-1.0 / (2 * fem.energy_of(u)), rel=1e-3)
+        # the discrete identity lambda_1 = 1 / (b' K^-1 b): the q = 1 rule is
+        # exact for the one-sign minimizer
+        assert lam1 == pytest.approx(-1.0 / (2 * fem.energy_of(u)), rel=1e-12)
 
     def test_q2_matches_eigenvalue(self):
         # against a dense generalized eigensolve of K x = lambda M x, by the
@@ -340,8 +352,8 @@ class TestDirectTorsion:
         assert stats.residual <= fem.DEFAULT_CG_TOL
 
     def test_own_factor_is_one_solve_at_rings_128(self):
-        # the direct solve's relative residual, 1.3e-12, lies above
-        # DEFAULT_CG_TOL / 100 but at the backward error of a stable solve
+        # the direct solve's relative residual, 1.3e-12, lies above the
+        # rounding of smaller meshes but below the stop DEFAULT_CG_TOL / 10
         _, stats = fem.solve_torsion(fem.disk_mesh(128))
         assert stats.iterations == 1
         assert 1e-12 < stats.residual <= fem.DEFAULT_CG_TOL
