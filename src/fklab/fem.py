@@ -14,14 +14,19 @@ Everything that depends on the ring count alone is built once per
 process in a read-only :class:`RingSkeleton`: the triangles, the vertex
 angles and ring radii, the unique edges, and the CSR pattern shared by
 stiffness and mass.  A domain's mesh evaluates its boundary radius and
-scales the skeleton's unit vectors, and assembly is one pass over the
-edges that fills the shared pattern: an off-diagonal stiffness entry
-sums e_i . e_j / (4A) over the edge's two triangles, the diagonal is
-minus the row sum, and mass follows from the per-edge areas and the
-load vector.  The L^q integrals use the 3-point edge-midpoint rule,
-each unique edge midpoint once.  The 2r-ring skeleton is the red
-refinement of the r-ring one, and :func:`prolongation` carries nodal
-values from the coarser mesh to the finer one's interior.
+scales the skeleton's unit vectors; its triangle areas and squared edge
+lengths L are gathers on contiguous x and y columns.  Assembly is one
+pass over the edges that fills the shared pattern: in a triangle of
+area A the edge opposite vertex k adds (L_k - L_{k+1} - L_{k+2}) / (8A),
+which is -cot(angle at k) / 2, to its off-diagonal stiffness entry, one
+``bincount`` sums each edge's two triangles, the diagonal is minus the
+row sum, and mass follows from the per-edge areas and the load vector.
+The interior stiffness the solvers use is the leading block of that
+data, read where the skeleton marks its entries in the interior-first
+pattern.  The L^q integrals use the 3-point edge-midpoint rule, each
+unique edge midpoint once.  The 2r-ring skeleton is the red refinement
+of the r-ring one, and :func:`prolongation` carries nodal values from
+the coarser mesh to the finer one's interior.
 
 Every solver takes a ``precond``, any fixed SPD operator on the interior
 values with a ``solve`` method and a ``shape``: by default the mesh's own
@@ -89,6 +94,13 @@ class RingSkeleton:
     diagonal and both directions of every edge, columns sorted.
     ``edge_slots[e]`` holds the data positions of the entries (lo, hi) and
     (hi, lo) of edge e, ``diagonal_slots[i]`` that of the entry (i, i).
+    Every index array but the CSR pattern has the platform index type, and
+    the 2-D ones are stored column by column, so ``triangles.T`` and each
+    column are contiguous gather and scatter indices that need no
+    conversion.  Rows and columns put the interior vertices first, so the
+    leading ``n_interior`` block keeps a leading run of each interior row:
+    ``interior_indptr`` and ``interior_indices`` are its pattern and
+    ``interior_entries`` marks its entries in the full data.
     ``midpoints`` is the sparse (edges x vertices) map from nodal values
     to edge-midpoint values; its transpose sends half of each midpoint
     value to either end of the edge.
@@ -106,6 +118,9 @@ class RingSkeleton:
     indices: np.ndarray
     edge_slots: np.ndarray
     diagonal_slots: np.ndarray
+    interior_indptr: np.ndarray
+    interior_indices: np.ndarray
+    interior_entries: np.ndarray
     midpoints: sp.csr_matrix
 
     @property
@@ -159,21 +174,30 @@ def ring_skeleton(rings: int) -> RingSkeleton:
     rows = np.concatenate([edges[:, 0], edges[:, 1], diagonal])
     cols = np.concatenate([edges[:, 1], edges[:, 0], diagonal])
     order = np.lexsort((cols, rows))
-    slots = np.empty(len(order), dtype=np.int32)
+    rows, cols = rows[order], cols[order]
+    slots = np.empty_like(order)
     slots[order] = np.arange(len(order))
     indptr = np.zeros(n_vertices + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n_vertices), out=indptr[1:])
+    n_interior = n_vertices - 6 * rings
+    interior_entries = (rows < n_interior) & (cols < n_interior)
+    interior_indptr = np.zeros(n_interior + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[interior_entries], minlength=n_interior),
+              out=interior_indptr[1:])
     midpoints = sp.csr_matrix((np.full(2 * n_edges, 0.5), edges.ravel(),
                                np.arange(0, 2 * n_edges + 1, 2, dtype=np.int32)),
                               shape=(n_edges, n_vertices))
 
     arrays = {
         "theta": theta, "cos": np.cos(theta), "sin": np.sin(theta), "rho": rho,
-        "triangles": tris, "edges": edges,
-        "triangle_edges": tri_edges.reshape(-1, 3).astype(np.int32),
-        "indptr": indptr, "indices": cols[order],
-        "edge_slots": np.stack([slots[:n_edges], slots[n_edges:2 * n_edges]], axis=1),
+        "triangles": np.asfortranarray(tris, dtype=np.intp),
+        "edges": np.asfortranarray(edges, dtype=np.intp),
+        "triangle_edges": np.asfortranarray(tri_edges.reshape(-1, 3), dtype=np.intp),
+        "indptr": indptr, "indices": cols,
+        "edge_slots": np.asfortranarray(slots[:2 * n_edges].reshape(2, n_edges).T),
         "diagonal_slots": slots[2 * n_edges:],
+        "interior_indptr": interior_indptr, "interior_indices": cols[interior_entries],
+        "interior_entries": interior_entries,
     }
     for a in [*arrays.values(), midpoints.data, midpoints.indices, midpoints.indptr]:
         a.flags.writeable = False
@@ -244,7 +268,10 @@ class TriMesh:
     later vertex lies on the boundary."""
 
     def __init__(self, vertices: np.ndarray, skeleton: RingSkeleton):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        # the x and y columns, each contiguous: a gather from one is several
+        # times faster than the 2-D gather vertices[triangles]
+        self._xy = np.ascontiguousarray(np.asarray(vertices, dtype=float).T)
+        self.vertices = self._xy.T
         self.skeleton = skeleton
         self.triangles = skeleton.triangles
         self.n_interior = skeleton.n_interior
@@ -263,51 +290,58 @@ class TriMesh:
 
     @cached_property
     def signed_areas(self) -> np.ndarray:
-        v = self.vertices[self.triangles]
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        (x0, x1, x2), (y0, y1, y2) = (c[self.triangles.T] for c in self._xy)
+        return 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
 
     def area(self) -> float:
         return float(np.sum(self.signed_areas))
 
+    def _squared_lengths(self) -> np.ndarray:
+        """Squared length of each edge of the skeleton."""
+        a, b = self.skeleton.edges.T
+        dx, dy = (c[b] - c[a] for c in self._xy)
+        return dx * dx + dy * dy
+
     @cached_property
     def h(self) -> float:
-        e = self.skeleton.edges
-        d = self.vertices[e[:, 1]] - self.vertices[e[:, 0]]
-        return float(np.max(np.hypot(d[:, 0], d[:, 1])))
+        return math.sqrt(float(np.max(self._squared_lengths())))
 
     @cached_property
     def _edge_weights(self) -> np.ndarray:
         """A third of the area of each edge's triangles: the weight of the
         edge midpoint in the 3-point midpoint rule."""
-        return np.bincount(self.skeleton.triangle_edges.ravel(),
-                           np.repeat(self.signed_areas / 3.0, 3),
+        return np.bincount(self.skeleton.triangle_edges.T.ravel(),
+                           np.tile(self.signed_areas / 3.0, 3),
                            minlength=len(self.skeleton.edges))
 
     def _csr(self, edge_values: np.ndarray, diagonal: np.ndarray) -> sp.csr_matrix:
         """Symmetric matrix on the skeleton's pattern."""
         sk = self.skeleton
         data = np.empty(len(sk.indices))
-        data[sk.edge_slots] = edge_values[:, None]
+        lo_hi, hi_lo = sk.edge_slots.T
+        data[lo_hi] = edge_values
+        data[hi_lo] = edge_values
         data[sk.diagonal_slots] = diagonal
         return sp.csr_matrix((data, sk.indices, sk.indptr),
                              shape=(self.n_vertices, self.n_vertices))
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        """Edge (i, j) sums e_i . e_j / (4 A) over its triangles, e_k the
-        edge vector opposite vertex k; the constants span the kernel, so
-        each diagonal entry is minus the sum of its row."""
+        """Assembled from the squared edge lengths L: in a triangle of
+        area A the edge opposite vertex k adds (L_k - L_{k+1} - L_{k+2})
+        / (8 A) = -cot(angle at k) / 2 to its entry, each unique edge
+        summing its two triangles; the constants span the kernel, so each
+        diagonal entry is minus the sum of its row."""
         sk = self.skeleton
-        v = self.vertices[self.triangles]
-        e = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
-        dots = np.einsum("tkd,tkd->tk", e[:, [1, 2, 0]], e[:, [2, 0, 1]])
-        per_edge = np.bincount(sk.triangle_edges.ravel(),
-                               (dots / (4.0 * self.signed_areas)[:, None]).ravel(),
+        # (L_k - L_{k+1} - L_{k+2}) / (8 A) = (L_k - sum / 2) / (4 A)
+        per_triangle = self._squared_lengths()[sk.triangle_edges.T]
+        per_triangle -= per_triangle.sum(axis=0) / 2.0
+        per_triangle *= 0.25 / self.signed_areas
+        per_edge = np.bincount(sk.triangle_edges.T.ravel(), per_triangle.ravel(),
                                minlength=len(sk.edges))
-        row_sums = np.bincount(sk.edges.ravel(), np.repeat(per_edge, 2),
-                               minlength=self.n_vertices)
+        lo, hi = sk.edges.T
+        row_sums = (np.bincount(lo, per_edge, minlength=self.n_vertices)
+                    + np.bincount(hi, per_edge, minlength=self.n_vertices))
         return self._csr(per_edge, -row_sums)
 
     @cached_property
@@ -325,8 +359,11 @@ class TriMesh:
 
     @cached_property
     def _interior_stiffness(self) -> sp.csr_matrix:
-        n = self.n_interior
-        return self.stiffness[:n, :n]
+        """The leading interior block of the stiffness, its entries read
+        from the full data where the skeleton marks them."""
+        sk, n = self.skeleton, self.n_interior
+        return sp.csr_matrix((self.stiffness.data[sk.interior_entries],
+                              sk.interior_indices, sk.interior_indptr), shape=(n, n))
 
     @cached_property
     def _interior_factor(self):
@@ -377,8 +414,8 @@ def polar_mesh(d: StarDomain, rings: int) -> TriMesh:
     domain's boundary."""
     sk = ring_skeleton(rings)
     r = sk.rho * d.radius(sk.theta)
-    verts = np.stack([d.center[0] + r * sk.cos, d.center[1] + r * sk.sin], axis=1)
-    return TriMesh(verts, sk)
+    xy = np.stack([d.center[0] + r * sk.cos, d.center[1] + r * sk.sin])
+    return TriMesh(xy.T, sk)
 
 
 def disk_mesh(rings: int) -> TriMesh:
@@ -397,10 +434,10 @@ class VCycle:
     is any SPD operator with ``solve`` and ``shape``: the coarse level's
     own V-cycle, or at the bottom of the chain a factorization.  The
     Jacobi weight is ``JACOBI_WEIGHT`` capped at 1.9 / max_i sum_j
-    |a_ij| / a_ii, a Gershgorin bound on the spectrum of D^{-1} A, so a
-    sweep contracts the error in the energy norm and B is SPD on every
-    mesh; I - B A is the product of the sweeps and the coarse correction,
-    self-adjoint in that norm."""
+    |a_ij| / a_ii, a Gershgorin bound on the spectrum of D^{-1} A whose
+    row sums are read from A's CSR data, so a sweep contracts the error
+    in the energy norm and B is SPD on every mesh; I - B A is the product
+    of the sweeps and the coarse correction, self-adjoint in that norm."""
 
     def __init__(self, mesh: TriMesh, rings: int, coarse):
         a = mesh._interior_stiffness
@@ -409,7 +446,9 @@ class VCycle:
             raise ValueError(f"coarse operator of shape {coarse.shape} does not match "
                              f"the {rings // 2}-ring interior of a {a.shape} stiffness")
         diagonal = a.diagonal()
-        gershgorin = float(np.max(np.asarray(abs(a).sum(axis=1)).ravel() / diagonal))
+        # reduceat needs no empty row: every interior row holds its diagonal
+        row_sums = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
+        gershgorin = float(np.max(row_sums / diagonal))
         self.weight = min(JACOBI_WEIGHT, 1.9 / gershgorin)
         self.shape = a.shape
         self._a, self._coarse = a, coarse

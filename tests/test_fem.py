@@ -86,13 +86,34 @@ class TestPolarMesh:
         midpoints = sk.midpoints
         arrays = [value for value in vars(sk).values() if isinstance(value, np.ndarray)]
         arrays += [midpoints.data, midpoints.indices, midpoints.indptr]
-        assert len(arrays) == 14
+        assert len(arrays) == 17
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
         for matrix in (a.stiffness, a.mass):  # the pattern is shared, not copied
             with pytest.raises(ValueError, match="read-only"):
                 matrix.indices[0] = matrix.indices[0]
+
+    @pytest.mark.parametrize("moved", ["reflected", "collinear"])
+    def test_inverted_or_degenerate_element_rejected(self, moved):
+        # triangle 0 is (center, vertex 1 at theta = 0, vertex 2 at 60 deg);
+        # reflecting vertex 2 in the x-axis inverts it, and moving it onto
+        # the axis gives it zero area while every other triangle stays
+        # positive, so the check rejects a degenerate element on its own
+        mesh = fem.disk_mesh(4)
+        verts = mesh.vertices.copy()
+        assert np.array_equal(mesh.triangles[0], [0, 1, 2]) and verts[1, 1] == 0.0
+        verts[2] = {"reflected": (verts[2, 0], -verts[2, 1]),
+                    "collinear": (verts[2, 0], 0.0)}[moved]
+        v = verts[mesh.triangles]
+        d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        if moved == "reflected":
+            assert cross[0] < 0.0
+        else:
+            assert cross[0] == 0.0 and np.min(cross[1:]) > 0.0
+        with pytest.raises(ValueError, match="inverted or degenerate elements"):
+            fem.TriMesh(verts, mesh.skeleton)
 
     def test_min_rings(self):
         fem.polar_mesh(unit_disk(), 4)
@@ -139,11 +160,29 @@ class TestStiffness:
              "near-sphere": near_sphere}[name]()
         mesh = fem.polar_mesh(d, rings)
         stiffness, mass, load = p1_matrices_per_triangle(mesh.vertices, mesh.triangles)
-        for got, ref in ((mesh.stiffness, stiffness), (mesh.mass, mass)):
+        n = mesh.n_interior
+        interior = stiffness[:n, :n].tocsr()
+        for got, ref in ((mesh.stiffness, stiffness), (mesh.mass, mass),
+                         (mesh._interior_stiffness, interior)):
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
             assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
         assert np.max(np.abs(mesh.load - load)) <= 1e-14 * np.max(load)
+        if rings >= 8:  # a rings-4 mesh has no half-ring level to build a V-cycle on
+            coarse = fem.polar_mesh(d, rings // 2)._interior_factor
+            weight = fem.VCycle(mesh, rings, coarse).weight
+            assert abs(weight - gershgorin_weight(interior)) <= 1e-14 * weight
+
+
+def gershgorin_weight(a) -> float:
+    """min(JACOBI_WEIGHT, 1.9 / max_i sum_j |a_ij| / a_ii) from a dense
+    copy of ``a``, made a block of rows at a time."""
+    ratios = []
+    for start in range(0, a.shape[0], 512):
+        rows = a[start:start + 512].toarray()
+        diagonal = rows[np.arange(len(rows)), np.arange(start, start + len(rows))]
+        ratios.append(np.abs(rows).sum(axis=1) / diagonal)
+    return min(fem.JACOBI_WEIGHT, 1.9 / float(np.max(np.concatenate(ratios))))
 
 
 class TestScatterSums:
@@ -431,10 +470,13 @@ class TestVCycle:
         assert np.max(np.abs(1.0 - mu)) <= 0.35
 
     def test_weight_within_gershgorin_bound(self, dense16):
+        # the cap binds on the disk and the ellipse, 1.9 / 2.38 on mode-8
         a, _, vcycle = dense16
         assert 0.0 < vcycle.weight <= fem.JACOBI_WEIGHT
         gershgorin = np.max(np.abs(a).sum(axis=1) / np.diag(a))
         assert vcycle.weight * gershgorin <= 1.9 * (1.0 + 1e-15)
+        expected = min(fem.JACOBI_WEIGHT, 1.9 / gershgorin)
+        assert abs(vcycle.weight - expected) <= 1e-14 * expected
 
     @pytest.mark.parametrize("name,bound", [("disk", 12), ("ellipse-0.2", 12),
                                             ("mode-8", 20)])
