@@ -9,11 +9,15 @@ Two ways of measuring how far a volume-pi domain is from a unit disk:
   d theta, where [rho_-, rho_+] is the chord of B_1(c) on the ray theta
   from the domain's center: an arc-by-arc integral between the
   boundary/circle crossings with a closed form on every arc, so no mesh
-  enters;
+  enters.  Each point set of the crossing search is one table of
+  cos k theta, sin k theta times Fourier coefficients built once per
+  domain;
 * the smoothed asymmetry alpha, a weighted symmetric-difference with
-  the unit disk at the barycenter, evaluated spectrally from the radial
-  profile about the barycenter (one closed-form integral, no
-  ball-intersection geometry).
+  the unit disk at the barycenter.  By the divergence theorem its area
+  integral is a boundary integral over the domain's own parametrization,
+  summed by the trapezoid rule, which converges geometrically and is
+  checked against its own half-grid estimate; no re-expression about the
+  barycenter and no ball-intersection geometry enter.
 
 The module also carries the volume penalty f_eta and the closed-form
 penalized ball energy built from it, whose radial coercivity pins the
@@ -28,13 +32,18 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import fem
-from .circle import TWO_PI, BoundaryProfile
-from .domain import StarDomain, barycenter, profile_relative_to, volume
+from .circle import TWO_PI
+from .domain import StarDomain, barycenter, volume
+# unused here: perfbench/spans.py wraps asymmetry.profile_relative_to by
+# name, so the name stays until that benchmark changes
+from .domain import profile_relative_to  # noqa: F401
 from .geometry import triangles_disk_area
 
 _MIN_GRID = 128        # smallest crossing-search grid of PolarOverlap
 _MAX_ROOT_STEPS = 60   # safeguarded Newton steps per crossing; as many
 _ROOT_TOL = 1e-14      # bisections would shrink a grid cell far below this
+_ALPHA_MIN_GRID = 128  # smallest n of the n / 2n trapezoid pair behind alpha
+_ALPHA_TOL = 1e-13     # largest gap of that pair, relative to the integrand
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -86,58 +95,85 @@ class PolarOverlap:
     area term is elementary.  Tangent rays of the circle (rho_- = rho_+)
     are interior points of those arcs, so the circle is parametrized by
     its own angle and no quadrature meets the square-root endpoint.
+
+    Off the grid, every point set is evaluated from one table of cos k theta
+    and sin k theta, k = 1..max(2K, 1), times coefficient matrices built
+    once from the profile's two-sided Fourier coefficients R_j (r^2 by their
+    convolution).  Each Newton step takes g and g' through the coefficients
+    of g, which are affine in the center up to |c - o|^2, so a center costs
+    one product for them; the crossings and the arc midpoints take phi and
+    the antiderivative of r^2 / 2.  One evaluation thus costs a few dozen
+    array operations on a handful of angles, whatever the mode count K.
     """
 
     def __init__(self, d: StarDomain):
         p = d.profile
+        K = p.max_mode
         self.origin = np.asarray(d.center, dtype=float)
         self.volume = volume(d)
-        self._phi = p
-        self._dphi = p.derivative()
-        # the grid resolves every sign change of g (degree 2K) and carries
-        # the Fourier series of r^2 / 2 exactly (it needs more than 4K points)
-        n = max(_MIN_GRID, 8 * (2 * p.max_mode + 1))
+        # the grid resolves every sign change of g, of degree 2K; on it,
+        # g is the row (1, v_x, v_y), v = c - o, times this basis plus |v|^2
+        n = max(_MIN_GRID, 8 * (2 * K + 1))
         self._theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        self._cos, self._sin = np.cos(self._theta), np.sin(self._theta)
-        self._phi_grid = p.values(self._theta)
-        coeffs = np.fft.rfft(0.5 * (1.0 + self._phi_grid) ** 2) / n
-        m = np.arange(1, 2 * p.max_mode + 1, dtype=float)
-        a_m, b_m = 2.0 * coeffs[1:len(m) + 1].real, -2.0 * coeffs[1:len(m) + 1].imag
-        self._mean = float(coeffs[0].real)
-        self._swept_series = BoundaryProfile(0.0, -b_m / m, a_m / m)
+        phi = p.values(self._theta)
+        self._grid_basis = np.stack([phi * (2.0 + phi),
+                                     -2.0 * (1.0 + phi) * np.cos(self._theta),
+                                     -2.0 * (1.0 + phi) * np.sin(self._theta)])
+        # R_j of r for j = 0..L+1 and those of r^2 for j = 0..L, L = max(2K, 1)
+        L = max(2 * K, 1)
+        half = 0.5 * (p.cos_coeffs - 1j * p.sin_coeffs)
+        r_two = np.concatenate([np.conj(half[::-1]), [1.0 + p.a0], half])
+        r_j, r2_j = np.zeros((2, L + 2), dtype=complex)
+        r_j[:K + 1] = r_two[K:]
+        r2_j[:2 * K + 1] = np.convolve(r_two, r_two)[2 * K:]
+        self._a0 = p.a0
+        self._mean = 0.5 * r2_j[0].real  # of r^2 / 2
+        self._k = k = np.arange(1, L + 1, dtype=float)
+        # a column G of one-sided coefficients stands for sum Re(G_k e^{ik theta}):
+        # cos k theta takes Re G and sin k theta takes -Im G
+        series = np.stack([2.0 * r_j[1:L + 1], -1j * r2_j[1:L + 1] / k], axis=1)
+        self._cos_coeffs, self._sin_coeffs = series.real, -series.imag
+        # g = r^2 - 2 (v . e_theta) r + |v|^2 - 1, with v . e_theta the mode
+        # Re((v_x - i v_y) e^{i theta}); g' multiplies mode k by i k
+        below, above = r_j[:L], r_j[2:]
+        modes = np.stack([2.0 * r2_j[1:L + 1], -2.0 * (below + above), 2j * (below - above)])
+        modes = np.stack([modes, 1j * k * modes], axis=2)
+        self._g_basis = np.concatenate([modes.real, -modes.imag], axis=2).reshape(3, -1)
+        self._g_const = np.array([r2_j[0].real - 1.0, -2.0 * r_j[1].real, 2.0 * r_j[1].imag])
 
-    def _swept(self, theta):
-        """Antiderivative of r^2 / 2: the area swept by the ray up to theta."""
-        return self._mean * theta + self._swept_series.values(theta)
+    def _series(self, theta):
+        """cos theta, sin theta, phi and an antiderivative of r^2 / 2 (the
+        area swept by the ray, up to a constant) at the given angles."""
+        arg = np.multiply.outer(theta, self._k)
+        cos, sin = np.cos(arg), np.sin(arg)
+        phi, swept = (cos @ self._cos_coeffs + sin @ self._sin_coeffs).T
+        return cos[:, 0], sin[:, 0], self._a0 + phi, self._mean * theta + swept
 
-    def _g(self, theta, v, s2):
-        """g and dg/dtheta at the given angles (g < 0: boundary inside the disk)."""
-        phi = self._phi.values(theta)
-        dphi = self._dphi.values(theta)
-        cos, sin = np.cos(theta), np.sin(theta)
-        a = v[0] * cos + v[1] * sin
-        da = v[1] * cos - v[0] * sin
-        g = phi * (2.0 + phi) - 2.0 * (1.0 + phi) * a + s2
-        dg = 2.0 * dphi * (1.0 + phi - a) - 2.0 * (1.0 + phi) * da
-        return g, dg
+    def _g(self, theta, const, columns):
+        """g and dg/dtheta at the given angles (g < 0: boundary inside the
+        disk) from g's constant and its coefficient columns, cos k theta
+        for g and g' then sin k theta for g and g'."""
+        arg = np.multiply.outer(theta, self._k)
+        g, dg = (np.cos(arg) @ columns[:, :2] + np.sin(arg) @ columns[:, 2:]).T
+        return g + const, dg
 
-    def _crossings(self, lo, g_lo, g_hi, v, s2):
+    def _crossings(self, lo, g_lo, g_hi, const, columns):
         """Zeros of g in the grid cells [lo, lo + h], one per cell."""
         hi = lo + TWO_PI / len(self._theta)
         neg_lo = g_lo <= 0.0
         x = lo + (hi - lo) * g_lo / (g_lo - g_hi)  # regula falsi start
-        for _ in range(_MAX_ROOT_STEPS):
-            g, dg = self._g(x, v, s2)
-            left = (g <= 0.0) == neg_lo
-            lo = np.where(left, x, lo)
-            hi = np.where(left, hi, x)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_MAX_ROOT_STEPS):
+                g, dg = self._g(x, const, columns)
+                left = (g <= 0.0) == neg_lo
+                lo = np.where(left, x, lo)
+                hi = np.where(left, hi, x)
                 new = x - g / dg
-            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-            step = float(np.max(np.abs(new - x)))
-            x = new
-            if step <= _ROOT_TOL:
-                break
+                new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+                step = abs(new - x).max()
+                x = new
+                if step <= _ROOT_TOL:
+                    break
         return x
 
     def area(self, center) -> float:
@@ -151,36 +187,40 @@ class PolarOverlap:
         arcs, zero when the circle does not cross the boundary."""
         v = np.asarray(center, dtype=float) - self.origin
         s2 = float(v @ v)
-        phi = self._phi_grid
-        g = phi * (2.0 + phi) - 2.0 * (1.0 + phi) * (v[0] * self._cos + v[1] * self._sin) + s2
+        row = np.array([1.0, v[0], v[1]])
+        g = row @ self._grid_basis + s2
         inside = g <= 0.0
-        cells = np.flatnonzero(inside != np.roll(inside, -1))
+        cells = np.flatnonzero(inside[:-1] != inside[1:])
+        if inside[-1] != inside[0]:
+            cells = np.append(cells, len(g) - 1)
         if len(cells) == 0:
             boundary = self.volume if inside[0] else 0.0
             circle = math.pi if self._in_domain(v, s2, np.zeros(1))[0] else 0.0
             return boundary + circle, np.zeros(2)
 
-        x = self._crossings(self._theta[cells], g[cells], g[(cells + 1) % len(g)], v, s2)
+        x = self._crossings(self._theta[cells], g[cells], g[(cells + 1) % len(g)],
+                            row @ self._g_const + s2,
+                            (row @ self._g_basis).reshape(len(self._k), 4))
         entering = ~inside[cells]  # g changes from > 0 to <= 0 in the cell
-        swept = self._swept(x)
+        cos, sin, phi_x, swept = self._series(x)
         swept_end = np.append(swept[1:], swept[0] + TWO_PI * self._mean)
-        boundary = float(np.sum((swept_end - swept)[entering]))
+        boundary = float((swept_end - swept)[entering].sum())
 
         # circle arcs between the crossing points, kept where strictly inside
         # Omega (the boundary pieces already hold a shared arc, if any)
-        r = 1.0 + self._phi.values(x)
-        psi = np.sort(np.arctan2(r * np.sin(x) - v[1], r * np.cos(x) - v[0]))
+        r = 1.0 + phi_x
+        psi = np.sort(np.arctan2(r * sin - v[1], r * cos - v[0]))
         psi_end = np.append(psi[1:], psi[0] + TWO_PI)
         keep = self._in_domain(v, s2, 0.5 * (psi + psi_end))
         dsin = (np.sin(psi_end) - np.sin(psi))[keep]
         dcos = (np.cos(psi_end) - np.cos(psi))[keep]
-        circle = 0.5 * float(np.sum(psi_end[keep] - psi[keep] + v[0] * dsin - v[1] * dcos))
-        return boundary + circle, np.array([np.sum(dsin), -np.sum(dcos)])
+        circle = 0.5 * float((psi_end[keep] - psi[keep] + v[0] * dsin - v[1] * dcos).sum())
+        return boundary + circle, np.array([dsin.sum(), -dcos.sum()])
 
     def _in_domain(self, v, s2, psi) -> np.ndarray:
         """Whether the circle points c + e_psi lie strictly inside Omega."""
         cos, sin = np.cos(psi), np.sin(psi)
-        phi = self._phi.values(np.arctan2(v[1] + sin, v[0] + cos))
+        phi = self._series(np.arctan2(v[1] + sin, v[0] + cos))[2]
         # |c + e_psi - o|^2 - r^2, without cancelling the leading 1
         return 2.0 * (v[0] * cos + v[1] * sin) + s2 - phi * (2.0 + phi) < 0.0
 
@@ -216,17 +256,36 @@ def fraenkel(d: StarDomain) -> tuple[float, np.ndarray]:
 def alpha(d: StarDomain) -> float:
     """Smoothed asymmetry: beta_2 + int_Omega (|x - x_Omega| - 1) dx.
 
-    In polar form about the barycenter the integral is
-    int (r^3/3 - r^2/2) d theta, a trigonometric polynomial of the
-    refitted profile, evaluated exactly.  Zero exactly on unit disks.
+    Since div((x - c) |x - c|) = 3 |x - c| in the plane, the integral of
+    |x - c| over Omega is 1/3 of the boundary integral of
+    |x - c| (x - c) x x'(theta) over the domain's own parametrization
+    x(theta) = o + r(theta) e_theta, so alpha is defined wherever Omega is,
+    with no re-expression about the barycenter c.  With u = o - c that
+    integrand is |w| (r^2 + r u.e_theta + r' u x e_theta), w = u + r e_theta,
+    and |Omega| = 1/2 int r^2 is subtracted under the same integral.  It is
+    smooth and periodic, so the trapezoid rule on 2n uniform angles
+    converges geometrically; the sum over every other angle is an n-point
+    estimate, and the two must agree within ``_ALPHA_TOL`` relative to the
+    largest integrand sample (at least absolutely), or ``fem.SolverError``
+    names both.  Zero to rounding on unit disks.
     """
-    c = barycenter(d)
-    p = profile_relative_to(d, c)
-    n = max(3 * p.max_mode + 2, 64)
-    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    p = d.profile
+    n = max(_ALPHA_MIN_GRID, 8 * p.max_mode)
+    theta = np.linspace(0.0, TWO_PI, 2 * n, endpoint=False)
     r = 1.0 + p.values(theta)
-    radial = r ** 3 / 3.0 - r ** 2 / 2.0
-    return beta_const(2) + float(np.mean(radial)) * TWO_PI
+    dr = p.derivative().values(theta)
+    cos, sin = np.cos(theta), np.sin(theta)
+    u = np.asarray(d.center) - barycenter(d)
+    dot = u[0] * cos + u[1] * sin
+    cross = u[0] * sin - u[1] * cos
+    dist = np.sqrt(u @ u + r * (r + 2.0 * dot))
+    f = dist * (r * (r + dot) + dr * cross) / 3.0 - 0.5 * r ** 2
+    fine = beta_const(2) + TWO_PI * float(np.mean(f))
+    coarse = beta_const(2) + TWO_PI * float(np.mean(f[::2]))
+    if abs(fine - coarse) > _ALPHA_TOL * max(1.0, float(np.max(np.abs(f)))):
+        raise fem.SolverError(f"alpha boundary integral unresolved: {coarse!r} on "
+                              f"{n} angles, {fine!r} on {2 * n}")
+    return fine
 
 
 def ball_overlaps(d: StarDomain) -> tuple[float, float]:

@@ -6,8 +6,9 @@ eigenvalue comes from radial shooting, the radial embedding constants
 from a one-dimensional minimizer, areas from polygon resampling,
 Monte Carlo or the classical lens formula, the P1 matrices and the
 L^q midpoint rule triangle by triangle, profile values from full
-tables of cos(k theta) and sin(k theta), and asymmetry minima from a
-derivative-free polish.
+tables of cos(k theta) and sin(k theta), asymmetry minima from a
+derivative-free polish, and alpha from the profile refitted about the
+barycenter.
 """
 
 from __future__ import annotations
@@ -250,15 +251,38 @@ def mc_two_disk_symdiff(d: float, n: int = 10_000_000, seed: int = 42) -> float:
 
 
 def mc_alpha(radius_fn, center, n: int = 2_000_000, seed: int = 11,
-             box: float = 2.5) -> float:
+             box: float = 2.5) -> tuple[float, float]:
     """Monte-Carlo of int_{Omega delta B_1(c)} |1 - |x - c|| dx for a star
-    domain given by its radial function about the origin."""
+    domain given by its radial function about the origin, and the
+    standard error of that estimate (points drawn in chunks of 1e6)."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, (n, 2))
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    in_omega = rho <= radius_fn(theta)
-    dist_c = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
-    in_ball = dist_c <= 1.0
-    w = np.abs(1.0 - dist_c) * (in_omega ^ in_ball)
-    return float(np.mean(w)) * (2.0 * box) ** 2
+    total = total_sq = 0.0
+    for start in range(0, n, 1_000_000):
+        pts = rng.uniform(-box, box, (min(1_000_000, n - start), 2))
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        in_omega = rho <= radius_fn(theta)
+        dist_c = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+        in_ball = dist_c <= 1.0
+        w = np.abs(1.0 - dist_c) * (in_omega ^ in_ball)
+        total += float(np.sum(w))
+        total_sq += float(np.sum(w * w))
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    area = (2.0 * box) ** 2
+    return mean * area, math.sqrt(var / n) * area
+
+
+def refit_alpha(d) -> float:
+    """alpha = beta_2 + int (r^3/3 - r^2/2) d theta in polar form about the
+    barycenter: the boundary is re-expressed about it by ray bisection and
+    a Fourier refit (``domain.profile_relative_to``), and the trapezoid
+    rule on max(3K + 2, 64) angles integrates that trigonometric
+    polynomial of the refitted profile exactly.  Raises
+    ``NotStarShapedError`` where the refit does."""
+    from fklab.domain import barycenter, profile_relative_to
+
+    p = profile_relative_to(d, barycenter(d))
+    theta = np.linspace(0.0, 2.0 * math.pi, max(3 * p.max_mode + 2, 64), endpoint=False)
+    r = 1.0 + p.values(theta)
+    return math.pi / 3.0 + 2.0 * math.pi * float(np.mean(r ** 3 / 3.0 - r ** 2 / 2.0))

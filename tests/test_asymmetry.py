@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fklab import fem
+from fklab import asymmetry, fem
 from fklab.asymmetry import (PolarOverlap, alpha, ball_energy, ball_overlaps,
                              ball_penalized_energy, beta_const, eta_threshold,
                              f_eta, fraenkel, radial_coercivity,
                              sym_diff_fraction, unit_ball_volume)
 from fklab.circle import BoundaryProfile
-from fklab.domain import (StarDomain, barycenter, ellipse, unit_disk,
-                          volume_corrected, volume_corrected_profile)
+from fklab.domain import (NotStarShapedError, StarDomain, barycenter, ellipse,
+                          unit_disk, volume_corrected, volume_corrected_profile)
 from fklab.stability import SweepSpec, build_family, random_near_sphere_profile
 
-from oracles import mc_alpha, polished_minimum, two_disks_symmetric_difference
+from oracles import (mc_alpha, polished_minimum, refit_alpha,
+                     two_disks_symmetric_difference)
 
 PI = math.pi
 
@@ -166,6 +167,40 @@ class TestPolarOverlap:
                   for e in np.eye(2)]
             assert grad == pytest.approx(fd, abs=1e-7)
 
+    @pytest.mark.parametrize("make", [
+        unit_disk,
+        lambda: ellipse(0.2),
+        lambda: StarDomain((0, 0), random_near_sphere_profile(np.random.default_rng(20), 0.04)),
+    ], ids=["unit-disk", "ellipse-0.2", "random"])
+    def test_tables_match_profile(self, make):
+        # phi and the antiderivative of r^2 / 2 from one cos/sin table, and g
+        # and g' from g's own coefficients, against the profile's Horner
+        # evaluation, its exact derivative, and the series of the sampled
+        # r^2 / 2 integrated mode by mode
+        d = make()
+        p = d.profile
+        overlap = PolarOverlap(d)
+        grid = np.linspace(0.0, 2.0 * PI, 1024, endpoint=False)
+        coeffs = np.fft.rfft(0.5 * (1.0 + p.values(grid)) ** 2) / len(grid)
+        m = np.arange(1, 2 * p.max_mode + 1)
+        a_m, b_m = 2.0 * coeffs[m].real, -2.0 * coeffs[m].imag
+        antiderivative = BoundaryProfile(0.0, -b_m / m, a_m / m)
+        theta = np.random.default_rng(7).uniform(-PI, 3.0 * PI, 200)
+        cos, sin, phi, swept = overlap._series(theta)
+        pairs = [(cos, np.cos(theta)), (sin, np.sin(theta)), (phi, p.values(theta)),
+                 (swept, coeffs[0].real * theta + antiderivative.values(theta))]
+        phi, dphi = p.values(theta), p.derivative().values(theta)
+        for c in ((0.0, 0.0), (0.2, -0.1), (1.3, 0.8)):
+            v = np.asarray(c)
+            row = np.array([1.0, *v])
+            g, dg = overlap._g(theta, row @ overlap._g_const + v @ v,
+                               (row @ overlap._g_basis).reshape(len(overlap._k), 4))
+            a, da = v @ [np.cos(theta), np.sin(theta)], v @ [-np.sin(theta), np.cos(theta)]
+            pairs += [(g, phi * (2.0 + phi) - 2.0 * (1.0 + phi) * a + v @ v),
+                      (dg, 2.0 * dphi * (1.0 + phi - a) - 2.0 * (1.0 + phi) * da)]
+        for got, ref in pairs:
+            assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
     def test_translation_covariance(self):
         d = StarDomain((0, 0), volume_corrected_profile(3, 0.15))
         moved = PolarOverlap(d.translated(0.37, -0.58))
@@ -175,13 +210,53 @@ class TestPolarOverlap:
             assert moved.area(shifted) == pytest.approx(base.area(c), rel=1e-12)
 
 
+def refit_failures():
+    """Domains on which the refit about the barycenter fails: the refit is
+    off by 4.1e-4, and the boundary angle about it is not monotone."""
+    return [StarDomain((0, 0), BoundaryProfile(0.0, cos, sin)) for cos, sin in (
+        ([0.031, -0.033, 0.16, 0.026], [-0.134, 0.09, 0.326, 0.237]),
+        ([-0.136, -0.079, 0.103, 0.261], [-0.032, 0.342, -0.166, 0.088]))]
+
+
+def alpha_shapes():
+    shapes = [ellipse(e) for e in (0.02, 0.1, 0.2, 0.5)]
+    shapes += [StarDomain((0, 0), volume_corrected_profile(k, s))
+               for k, s in ((2, 0.1), (3, 0.15), (5, 0.06), (8, 0.05))]
+    rng = np.random.default_rng(20)
+    shapes += [StarDomain((0, 0), random_near_sphere_profile(rng, rng.uniform(0.01, 0.05)))
+               for _ in range(20)]
+    return shapes + [d.translated(0.37, -0.58) for d in shapes[:8]]
+
+
 class TestAlpha:
     def test_monte_carlo_oracle_on_mode_profile(self):
         p = volume_corrected_profile(3, 0.15)
         d = StarDomain((0, 0), p)
         val = alpha(d)
-        mc = mc_alpha(lambda t: 1.0 + p.values(t), (0.0, 0.0), n=4_000_000)
+        mc, _ = mc_alpha(lambda t: 1.0 + p.values(t), (0.0, 0.0), n=4_000_000)
         assert abs(val - mc) < 3e-4
+
+    def test_matches_refit_oracle(self):
+        # ellipses, mode-k profiles, 20 seeded near-spheres and translates
+        worst = max(abs(alpha(d) - refit_alpha(d)) for d in alpha_shapes())
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_defined_where_the_refit_fails(self, index):
+        d = refit_failures()[index]
+        with pytest.raises(NotStarShapedError):
+            refit_alpha(d)
+        p = d.profile
+        mc, stderr = mc_alpha(lambda t: 1.0 + p.values(t), barycenter(d), n=4_000_000)
+        assert stderr < 1e-3
+        assert abs(alpha(d) - mc) <= 3.0 * stderr
+
+    def test_unresolved_boundary_integral_raises(self, monkeypatch):
+        # 32 of the 4-mode profile's angles miss the integral by 8.4e-7
+        d = refit_failures()[1]
+        monkeypatch.setattr(asymmetry, "_ALPHA_MIN_GRID", 16)
+        with pytest.raises(fem.SolverError, match="on 32 angles.* on 64"):
+            alpha(d)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
