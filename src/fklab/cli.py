@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special
 
 from . import asymmetry, fem, stability, verify
 from .circle import BoundaryProfile
@@ -30,7 +29,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
-DISK_EIGENVALUE = float(scipy.special.jn_zeros(0, 1)[0] ** 2)  # 5.7831859629...
+# j_{0,1}^2, the first zero of J_0 squared, correctly rounded
+DISK_EIGENVALUE = 5.783185962946784
 
 
 class UsageError(Exception):

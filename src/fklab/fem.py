@@ -48,7 +48,9 @@ started from the prolonged solution at half the ring count (nested
 iteration), it takes 2-3 solves at rings 128, by the mesh's own factor
 or by the V-cycle.  The stopping tolerances are the module constants
 below, the defaults of each solver's ``tol`` argument; nothing sets them
-process-wide.
+process-wide.  The solvers' inner products and norms of nodal vectors
+are summed by numpy, not by BLAS, so no value depends on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -79,6 +81,20 @@ JACOBI_WEIGHT = 0.8
 
 class SolverError(RuntimeError):
     """Signals non-convergence of an iterative solve."""
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two vectors, summed by numpy, not BLAS.  ``@``
+    calls BLAS ddot, which OpenBLAS splits over its threads from about 10k
+    entries: a rings-128 interior vector has about 49k, so the sum would
+    depend on the thread count, and threads of parallel sweep workers
+    spin against each other."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    """The Euclidean norm of a vector, through :func:`_dot`."""
+    return math.sqrt(_dot(a, a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,6 +382,12 @@ class TriMesh:
                               sk.interior_indices, sk.interior_indptr), shape=(n, n))
 
     @cached_property
+    def _interior_diagonal(self) -> np.ndarray:
+        """The diagonal of the interior stiffness, read from the full data
+        at the skeleton's diagonal slots."""
+        return self.stiffness.data[self.skeleton.diagonal_slots[:self.n_interior]]
+
+    @cached_property
     def _interior_factor(self):
         # the mesh's only factorization; the symmetric ordering and diagonal
         # pivots suit the SPD interior stiffness and keep the fill low
@@ -445,7 +467,7 @@ class VCycle:
         if self._p.shape != (a.shape[0], coarse.shape[0]):
             raise ValueError(f"coarse operator of shape {coarse.shape} does not match "
                              f"the {rings // 2}-ring interior of a {a.shape} stiffness")
-        diagonal = a.diagonal()
+        diagonal = mesh._interior_diagonal
         # reduceat needs no empty row: every interior row holds its diagonal
         row_sums = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
         gershgorin = float(np.max(row_sums / diagonal))
@@ -489,10 +511,10 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
     a = mesh._interior_stiffness
     b = mesh.load[:mesh.n_interior]
     precond = _preconditioner(mesh, precond)
-    b_norm = np.linalg.norm(b)
+    b_norm = _norm(b)
     x = precond.solve(b)
     r = b - a @ x
-    r_norm = np.linalg.norm(r)
+    r_norm = _norm(r)
     it, p, rz = 1, np.zeros_like(b), 1.0
     while r_norm > tol / 10.0 * b_norm:
         if it >= max_iter:
@@ -500,14 +522,14 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
                               f"residual {r_norm / b_norm:.3g} > {tol / 10.0:.3g}")
         z = precond.solve(r)
         it += 1
-        rz, rz_prev = float(r @ z), rz
+        rz, rz_prev = _dot(r, z), rz
         p = z + (rz / rz_prev) * p
         ap = a @ p
-        alpha = rz / float(p @ ap)
+        alpha = rz / _dot(p, ap)
         x += alpha * p
         r -= alpha * ap
-        r_norm = np.linalg.norm(r)
-    res = float(np.linalg.norm(a @ x - b) / b_norm)
+        r_norm = _norm(r)
+    res = _norm(a @ x - b) / b_norm
     if not res <= tol:
         raise SolverError(f"torsion PCG stopped after {it} iterations with true "
                           f"relative residual {res:.3g} > {tol:.3g}")
@@ -516,7 +538,7 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
 
 def integral(u: ScalarField) -> float:
     """Exact integral of the P1 field."""
-    return float(u.mesh.load @ u.values)
+    return _dot(u.mesh.load, u.values)
 
 
 def energy_of(u: ScalarField) -> float:
@@ -531,7 +553,7 @@ def lq_integral(u: ScalarField, q: float) -> float:
     where |u| is linear on each triangle."""
     mesh = u.mesh
     mids = mesh.skeleton.midpoints @ u.values
-    return float(mesh._edge_weights @ np.abs(mids) ** q)
+    return _dot(mesh._edge_weights, np.abs(mids) ** q)
 
 
 def _lq_gradient(mesh: TriMesh, values: np.ndarray, q: float) -> np.ndarray:
@@ -550,18 +572,19 @@ def _start_values(mesh: TriMesh, start) -> np.ndarray:
     return x
 
 
-def _smoothed(k, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _smoothed(mesh: TriMesh, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``x`` after three damped Jacobi sweeps on K x - (x.Kx / x.g) g, with
-    g the gradient of the L^q norm at ``x``: the Euler-Lagrange residual
-    of the descent's Rayleigh quotient with g held fixed.  They cost matrix
-    products only and remove most of the high-frequency error of a
-    prolonged start, as the smoother of cascadic multigrid does: from the
-    rings-64 solution of a mode-8 profile, the q = 1.5 descent at rings 128
-    preconditioned by the V-cycle then takes 3 solves instead of 5."""
-    diagonal = k.diagonal()
+    K the mesh's interior stiffness and g the gradient of the L^q norm at
+    ``x``: the Euler-Lagrange residual of the descent's Rayleigh quotient
+    with g held fixed.  They cost matrix products only and remove most of
+    the high-frequency error of a prolonged start, as the smoother of
+    cascadic multigrid does: from the rings-64 solution of a mode-8
+    profile, the q = 1.5 descent at rings 128 preconditioned by the
+    V-cycle then takes 3 solves instead of 5."""
+    k, diagonal = mesh._interior_stiffness, mesh._interior_diagonal
     for _ in range(3):
         kx = k @ x
-        x = x - (2.0 / 3.0) * (kx - float(x @ kx) / float(x @ g) * g) / diagonal
+        x = x - (2.0 / 3.0) * (kx - _dot(x, kx) / _dot(x, g) * g) / diagonal
     return x
 
 
@@ -604,10 +627,10 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
         return value, ScalarField(mesh, _extend(mesh, x))
 
     u = precond.solve(mesh.load[:n]) if start is None else _start_values(mesh, start)
-    u = _smoothed(k, u, grad_rho(u))
+    u = _smoothed(mesh, u, grad_rho(u))
     u /= norm_q(u)
     ku = k @ u
-    rayleigh, drop = float(u @ ku), math.nan
+    rayleigh, drop = _dot(u, ku), math.nan
     for it in range(max_iter):
         direction = precond.solve(ku - rayleigh * grad_rho(u))
         step = 1.0
@@ -618,13 +641,13 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
             if nrm > 0.0:
                 trial = trial / nrm
                 k_trial = k @ trial
-                r_trial = float(trial @ k_trial)
+                r_trial = _dot(trial, k_trial)
                 if r_trial < rayleigh:
                     improved = True
                     break
             step *= 0.5
         if not improved:
-            dnorm = math.sqrt(float(direction @ (k @ direction)) / rayleigh)
+            dnorm = math.sqrt(_dot(direction, k @ direction) / rayleigh)
             if not dnorm <= tol:
                 raise SolverError(f"L^{q} descent line search failed at iteration {it} "
                                   f"with relative direction norm {dnorm:.3g} > {tol:.3g}")

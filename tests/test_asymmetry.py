@@ -120,6 +120,46 @@ class TestFraenkel:
         val, _ = fraenkel(peanut())
         assert val <= 0.4333395033
 
+    def test_step_cap_raises_naming_the_start(self, monkeypatch):
+        # the barycenter run needs no step (the gradient vanishes at the
+        # ellipse's center); the first axial run needs more than one
+        monkeypatch.setattr(asymmetry, "_MAX_BFGS_STEPS", 1)
+        with pytest.raises(fem.SolverError, match=r"from the barycenter \+ \(0\.25, 0\) "
+                                                  r"stopped at the cap of 1 steps: "
+                                                  r"gradient inf-norm 0\.\d+ > 1e-05"):
+            fraenkel(ellipse(0.1))
+
+
+def rosenbrock(x):
+    a, b = x
+    return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+            np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+
+
+class TestBFGS:
+    def test_rosenbrock_minimum(self):
+        value, x = asymmetry._bfgs(rosenbrock, np.array([-1.2, 1.0]), "the test start")
+        assert np.max(np.abs(rosenbrock(x)[1])) <= asymmetry._BFGS_GTOL
+        assert x == pytest.approx([1.0, 1.0], abs=1e-6)
+        assert value == rosenbrock(x)[0] < 1e-12
+
+    def test_crease_stops_on_it(self):
+        # |x| + (y - 0.3)^2: every line search that crosses x = 0 zooms onto
+        # the crease and finds no Wolfe step, so the run stops there
+        def crease(x):
+            return abs(x[0]) + (x[1] - 0.3) ** 2, np.array([np.sign(x[0]), 2.0 * (x[1] - 0.3)])
+        start = np.array([0.7, -0.2])
+        value, x = asymmetry._bfgs(crease, start, "the test start")
+        assert value == crease(x)[0] < 1e-3 < crease(start)[0]
+        assert abs(x[0]) < 1e-6
+
+    def test_cubic_step_safeguard(self):
+        # the cubic through x^3 - x at 0 and 2 has its minimizer at
+        # 1/sqrt(3); one outside the middle 96% falls back to the midpoint
+        assert asymmetry._cubic_step(0.0, 0.0, -1.0, 2.0, 6.0, 11.0) == pytest.approx(
+            1.0 / math.sqrt(3.0), rel=1e-14)
+        assert asymmetry._cubic_step(0.0, 0.0, 1.0, 1.0, 2.0, 3.0) == 0.5
+
 
 class TestPolarOverlap:
     @pytest.mark.parametrize("offset", [0.0, 0.3, 0.5, 1.0, 1.5, 1.99, 2.5])

@@ -10,8 +10,8 @@ import pytest
 
 import fklab
 from fklab import fem, stability, verify
-from fklab.cli import (_CONFIG_KEYS, RunConfig, UsageError, csv_header, csv_row,
-                       load_config, main, parse_domain_spec)
+from fklab.cli import (_CONFIG_KEYS, DISK_EIGENVALUE, RunConfig, UsageError, csv_header,
+                       csv_row, load_config, main, parse_domain_spec)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -293,3 +293,22 @@ class TestStartMethods:
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, (method, proc.stderr)
             assert out.read_bytes() == serial.read_bytes(), method
+
+
+class TestImports:
+    def test_no_scipy_optimize_or_special(self):
+        # each of them would add about 0.1 s to every fresh process: each
+        # `fklab deficit` call and each spawned sweep worker
+        src = os.path.dirname(os.path.dirname(fklab.__file__))
+        code = ("import sys, fklab, fklab.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+                "(['scipy', 'optimize'], ['scipy', 'special'])))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_disk_eigenvalue_is_j01_squared(self):
+        import mpmath
+        with mpmath.workdps(40):
+            assert DISK_EIGENVALUE == float(mpmath.besseljzero(0, 1) ** 2)
