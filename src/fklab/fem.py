@@ -30,12 +30,16 @@ the coarser mesh to the finer one's interior.
 
 Every solver takes a ``precond``, any fixed SPD operator on the interior
 values with a ``solve`` method and a ``shape``: by default the mesh's own
-sparse factorization of its interior stiffness (symmetric-mode SuperLU,
-built on first use), or a :class:`VCycle`, one symmetric multigrid
-V-cycle over the same domain's meshes at half, a quarter, ... of the ring
-count, down to a small mesh that is factored.  Torsion (-Laplace u = 1,
-u = 0 on the boundary) is one conjugate-gradient solve preconditioned by
-it; with the mesh's own factor that is a direct solve.  Every optimal
+factorization of its interior stiffness, built on first use by
+:func:`factorize`, or a :class:`VCycle`, one symmetric multigrid V-cycle
+over the same domain's meshes at half, a quarter, ... of the ring count,
+down to a small mesh that is factored.  A mesh of fewer than
+``DENSE_RINGS`` rings, as every chain bottom is, has at most 127 interior
+unknowns and is factored densely by numpy; a larger one by
+symmetric-mode SuperLU, fklab's only use of scipy.sparse.linalg, which
+is imported then.  Torsion (-Laplace u = 1, u = 0 on the boundary) is
+one conjugate-gradient solve preconditioned by it; with the mesh's own
+factor that is a direct solve.  Every optimal
 Poincare-Sobolev constant lambda_q comes from one normalized
 preconditioned gradient descent with backtracking line search, a
 Sobolev-gradient descent in the inner product of the preconditioner (J.
@@ -61,7 +65,6 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .domain import StarDomain, unit_disk
 from .geometry import triangles_disk_area
@@ -74,6 +77,8 @@ from .geometry import triangles_disk_area
 DEFAULT_CG_TOL = 1e-10
 DEFAULT_DESCENT_TOL = 1e-8
 DEFAULT_Q_MAX = 4.0
+# meshes of fewer rings, at most 127 interior unknowns, are factored densely
+DENSE_RINGS = 8
 # damping of the V-cycle's Jacobi sweeps, lowered on a mesh whose
 # Gershgorin bound would make it diverge
 JACOBI_WEIGHT = 0.8
@@ -389,11 +394,8 @@ class TriMesh:
 
     @cached_property
     def _interior_factor(self):
-        # the mesh's only factorization; the symmetric ordering and diagonal
-        # pivots suit the SPD interior stiffness and keep the fill low
-        return spla.splu(self._interior_stiffness.tocsc(),
-                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
+        # the mesh's only factorization
+        return factorize(self._interior_stiffness, self.skeleton.rings)
 
     def dump(self) -> str:
         """Text dump: ``v x y`` / ``t i j k`` / ``b i`` lines."""
@@ -401,6 +403,47 @@ class TriMesh:
         lines += [f"t {i} {j} {k}" for i, j, k in self.triangles]
         lines += [f"b {i}" for i in self.boundary_vertices]
         return "\n".join(lines) + "\n"
+
+
+class DenseInverse:
+    """The inverse of a small SPD matrix, stored dense and made exactly
+    symmetric, an SPD operator with ``solve`` and ``shape``.
+
+    The inverse comes from Gauss-Jordan elimination on [A | I] with the
+    diagonal pivots, all positive on an SPD matrix, one elementwise rank-1
+    update per pivot; ``solve`` is a product summed by numpy's einsum.
+    Neither calls BLAS or LAPACK, so no bit depends on the BLAS thread
+    count, as that of OpenBLAS's LAPACK inverse does at the 127 unknowns of
+    rings 7."""
+
+    def __init__(self, a: sp.csr_matrix):
+        n = a.shape[0]
+        m = np.hstack([a.toarray(), np.eye(n)])
+        for k in range(n):
+            m[k] /= m[k, k]
+            column = m[:, k].copy()
+            column[k] = 0.0
+            m -= np.multiply.outer(column, m[k])
+        inverse = m[:, n:]
+        self._inverse = (inverse + inverse.T) / 2.0
+        self.shape = a.shape
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,j->i", self._inverse, b)
+
+
+def factorize(a: sp.csr_matrix, rings: int):
+    """A factorization of ``a``, the SPD interior stiffness of a
+    ``rings``-ring mesh, with ``solve`` and ``shape``: a
+    :class:`DenseInverse` below ``DENSE_RINGS`` rings, otherwise SuperLU,
+    whose symmetric ordering and diagonal pivots suit an SPD matrix and
+    keep the fill low."""
+    if rings < DENSE_RINGS:
+        return DenseInverse(a)
+    # imported on first use: it adds about 0.1 s and 10 MB to a process
+    import scipy.sparse.linalg as spla
+    return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 @dataclass

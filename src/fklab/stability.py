@@ -18,8 +18,9 @@ fine one, and the order level builds the levels below it, down to rings
 4, so each q is solved once per level.  The same chain is a multigrid
 hierarchy: every torsion and L^q solve of a level is preconditioned by a
 symmetric V-cycle over it, and only the bottom level, 37 unknowns at
-rings 4, is factored.  The unit disk's levels follow the same rule.
-Torsion-only paths solve no L^q problem.
+rings 4, is factored, densely (``fem.factorize``), so a sweep at the
+default ring counts never imports scipy.sparse.linalg.  The unit disk's
+levels follow the same rule.  Torsion-only paths solve no L^q problem.
 
 Conventions (dimension is fixed to 2 for all meshed quantities):
 
@@ -68,16 +69,17 @@ class Level:
     ring count, computed lazily from one mesh.
 
     At a :func:`nested` ring count a level is linked to the same domain's
-    level at ``rings // 2``: ``coarse`` when given, otherwise one it
-    builds on first use.  Every solve is preconditioned by ``precond``,
-    a multigrid V-cycle over that chain of levels, down to a ring count
-    that is not nested (rings 4 on the default chain), whose small mesh
-    is factored; so no level factors more than a few dozen unknowns.  Each
-    L^q constant, the eigenvalue being the one at q = 2, is one descent
-    started from the prolonged solution of the same q on the coarse
+    level at ``rings // 2``: ``coarse`` when given, otherwise one it builds
+    on first use.  Every solve is preconditioned by ``precond``, a multigrid
+    V-cycle over that chain of levels, down to a ring count that is not
+    nested (rings 4 on the default chain), whose small mesh is factored by
+    ``fem.factorize``: densely below 8 rings, where the chain of rings 4 to
+    7 times a power of two ends, by SuperLU otherwise (rings 33 below rings
+    66).  Each L^q constant, the eigenvalue being the one at q = 2, is one
+    descent started from the prolonged solution of the same q on the coarse
     level, so each q is solved once per level and a value depends on the
-    domain, the ring count and q alone.  A ``SolverError`` from any solve
-    is re-raised with the ring count.
+    domain, the ring count and q alone.  A ``SolverError`` from any solve is
+    re-raised with the ring count.
     """
 
     def __init__(self, d: StarDomain, rings: int, coarse: Level | None = None):
@@ -100,7 +102,7 @@ class Level:
     @cached_property
     def precond(self):
         """The V-cycle over the coarse chain at a nested ring count, the
-        mesh's own factorization otherwise."""
+        mesh's own factorization (``fem.factorize``) otherwise."""
         if nested(self.rings):
             return fem.VCycle(self.mesh, self.rings, self.coarse.precond)
         return self.mesh._interior_factor
@@ -152,7 +154,10 @@ def prepare_disk_references(levels, q_list=()) -> None:
     started by spawn or forkserver recompute them).  A disk level is
     linked to the cached disk levels below it, down to rings 4 at most,
     whose L^q solves start its own and whose V-cycles are its coarse
-    solves."""
+    solves.  On a chain that halves to fewer than 8 rings, as the default
+    one does, the bottom level's dense inverse is the only factorization,
+    so neither this process nor a sweep worker imports
+    scipy.sparse.linalg."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()

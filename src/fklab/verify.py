@@ -6,7 +6,10 @@ turns any failure into exit code 3.  The suites are the single
 implementation of each check: the acceptance criteria run them and
 assert on their results.  ``row_checks``, the sign rules of one deficit
 row, is shared by the ``saint-venant-signs`` and ``kohler-jobin`` suites
-and by the criteria that quantify over the combined sweep.
+and by the criteria that quantify over the combined sweep.  Each member
+of those two suites is evaluated by one of them, which runs its row
+rules and its Kohler-Jobin slack rule: ``saint-venant-signs`` the disk,
+ellipse(0.1) and a mode-3 profile, ``kohler-jobin`` ellipse(0.2).
 """
 
 from __future__ import annotations
@@ -117,23 +120,28 @@ def suite_taylor(cfg) -> list[Check]:
     return out
 
 
+def _kj_slack_checks(label: str, r: stability.DeficitReport,
+                     equality: bool) -> list[Check]:
+    """The Kohler-Jobin slack of a row per q: within 2e-4 of zero in the
+    equality case, the disk, and positive otherwise."""
+    if equality:
+        return [_check(f"{label} slack ~ 0 at q={q}", abs(slack) <= 2e-4,
+                       f"value {slack:.3e}") for q, slack in r.kj_slack.items()]
+    return [_check(f"{label} slack > 0 at q={q}", slack > 0.0, f"value {slack:.3e}")
+            for q, slack in r.kj_slack.items()]
+
+
 def suite_kohler_jobin(cfg) -> list[Check]:
+    """The exponent theta(q, N) at three points and the row of
+    ellipse(0.2); the slacks of the disk and ellipse(0.1) are checked with
+    their rows by ``saint-venant-signs``."""
     out = []
     for q, n, expected in ((1.0, 2, 1.0), (2.0, 2, 0.5), (6.0, 3, 0.0)):
         th = stability.kj_exponent(q, n)
         out.append(_check(f"exponent theta({q}, N={n})", abs(th - expected) < 1e-15,
                           f"value {th!r}"))
-    disk, checks = _member_checks(cfg, "disk", unit_disk())
-    out += checks
-    out += [_check(f"disk slack ~ 0 at q={q}", abs(slack) <= 2e-4, f"value {slack:.3e}")
-            for q, slack in disk.kj_slack.items()]
-    for e in (0.1, 0.2):
-        r, checks = _member_checks(cfg, f"ellipse({e})", ellipse(e))
-        out += checks
-        out += [_check(f"ellipse({e}) slack > 0 at q={q}", slack > 0.0,
-                       f"value {slack:.3e}")
-                for q, slack in r.kj_slack.items()]
-    return out
+    r, checks = _member_checks(cfg, "ellipse(0.2)", ellipse(0.2))
+    return out + checks + _kj_slack_checks("ellipse(0.2)", r, equality=False)
 
 
 def suite_alpha_props(cfg) -> list[Check]:
@@ -264,11 +272,14 @@ def suite_sharpness(cfg) -> list[Check]:
 
 
 def suite_saint_venant_signs(cfg) -> list[Check]:
+    """The rows of the disk, ellipse(0.1) and a mode-3 profile, and the
+    Kohler-Jobin slacks of the first two."""
     out = []
-    for label, d in (("disk", unit_disk()), ("ellipse(0.1)", ellipse(0.1)),
-                     ("mode-3", StarDomain((0.0, 0.0), volume_corrected_profile(3, 0.07)))):
-        out += _member_checks(cfg, label, d)[1]
-    return out
+    for label, d in (("disk", unit_disk()), ("ellipse(0.1)", ellipse(0.1))):
+        r, checks = _member_checks(cfg, label, d)
+        out += checks + _kj_slack_checks(label, r, equality=label == "disk")
+    mode3 = StarDomain((0.0, 0.0), volume_corrected_profile(3, 0.07))
+    return out + _member_checks(cfg, "mode-3", mode3)[1]
 
 
 def _spike_profile(amplitude: float, width: float) -> BoundaryProfile:

@@ -6,7 +6,7 @@ be restored when the traced block ends."""
 import importlib.util
 from pathlib import Path
 
-from fklab import fem, stability
+from fklab import stability
 from fklab.domain import ellipse
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -47,9 +47,10 @@ def test_traced_member_counts_mesh_assembly_and_norm_evaluations(tmp_path):
 
 def test_traced_member_factors_only_its_chain_bottom(tmp_path):
     # every solve of a member is preconditioned by the V-cycle over its own
-    # level chain, so the member's one factorization is its rings-4 level's;
-    # a large factorization that came back would show here as fill, and a
-    # solve that moved out of its solver call as a missing span
+    # level chain, so the member's one factorization is its rings-4 level's,
+    # a dense inverse; a sparse factorization that came back would show
+    # here as a fem.factor span, and a solve that moved out of its solver
+    # call as a missing span
     spans = load_spans()
     rec = spans.Recorder(tmp_path)
     stability.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
@@ -57,9 +58,7 @@ def test_traced_member_factors_only_its_chain_bottom(tmp_path):
         stability.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
                                   rings_fine=16)
     inside = [s for s in rec.spans if s["member"] == "e"]
-    bottom = fem.polar_mesh(ellipse(0.1), 4)._interior_factor
-    factors = [s["fill_nnz"] for s in inside if s["name"] == "fem.factor"]
-    assert factors == [bottom.L.nnz + bottom.U.nnz]
+    assert [s for s in inside if s["name"] == "fem.factor"] == []
     solves = {name: [s for s in inside if s["name"] == name]
               for name in ("fem.torsion", "fem.eigen", "fem.descent")}
     assert {name: len(v) for name, v in solves.items()} == {

@@ -308,6 +308,23 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_sweep_member_without_scipy_sparse_linalg(self):
+        # every factorization of a halving chain is its dense bottom;
+        # scipy.sparse.linalg would add about 0.1 s and 10 MB to each fresh
+        # process
+        src = os.path.dirname(os.path.dirname(fklab.__file__))
+        code = ("import sys, fklab.cli\n"
+                "from fklab import stability\n"
+                "from fklab.domain import ellipse\n"
+                "stability.prepare_disk_references((8, 16), (1.5, 2.0, 3.0))\n"
+                "stability.evaluate_member('e', 'ellipse', 0.1, ellipse(0.1), rings=8, "
+                "rings_fine=16)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_disk_eigenvalue_is_j01_squared(self):
         import mpmath
         with mpmath.workdps(40):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.spatial import cKDTree
 
 from fklab import fem
@@ -503,6 +504,33 @@ class TestVCycle:
         assert fem._interior_transfer(8)[0] is p
         with pytest.raises(ValueError, match="read-only"):
             r.data[0] = 0.0
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("rings", [4, 5, 6, 7])
+    @pytest.mark.parametrize("name", list(VCYCLE_DOMAINS))
+    def test_dense_inverse_is_spd_and_matches_superlu(self, name, rings, rng):
+        mesh = fem.polar_mesh(VCYCLE_DOMAINS[name](), rings)
+        a = mesh._interior_stiffness
+        factor = mesh._interior_factor
+        assert isinstance(factor, fem.DenseInverse)
+        n = mesh.n_interior
+        dense = np.column_stack([factor.solve(e) for e in np.eye(n)])
+        assert factor.shape == a.shape == (n, n)
+        assert np.array_equal(dense, dense.T)
+        assert np.linalg.eigvalsh(dense)[0] > 0.0
+        lu = scipy.sparse.linalg.splu(a.tocsc())
+        for b in (mesh.load[:n], rng.standard_normal(n)):
+            ref = lu.solve(b)
+            assert np.max(np.abs(factor.solve(b) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_superlu_from_eight_rings(self):
+        mesh = fem.polar_mesh(ellipse(0.2), fem.DENSE_RINGS)
+        factor = mesh._interior_factor
+        assert type(factor).__name__ == "SuperLU"
+        b = mesh.load[:mesh.n_interior]
+        residual = mesh._interior_stiffness @ factor.solve(b) - b
+        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(b))
 
 
 class TestProlongation:

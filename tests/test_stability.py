@@ -5,7 +5,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from fklab import fem
+from fklab import fem, verify
 from fklab import stability as st
 from fklab.circle import BoundaryProfile, h_half_norm_sq
 from fklab.domain import (StarDomain, ellipse, unit_disk, volume,
@@ -55,7 +55,7 @@ class TestExtrapolation:
         calls = count_calls(monkeypatch)
         with pytest.raises(ValueError, match="twice"):
             entry(32, 48)
-        assert calls == {"mesh": 0, "splu": []}
+        assert calls == {"mesh": 0, "factor": []}
 
     @pytest.mark.parametrize("rings", [4, 6, 33])
     @pytest.mark.parametrize("entry", list(PAIR_ENTRIES.values()), ids=list(PAIR_ENTRIES))
@@ -66,7 +66,7 @@ class TestExtrapolation:
         calls = count_calls(monkeypatch)
         with pytest.raises(ValueError, match="even and >= 8"):
             entry(rings, 2 * rings)
-        assert calls == {"mesh": 0, "splu": []}
+        assert calls == {"mesh": 0, "factor": []}
 
     def test_disk_reference_is_cached(self):
         a = st.disk_data(16)
@@ -309,21 +309,21 @@ BOTTOM = fem.ring_skeleton(4).n_interior
 
 
 def count_calls(monkeypatch):
-    """Count mesh builds and record the row count of every sparse
-    factorization while the test runs."""
-    calls = {"mesh": 0, "splu": []}
+    """Count mesh builds and record the row count of every factorization,
+    dense or sparse, while the test runs."""
+    calls = {"mesh": 0, "factor": []}
 
     def mesh(*args, **kwargs):
         calls["mesh"] += 1
         return polar_mesh(*args, **kwargs)
 
-    def splu(a, *args, **kwargs):
-        calls["splu"].append(a.shape[0])
+    def factorize(a, *args, **kwargs):
+        calls["factor"].append(a.shape[0])
         return factor(a, *args, **kwargs)
 
-    polar_mesh, factor = fem.polar_mesh, fem.spla.splu
+    polar_mesh, factor = fem.polar_mesh, fem.factorize
     monkeypatch.setattr(fem, "polar_mesh", mesh)
-    monkeypatch.setattr(fem.spla, "splu", splu)
+    monkeypatch.setattr(fem, "factorize", factorize)
     return calls
 
 
@@ -339,7 +339,7 @@ class TestSharedLevel:
         calls = count_calls(monkeypatch)
         st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
                            rings_fine=16)
-        assert calls == {"mesh": 3, "splu": [BOTTOM]}
+        assert calls == {"mesh": 3, "factor": [BOTTOM]}
 
     @pytest.mark.parametrize("gap,domains", [
         (lambda: st.energy_gap(ellipse(0.1), 8, 16), 1),
@@ -353,7 +353,18 @@ class TestSharedLevel:
         st.prepare_disk_references((8, 16))
         calls = count_calls(monkeypatch)
         gap()
-        assert calls == {"mesh": 3 * domains, "splu": [BOTTOM] * domains}
+        assert calls == {"mesh": 3 * domains, "factor": [BOTTOM] * domains}
+
+    def test_odd_bottom_is_factored_by_superlu_and_passes_row_checks(self, monkeypatch):
+        # rings 36 -> 18 -> 9: the order level at rings 9 is the chain's
+        # bottom, 217 unknowns, too many rings for the dense inverse
+        st.prepare_disk_references((9, 18, 36), (1.5, 2.0, 3.0))
+        calls = count_calls(monkeypatch)
+        r = st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=18, rings_fine=36)
+        bottom = fem.ring_skeleton(9).n_interior
+        assert calls == {"mesh": 3, "factor": [bottom]}
+        assert type(fem.polar_mesh(ellipse(0.1), 9)._interior_factor).__name__ == "SuperLU"
+        assert [c for c in verify.row_checks(r, 18, 36) if not c[1]] == []
 
 
 def record_solves(monkeypatch):
@@ -382,7 +393,7 @@ class TestNestedLevels:
         level = st.Level(ellipse(0.1), 16)
         for q in (1.5, 2.0, 3.0):
             level.lambda_q(q)
-        assert calls == {"mesh": 3, "splu": [BOTTOM]}  # rings 16, 8 and 4
+        assert calls == {"mesh": 3, "factor": [BOTTOM]}  # rings 16, 8 and 4
 
     def test_value_depends_on_domain_rings_and_q_alone(self, monkeypatch):
         d = ellipse(0.1)
@@ -411,9 +422,9 @@ class TestNestedLevels:
         calls = count_calls(monkeypatch)
         level = st.Level(d, 16, coarse=st.Level(d, 8))
         assert [level.lambda_q(1.0)] == member[16, 1.0]
-        assert calls == {"mesh": 3, "splu": [BOTTOM]}  # rings 16, 8 and 4
+        assert calls == {"mesh": 3, "factor": [BOTTOM]}  # rings 16, 8 and 4
         assert [level.lambda_q(3.0)] == member[16, 3.0]  # on the same chain
-        assert calls == {"mesh": 3, "splu": [BOTTOM]}
+        assert calls == {"mesh": 3, "factor": [BOTTOM]}
         cold, _ = fem.poincare_sobolev(level.mesh, 3.0)
         assert cold != member[16, 3.0][0]
 
@@ -426,7 +437,7 @@ class TestNestedLevels:
         solves = record_solves(monkeypatch)
         part = st.evaluate_member("e", "ellipse", 0.1, d, (1.0, 3.0),
                                   rings=8, rings_fine=16)
-        assert calls == {"mesh": 3, "splu": [BOTTOM]}  # rings 4, 8 and 16
+        assert calls == {"mesh": 3, "factor": [BOTTOM]}  # rings 4, 8 and 16
         assert {k: len(v) for k, v in solves.items()} == {
             (r, q): 1 for r in (4, 8, 16) for q in (1.0, 2.0, 3.0)}
         assert part.eigenvalue == full.eigenvalue
