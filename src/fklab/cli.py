@@ -277,6 +277,8 @@ def cmd_ball_reference(cfg: RunConfig) -> int:
 
 def cmd_deficit(cfg: RunConfig, specs, q_list) -> int:
     print(csv_header(q_list))
+    # the disk hierarchy is released before the first member builds its own
+    stability.prepare_disk_references((cfg.rings // 2, cfg.rings, cfg.rings_fine), q_list)
     for spec in specs:
         family, param, dom = parse_domain_spec(spec)
         report = stability.evaluate_member(spec, family, param, dom,

@@ -12,21 +12,23 @@ nodal vector and matrix.
 
 Everything that depends on the ring count alone is built once per
 process in a read-only :class:`RingSkeleton`: the triangles, the vertex
-angles and ring radii, the unique edges, and the CSR pattern shared by
-stiffness and mass.  A domain's mesh evaluates its boundary radius and
-scales the skeleton's unit vectors; its triangle areas and squared edge
-lengths L are gathers on contiguous x and y columns.  Assembly is one
-pass over the edges that fills the shared pattern: in a triangle of
+angles and ring radii, the unique edges, the full CSR pattern and its
+leading interior block.  A domain's mesh evaluates its boundary radius
+and scales the skeleton's unit vectors; its triangle areas and squared
+edge lengths L are gathers on contiguous x and y columns.  Assembly is
+one pass over the edges that fills the full pattern: in a triangle of
 area A the edge opposite vertex k adds (L_k - L_{k+1} - L_{k+2}) / (8A),
 which is -cot(angle at k) / 2, to its off-diagonal stiffness entry, one
-``bincount`` sums each edge's two triangles, the diagonal is minus the
-row sum, and mass follows from the per-edge areas and the load vector.
-The interior stiffness the solvers use is the leading block of that
-data, read where the skeleton marks its entries in the interior-first
-pattern.  The L^q integrals use the 3-point edge-midpoint rule, each
-unique edge midpoint once.  The 2r-ring skeleton is the red refinement
-of the r-ring one, and :func:`prolongation` carries nodal values from
-the coarser mesh to the finer one's interior.
+``bincount`` sums each edge's two triangles and the diagonal is minus the
+row sum.  A mesh keeps only the interior block of that data, read where
+the skeleton marks its entries in the interior-first pattern: the
+stiffness every solver reads.  Mass, which no solver reads, follows from
+the per-edge areas and the load vector on the full pattern.  The L^q
+integrals use the 3-point edge-midpoint rule, each unique edge midpoint
+once.  The 2r-ring skeleton is the red refinement of the r-ring one:
+:func:`prolongation` carries nodal values from the coarser mesh to the
+finer one's interior, and its interior columns, cached per ring count,
+carry interior values between the two levels.
 
 Every solver takes a ``precond``, any fixed SPD operator on the interior
 values with a ``solve`` method and a ``shape``: by default the mesh's own
@@ -111,8 +113,9 @@ class RingSkeleton:
     the ring radius ``rho`` (ring / rings).  ``edges`` lists every edge
     once, lower vertex first, in increasing order; ``triangle_edges[t, k]``
     is the edge of triangle t opposite its vertex k.  ``indptr`` and
-    ``indices`` are the CSR pattern shared by stiffness and mass: the
-    diagonal and both directions of every edge, columns sorted.
+    ``indices`` are the full CSR pattern, that of the mass matrix and of
+    the stiffness as it is assembled: the diagonal and both directions of
+    every edge, columns sorted.
     ``edge_slots[e]`` holds the data positions of the entries (lo, hi) and
     (hi, lo) of edge e, ``diagonal_slots[i]`` that of the entry (i, i).
     Every index array but the CSR pattern has the platform index type, and
@@ -120,8 +123,9 @@ class RingSkeleton:
     column are contiguous gather and scatter indices that need no
     conversion.  Rows and columns put the interior vertices first, so the
     leading ``n_interior`` block keeps a leading run of each interior row:
-    ``interior_indptr`` and ``interior_indices`` are its pattern and
-    ``interior_entries`` marks its entries in the full data.
+    ``interior_indptr`` and ``interior_indices`` are its pattern, that of
+    every mesh's stiffness, and ``interior_entries`` marks its entries in
+    the full data.
     ``midpoints`` is the sparse (edges x vertices) map from nodal values
     to edge-midpoint values; its transpose sends half of each midpoint
     value to either end of the edge.
@@ -230,11 +234,10 @@ def _first_vertex(ring: np.ndarray) -> np.ndarray:
     return np.where(ring > 0, 1 + 3 * ring * (ring - 1), 0)
 
 
-@cache
 def prolongation(rings: int) -> sp.csr_matrix:
     """The sparse map from nodal values of the ``rings``-ring mesh to the
-    interior values of the ``2 * rings``-ring mesh, built once per process
-    and read-only.
+    interior values of the ``2 * rings``-ring mesh, read-only; the solvers
+    read its cached interior columns, :func:`_interior_transfer`.
 
     The finer skeleton is the red refinement of the coarser one: its
     vertices are the coarse vertices, vertex k of ring i at vertex 2k of
@@ -335,24 +338,26 @@ class TriMesh:
                            np.tile(self.signed_areas / 3.0, 3),
                            minlength=len(self.skeleton.edges))
 
-    def _csr(self, edge_values: np.ndarray, diagonal: np.ndarray) -> sp.csr_matrix:
-        """Symmetric matrix on the skeleton's pattern."""
+    def _data(self, edge_values: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+        """Data of a symmetric matrix on the skeleton's full pattern."""
         sk = self.skeleton
         data = np.empty(len(sk.indices))
         lo_hi, hi_lo = sk.edge_slots.T
         data[lo_hi] = edge_values
         data[hi_lo] = edge_values
         data[sk.diagonal_slots] = diagonal
-        return sp.csr_matrix((data, sk.indices, sk.indptr),
-                             shape=(self.n_vertices, self.n_vertices))
+        return data
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        """Assembled from the squared edge lengths L: in a triangle of
-        area A the edge opposite vertex k adds (L_k - L_{k+1} - L_{k+2})
-        / (8 A) = -cot(angle at k) / 2 to its entry, each unique edge
-        summing its two triangles; the constants span the kernel, so each
-        diagonal entry is minus the sum of its row."""
+        """The interior stiffness, the leading ``n_interior`` block that
+        every solver reads, assembled from the squared edge lengths L: in a
+        triangle of area A the edge opposite vertex k adds (L_k - L_{k+1} -
+        L_{k+2}) / (8 A) = -cot(angle at k) / 2 to its entry, each unique
+        edge summing its two triangles; the constants span the kernel of
+        the full matrix, so each diagonal entry is minus the sum of its
+        full row.  The full data is a temporary: the block keeps the
+        entries the skeleton marks as interior."""
         sk = self.skeleton
         # (L_k - L_{k+1} - L_{k+2}) / (8 A) = (L_k - sum / 2) / (4 A)
         per_triangle = self._squared_lengths()[sk.triangle_edges.T]
@@ -363,13 +368,19 @@ class TriMesh:
         lo, hi = sk.edges.T
         row_sums = (np.bincount(lo, per_edge, minlength=self.n_vertices)
                     + np.bincount(hi, per_edge, minlength=self.n_vertices))
-        return self._csr(per_edge, -row_sums)
+        n = self.n_interior
+        return sp.csr_matrix((self._data(per_edge, -row_sums)[sk.interior_entries],
+                              sk.interior_indices, sk.interior_indptr), shape=(n, n))
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
-        """Edge (i, j) carries a twelfth of the area of its triangles,
-        vertex i a sixth of the area of its triangles (half its load)."""
-        return self._csr(self._edge_weights / 4.0, self.load / 2.0)
+        """The full mass matrix: edge (i, j) carries a twelfth of the area
+        of its triangles, vertex i a sixth of the area of its triangles
+        (half its load)."""
+        sk = self.skeleton
+        return sp.csr_matrix((self._data(self._edge_weights / 4.0, self.load / 2.0),
+                              sk.indices, sk.indptr),
+                             shape=(self.n_vertices, self.n_vertices))
 
     @cached_property
     def load(self) -> np.ndarray:
@@ -379,23 +390,14 @@ class TriMesh:
                            minlength=self.n_vertices)
 
     @cached_property
-    def _interior_stiffness(self) -> sp.csr_matrix:
-        """The leading interior block of the stiffness, its entries read
-        from the full data where the skeleton marks them."""
-        sk, n = self.skeleton, self.n_interior
-        return sp.csr_matrix((self.stiffness.data[sk.interior_entries],
-                              sk.interior_indices, sk.interior_indptr), shape=(n, n))
-
-    @cached_property
     def _interior_diagonal(self) -> np.ndarray:
-        """The diagonal of the interior stiffness, read from the full data
-        at the skeleton's diagonal slots."""
-        return self.stiffness.data[self.skeleton.diagonal_slots[:self.n_interior]]
+        """The diagonal of the interior stiffness."""
+        return self.stiffness.diagonal()
 
     @cached_property
     def _interior_factor(self):
         # the mesh's only factorization
-        return factorize(self._interior_stiffness, self.skeleton.rings)
+        return factorize(self.stiffness, self.skeleton.rings)
 
     def dump(self) -> str:
         """Text dump: ``v x y`` / ``t i j k`` / ``b i`` lines."""
@@ -505,7 +507,7 @@ class VCycle:
     of the sweeps and the coarse correction, self-adjoint in that norm."""
 
     def __init__(self, mesh: TriMesh, rings: int, coarse):
-        a = mesh._interior_stiffness
+        a = mesh.stiffness
         self._p, self._r = _interior_transfer(rings // 2)
         if self._p.shape != (a.shape[0], coarse.shape[0]):
             raise ValueError(f"coarse operator of shape {coarse.shape} does not match "
@@ -551,7 +553,7 @@ def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
     the recursive relative residual is at most ``tol / 10``, and a true
     relative residual above ``tol`` raises.  ``SolveStats.iterations``
     counts the preconditioner solves."""
-    a = mesh._interior_stiffness
+    a = mesh.stiffness
     b = mesh.load[:mesh.n_interior]
     precond = _preconditioner(mesh, precond)
     b_norm = _norm(b)
@@ -624,7 +626,7 @@ def _smoothed(mesh: TriMesh, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     cascadic multigrid does: from the rings-64 solution of a mode-8
     profile, the q = 1.5 descent at rings 128 preconditioned by the
     V-cycle then takes 3 solves instead of 5."""
-    k, diagonal = mesh._interior_stiffness, mesh._interior_diagonal
+    k, diagonal = mesh.stiffness, mesh._interior_diagonal
     for _ in range(3):
         kx = k @ x
         x = x - (2.0 / 3.0) * (kx - _dot(x, kx) / _dot(x, g) * g) / diagonal
@@ -656,7 +658,7 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
     if not 1.0 <= q <= q_max:
         raise ValueError(f"exponent q={q} outside the supported range [1, {q_max}]")
     n = mesh.n_interior
-    k = mesh._interior_stiffness
+    k = mesh.stiffness
     precond = _preconditioner(mesh, precond)
 
     def norm_q(x):

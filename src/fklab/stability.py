@@ -20,7 +20,9 @@ hierarchy: every torsion and L^q solve of a level is preconditioned by a
 symmetric V-cycle over it, and only the bottom level, 37 unknowns at
 rings 4, is factored, densely (``fem.factorize``), so a sweep at the
 default ring counts never imports scipy.sparse.linalg.  The unit disk's
-levels follow the same rule.  Torsion-only paths solve no L^q problem.
+levels follow the same rule; once prepared they keep their values alone,
+and sweep workers receive those values.  Torsion-only paths solve no L^q
+problem.
 
 Conventions (dimension is fixed to 2 for all meshed quantities):
 
@@ -80,17 +82,22 @@ class Level:
     level, so each q is solved once per level and a value depends on the
     domain, the ring count and q alone.  A ``SolverError`` from any solve is
     re-raised with the ring count.
+
+    The values are kept; the mesh, ``precond`` and the q-solutions are
+    caches, which :meth:`release` drops and which are rebuilt bit for bit
+    from (domain, rings) when a solve needs them.  A q-solution is kept as
+    its interior values, the only ones a finer level's start reads, and a
+    released one is solved again when a finer level needs it.
     """
 
     def __init__(self, d: StarDomain, rings: int, coarse: Level | None = None):
         self.domain = d
         self.rings = rings
         self.volume = volume(d)
-        self.mesh = fem.polar_mesh(d, rings)
         self._coarse = coarse
         self._energy: float | None = None
         self._lq: dict[float, float] = {}
-        self._fields: dict[float, np.ndarray] = {}
+        self._solutions: dict[float, np.ndarray] = {}
 
     @property
     def coarse(self) -> Level:
@@ -100,12 +107,23 @@ class Level:
         return self._coarse
 
     @cached_property
+    def mesh(self) -> fem.TriMesh:
+        return fem.polar_mesh(self.domain, self.rings)
+
+    @cached_property
     def precond(self):
         """The V-cycle over the coarse chain at a nested ring count, the
         mesh's own factorization (``fem.factorize``) otherwise."""
         if nested(self.rings):
             return fem.VCycle(self.mesh, self.rings, self.coarse.precond)
         return self.mesh._interior_factor
+
+    def release(self) -> None:
+        """Drop the mesh, ``precond`` and the q-solutions, keeping every
+        value computed."""
+        vars(self).pop("mesh", None)
+        vars(self).pop("precond", None)
+        self._solutions.clear()
 
     def _solve(self, solver, *args, **kwargs):
         try:
@@ -126,13 +144,23 @@ class Level:
         """The L^q constant, for q = 2 the eigenvalue."""
         q = float(q)
         if q not in self._lq:
-            start = None
-            if nested(self.rings):
-                self.coarse.lambda_q(q)
-                start = fem.prolongation(self.rings // 2) @ self.coarse._fields[q]
-            lam, u = self._solve(fem.poincare_sobolev, q, start=start)
-            self._lq[q], self._fields[q] = lam, u.values
+            self._solve_lq(q)
         return self._lq[q]
+
+    def _solution(self, q: float) -> np.ndarray:
+        """The interior values of the L^q solution, solved again if released."""
+        if q not in self._solutions:
+            self._solve_lq(q)
+        return self._solutions[q]
+
+    def _solve_lq(self, q: float) -> None:
+        start = None
+        if nested(self.rings):
+            p, _ = fem._interior_transfer(self.rings // 2)
+            start = p @ self.coarse._solution(q)
+        lam, u = self._solve(fem.poincare_sobolev, q, start=start)
+        self._lq[q] = lam
+        self._solutions[q] = u.values[:self.mesh.n_interior].copy()
 
 
 _DISK: dict[int, Level] = {}
@@ -141,7 +169,9 @@ _DISK: dict[int, Level] = {}
 def disk_data(rings: int) -> Level:
     """The matched unit-disk level, the reference of every deficit at
     ``rings``, cached per process and linked to the cached disk level at
-    ``rings // 2`` at a :func:`nested` ring count."""
+    ``rings // 2`` at a :func:`nested` ring count.  After
+    :func:`prepare_disk_references` it holds values only; a value not
+    prepared rebuilds the level's mesh and V-cycle chain."""
     if rings not in _DISK:
         _DISK[rings] = Level(unit_disk(), rings,
                              disk_data(rings // 2) if nested(rings) else None)
@@ -149,21 +179,41 @@ def disk_data(rings: int) -> Level:
 
 
 def prepare_disk_references(levels, q_list=()) -> None:
-    """Precompute the disk values that every deficit subtracts, so forked
-    sweep workers inherit them with the disk levels' V-cycles (workers
-    started by spawn or forkserver recompute them).  A disk level is
-    linked to the cached disk levels below it, down to rings 4 at most,
-    whose L^q solves start its own and whose V-cycles are its coarse
-    solves.  On a chain that halves to fewer than 8 rings, as the default
-    one does, the bottom level's dense inverse is the only factorization,
-    so neither this process nor a sweep worker imports
-    scipy.sparse.linalg."""
+    """Compute the disk values that every deficit subtracts, the energy
+    and lambda_q for each q at each ring count in ``levels``, then release
+    every cached disk level (:meth:`Level.release`): a deficit reads a few
+    numbers, so no disk mesh, operator, V-cycle or q-solution stays alive
+    while the rows build their own.  A disk level is linked to the cached
+    disk levels below it, down to rings 4 at most, whose L^q solves start
+    its own and whose V-cycles are its coarse solves.  On a chain that
+    halves to fewer than 8 rings, as the default one does, the bottom
+    level's dense inverse is the only factorization, so this process does
+    not import scipy.sparse.linalg."""
     for rings in levels:
         data = disk_data(rings)
         data.energy()
         data.eigenvalue()
         for q in q_list:
             data.lambda_q(q)
+    for data in _DISK.values():
+        data.release()
+
+
+def disk_references() -> dict[int, tuple[float | None, dict[float, float]]]:
+    """The values of every cached disk level: rings -> (energy or None,
+    {q: lambda_q}), what a sweep worker installs."""
+    return {rings: (data._energy, dict(data._lq)) for rings, data in _DISK.items()}
+
+
+def install_disk_references(references) -> None:
+    """Install values from :func:`disk_references` as released disk
+    levels, so a sweep worker started by spawn or forkserver answers every
+    prepared reference without a mesh; a forked worker, which inherits the
+    levels, sets the same numbers again."""
+    for rings, (energy, lq) in references.items():
+        data = disk_data(rings)
+        data._energy = energy
+        data._lq.update(lq)
 
 
 def _per_level(d: StarDomain, levels, term, *args) -> list:
@@ -522,7 +572,9 @@ def sigma_scan(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     if workers is None:
         workers = os.cpu_count() or 1
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=install_disk_references,
+                                 initargs=(disk_references(),)) as pool:
             reports = _collect(jobs, pool.map(_worker, jobs))
     else:
         reports = _collect(jobs, map(_worker, jobs))

@@ -204,6 +204,25 @@ class TestCommands:
         deficit_e = float(cells[lines[0].split(",").index("deficit_E")])
         assert abs(deficit_e) < 1e-10
 
+    def test_deficit_rows_start_after_the_disk_is_released(self, monkeypatch, capsys):
+        # the disk references are prepared once, then released, so no row
+        # runs next to the disk's meshes and V-cycles
+        held = []
+        evaluate = stability.evaluate_member
+
+        def recorded(*args):
+            held.append(sorted(r for r, level in stability._DISK.items()
+                               if {"mesh", "precond"} & set(vars(level))))
+            return evaluate(*args)
+
+        monkeypatch.setattr(stability, "_DISK", {})
+        monkeypatch.setattr(stability, "evaluate_member", recorded)
+        assert main(["--rings", "8", "--rings-fine", "16",
+                     "deficit", "ellipse:0.1", "ellipse:0.2", "--q", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert held == [[], []]
+        assert sorted(stability._DISK) == [4, 8, 16]
+
     def test_mesh_dump(self, capsys):
         assert main(["mesh-dump", "ellipse:0.1", "--mesh-rings", "4"]) == 0
         out = capsys.readouterr().out

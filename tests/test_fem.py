@@ -73,7 +73,10 @@ class TestPolarMesh:
         radius = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
         assert np.array_equal(np.flatnonzero(radius < 1.0 - 0.5 / rings), np.arange(n))
         assert len(mesh.boundary_vertices) == 6 * rings
-        assert (mesh._interior_stiffness != mesh.stiffness[:n, :n]).nnz == 0
+        stiffness, _, _ = p1_matrices_per_triangle(mesh.vertices, mesh.triangles)
+        interior = stiffness[:n, :n].tocsr()
+        assert mesh.stiffness.shape == (n, n)
+        assert abs(mesh.stiffness - interior).max() <= 1e-14 * abs(interior).max()
         digest = hashlib.sha256(mesh.triangles.astype("<i8").tobytes()).hexdigest()
         assert digest == self.TRIANGLES_SHA256[rings]
 
@@ -145,7 +148,8 @@ class TestStiffness:
 
     def test_positive_definite_on_interior(self, disk64, rng):
         n = disk64.n_interior
-        kii = disk64.stiffness[:n, :n]
+        kii = disk64.stiffness
+        assert kii.shape == (n, n)
         for _ in range(5):
             x = rng.standard_normal(n)
             assert x @ (kii @ x) > 0.0
@@ -163,8 +167,7 @@ class TestStiffness:
         stiffness, mass, load = p1_matrices_per_triangle(mesh.vertices, mesh.triangles)
         n = mesh.n_interior
         interior = stiffness[:n, :n].tocsr()
-        for got, ref in ((mesh.stiffness, stiffness), (mesh.mass, mass),
-                         (mesh._interior_stiffness, interior)):
+        for got, ref in ((mesh.stiffness, interior), (mesh.mass, mass)):
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
             assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
@@ -256,7 +259,8 @@ class TestTorsion:
 
     def test_discrete_energy_identity(self, torsion64):
         u, _ = torsion64
-        dir_energy = u.values @ (u.mesh.stiffness @ u.values)
+        x = u.values[:u.mesh.n_interior]  # the field vanishes on the boundary
+        dir_energy = x @ (u.mesh.stiffness @ x)
         mass = fem.integral(u)
         assert abs(0.5 * dir_energy - mass - (-0.5 * mass)) < 1e-8 * abs(mass)
 
@@ -320,7 +324,7 @@ class TestPoincareSobolev:
             d = make()
             mesh = fem.polar_mesh(d, 16)
             n = mesh.n_interior
-            exact = scipy.linalg.eigh(mesh._interior_stiffness.toarray(),
+            exact = scipy.linalg.eigh(mesh.stiffness.toarray(),
                                       mesh.mass[:n, :n].toarray(), eigvals_only=True,
                                       subset_by_index=[0, 0])[0]
             own, _ = fem.poincare_sobolev(mesh, 2.0)
@@ -454,7 +458,7 @@ class TestVCycle:
         mesh, vcycle = vcycle_chain(VCYCLE_DOMAINS[request.param](), 16)
         n = mesh.n_interior
         b = np.column_stack([vcycle.solve(e) for e in np.eye(n)])
-        return mesh._interior_stiffness.toarray(), b, vcycle
+        return mesh.stiffness.toarray(), b, vcycle
 
     def test_operator_is_symmetric_positive_definite(self, dense16):
         _, b, _ = dense16
@@ -511,7 +515,7 @@ class TestFactorize:
     @pytest.mark.parametrize("name", list(VCYCLE_DOMAINS))
     def test_dense_inverse_is_spd_and_matches_superlu(self, name, rings, rng):
         mesh = fem.polar_mesh(VCYCLE_DOMAINS[name](), rings)
-        a = mesh._interior_stiffness
+        a = mesh.stiffness
         factor = mesh._interior_factor
         assert isinstance(factor, fem.DenseInverse)
         n = mesh.n_interior
@@ -529,7 +533,7 @@ class TestFactorize:
         factor = mesh._interior_factor
         assert type(factor).__name__ == "SuperLU"
         b = mesh.load[:mesh.n_interior]
-        residual = mesh._interior_stiffness @ factor.solve(b) - b
+        residual = mesh.stiffness @ factor.solve(b) - b
         assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(b))
 
 
@@ -569,10 +573,23 @@ class TestProlongation:
         single = np.diff(p.indptr) == 1
         assert np.all(p.data[p.indptr[:-1][single]] == 1.0)
         assert np.array_equal((p @ x)[single], x[p.indices[p.indptr[:-1][single]]])
-        assert p is fem.prolongation(16)
         for arr in (p.data, p.indices, p.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
+
+    @pytest.mark.parametrize("name", ["ellipse", "near-sphere"])
+    def test_interior_transfer_of_a_level_solution_is_its_prolongation(self, name):
+        # a level keeps the interior values of each q-solution and prolongs
+        # them by the interior columns of the prolongation: the start of the
+        # finer level is bit for bit the prolonged nodal field
+        d = ellipse(0.1) if name == "ellipse" else near_sphere()
+        level = Level(d, 32)
+        p, _ = fem._interior_transfer(32)
+        for q in (1.5, 2.0, 3.0):
+            level.lambda_q(q)
+            interior = level._solution(q)
+            field = fem._extend(level.mesh, interior)  # zero on the boundary
+            assert np.array_equal(p @ interior, fem.prolongation(32) @ field)
 
     def test_prolonged_eigenvector_is_within_h2(self):
         coarse, fine = fem.disk_mesh(64), fem.disk_mesh(128)
