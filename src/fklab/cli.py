@@ -49,10 +49,10 @@ class RunConfig:
     workers: int = 0  # 0 = all available cores
 
     def validate(self) -> "RunConfig":
-        if self.rings < 8 or self.rings % 2:
-            raise UsageError("mesh.rings must be even and >= 8")
-        if self.rings_fine != 2 * self.rings:
-            raise UsageError("mesh.rings_fine must be twice mesh.rings")
+        try:
+            stability._pair(self.rings, self.rings_fine)
+        except ValueError as exc:
+            raise UsageError(f"mesh.{exc}")
         if not (0.0 < self.eps_min < self.eps_max < 0.5):
             raise UsageError("sweep eps range must satisfy 0 < min < max < 0.5")
         if self.eps_count < 2:
@@ -231,25 +231,25 @@ def write_svg(path: str, xs, ys, xlabel: str, ylabel: str, title: str) -> None:
 def ball_reference(cfg: RunConfig) -> tuple[str, list[tuple]]:
     """Header line and unit-disk rows (name, exact, computed, err, tol);
     nan without a closed form."""
-    mesh = fem.disk_mesh(cfg.rings)
-    u, stats = fem.solve_torsion(mesh)
-    header = (f"unit-disk reference at rings={cfg.rings} "
-              f"(h = {mesh.h:.4f}, torsion residual = {stats.residual:.1e})")
-    energy = fem.energy_of(u)
-    lam, _ = fem.principal_eigenvalue(mesh)
+    level = stability.disk_data(cfg.rings)
+    level.torsion()  # solved here, so its statistics exist where the energy was prepared
+    header = (f"unit-disk reference at rings={cfg.rings} (h = {level.mesh.h:.4f}, "
+              f"torsion residual = {level.torsion_stats.residual:.1e})")
+    energy = level.energy()
+    lam = level.eigenvalue()
 
     rows = []
     e_exact = asymmetry.ball_energy(2)
     rows.append(("energy E(B_1)", e_exact, energy, abs(energy / e_exact - 1.0), 5e-3))
     rows.append(("eigenvalue lambda(B_1)", DISK_EIGENVALUE, lam,
                  abs(lam / DISK_EIGENVALUE - 1.0), 1e-2))
-    lam1, _ = fem.poincare_sobolev(mesh, 1.0)
+    lam1 = level.lambda_q(1.0)
     rows.append(("lambda_{2,1}(B_1)", 8.0 / math.pi, lam1,
                  abs(lam1 * math.pi / 8.0 - 1.0), 5e-3))
     for q in cfg.q_list:
         if q in (1.0, 2.0):
             continue
-        lq, _ = fem.poincare_sobolev(mesh, q)
+        lq = level.lambda_q(q)
         rows.append((f"lambda_{{2,{_qlabel(q)}}}(B_1)", math.nan, lq, math.nan, math.nan))
     # quadrature cross-check of the weighted ball mass
     nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -372,11 +372,10 @@ def cmd_flow_check(cfg: RunConfig, mode: int, amplitude: float,
 def cmd_mesh_dump(cfg: RunConfig, spec: str, rings: int | None,
                   field: str) -> int:
     _, _, dom = parse_domain_spec(spec)
-    mesh = fem.polar_mesh(dom, rings or cfg.rings)
-    sys.stdout.write(mesh.dump())
+    level = stability.Level(dom, rings or cfg.rings)
+    sys.stdout.write(level.mesh.dump())
     if field == "torsion":
-        u, _ = fem.solve_torsion(mesh)
-        for i, v in enumerate(u.values):
+        for i, v in enumerate(level.torsion().values):
             print(f"n {i} {float(v)!r}")
     elif field != "none":
         raise UsageError(f"unknown field {field!r}")

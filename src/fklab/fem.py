@@ -30,19 +30,19 @@ once.  The 2r-ring skeleton is the red refinement of the r-ring one:
 finer one's interior, and its interior columns, cached per ring count,
 carry interior values between the two levels.
 
-Every solver takes a ``precond``, any fixed SPD operator on the interior
-values with a ``solve`` method and a ``shape``: by default the mesh's own
-factorization of its interior stiffness, built on first use by
-:func:`factorize`, or a :class:`VCycle`, one symmetric multigrid V-cycle
-over the same domain's meshes at half, a quarter, ... of the ring count,
-down to a small mesh that is factored.  A mesh of fewer than
-``DENSE_RINGS`` rings, as every chain bottom is, has at most 127 interior
-unknowns and is factored densely by numpy; a larger one by
-symmetric-mode SuperLU, fklab's only use of scipy.sparse.linalg, which
-is imported then.  Torsion (-Laplace u = 1, u = 0 on the boundary) is
-one conjugate-gradient solve preconditioned by it; with the mesh's own
-factor that is a direct solve.  Every optimal
-Poincare-Sobolev constant lambda_q comes from one normalized
+Every solver requires a ``precond``, any fixed SPD operator on the
+interior values with a ``solve`` method and a ``shape``, which
+``stability.Level`` chooses for every (domain, rings) problem: a
+:class:`VCycle`, one symmetric multigrid V-cycle over the same domain's
+meshes at half, a quarter, ... of the ring count, down to a small mesh
+that is factored, or a factorization by :func:`factorize`.  A mesh of
+fewer than ``DENSE_RINGS`` rings, as every chain bottom is at the
+default ring counts, has at most 127 interior unknowns and is factored
+densely by numpy; a larger one by symmetric-mode SuperLU, fklab's only
+use of scipy.sparse.linalg, which is imported then.  Torsion (-Laplace
+u = 1, u = 0 on the boundary) is one conjugate-gradient solve
+preconditioned by it; with a factorization that is a direct solve.
+Every optimal Poincare-Sobolev constant lambda_q comes from one normalized
 preconditioned gradient descent with backtracking line search, a
 Sobolev-gradient descent in the inner product of the preconditioner (J.
 W. Neuberger, Sobolev Gradients and Differential Equations).  The
@@ -51,8 +51,8 @@ the midpoint rule is exactly the mass quadratic form.  The descent
 returns its solution field with the value and takes an optional
 ``start``, first smoothed by damped Jacobi sweeps, which cost no solve;
 started from the prolonged solution at half the ring count (nested
-iteration), it takes 2-3 solves at rings 128, by the mesh's own factor
-or by the V-cycle.  The stopping tolerances are the module constants
+iteration), it takes 2-3 solves at rings 128, by a factorization or by
+the V-cycle.  The stopping tolerances are the module constants
 below, the defaults of each solver's ``tol`` argument; nothing sets them
 process-wide.  The solvers' inner products and norms of nodal vectors
 are summed by numpy, not by BLAS, so no value depends on the BLAS thread
@@ -73,9 +73,9 @@ from .geometry import triangles_disk_area
 
 # bound on the torsion solve's true relative residual; preconditioned CG
 # iterates until its recursive residual is below DEFAULT_CG_TOL / 10.  A
-# solve by the mesh's own factor reaches 8e-14, 3.3e-13, 1.3e-12 and
-# 5.4e-12 at rings 32/64/128/256, so it stops after one step, and one by
-# the V-cycle takes 10-19 steps at rings 128
+# solve preconditioned by the mesh's factorization reaches 8e-14, 3.3e-13,
+# 1.3e-12 and 5.4e-12 at rings 32/64/128/256, so it stops after one step,
+# and one by the V-cycle takes 10-19 steps at rings 128
 DEFAULT_CG_TOL = 1e-10
 DEFAULT_DESCENT_TOL = 1e-8
 DEFAULT_Q_MAX = 4.0
@@ -394,11 +394,6 @@ class TriMesh:
         """The diagonal of the interior stiffness."""
         return self.stiffness.diagonal()
 
-    @cached_property
-    def _interior_factor(self):
-        # the mesh's only factorization
-        return factorize(self.stiffness, self.skeleton.rings)
-
     def dump(self) -> str:
         """Text dump: ``v x y`` / ``t i j k`` / ``b i`` lines."""
         lines = [f"v {float(x)!r} {float(y)!r}" for x, y in self.vertices]
@@ -534,9 +529,7 @@ class VCycle:
 def _preconditioner(mesh: TriMesh, precond):
     """``precond``, any fixed SPD operator on the mesh's interior values
     with a ``solve`` method and a ``shape``, such as a factorization or a
-    :class:`VCycle`, or by default the mesh's own factorization."""
-    if precond is None:
-        return mesh._interior_factor
+    :class:`VCycle`, checked against the mesh."""
     shape = (mesh.n_interior, mesh.n_interior)
     if precond.shape != shape:
         raise ValueError(f"preconditioner of shape {precond.shape} does not match "
@@ -544,13 +537,13 @@ def _preconditioner(mesh: TriMesh, precond):
     return precond
 
 
-def solve_torsion(mesh: TriMesh, tol: float = DEFAULT_CG_TOL, precond=None,
+def solve_torsion(mesh: TriMesh, *, precond, tol: float = DEFAULT_CG_TOL,
                   max_iter: int = 100) -> tuple[ScalarField, SolveStats]:
     """Solve -Laplace u = 1 with zero boundary values by conjugate
     gradients preconditioned with ``precond``, any fixed SPD operator with
-    ``solve`` and ``shape`` (default: the mesh's own factorization, so the
-    start is the direct solve).  The start is ``precond.solve(b)``; CG iterates until
-    the recursive relative residual is at most ``tol / 10``, and a true
+    ``solve`` and ``shape`` (with a factorization the start is the direct
+    solve).  The start is ``precond.solve(b)``; CG iterates until the
+    recursive relative residual is at most ``tol / 10``, and a true
     relative residual above ``tol`` raises.  ``SolveStats.iterations``
     counts the preconditioner solves."""
     a = mesh.stiffness
@@ -633,30 +626,30 @@ def _smoothed(mesh: TriMesh, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x
 
 
-def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
-                     q_max: float = DEFAULT_Q_MAX, max_iter: int = 500,
-                     start=None, precond=None) -> tuple[float, ScalarField]:
+def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
+                     tol: float = DEFAULT_DESCENT_TOL, max_iter: int = 500,
+                     start=None) -> tuple[float, ScalarField]:
     """Optimal constant of the embedding into L^q: min of the Dirichlet
     integral over Dirichlet fields with unit L^q norm, and the minimizer
     found (unit L^q norm).  For q = 2 the midpoint rule is exact, so the
     constant is the principal eigenvalue of K x = lambda M x and the
-    minimizer its M-unit eigenvector.
+    minimizer its M-unit eigenvector.  ``q`` lies in [1, DEFAULT_Q_MAX].
 
     Preconditioned gradient descent on the Rayleigh quotient R(u) =
     u.Ku / |u|_q^2 from the interior values ``start`` (default: P applied
     to the load vector), smoothed and scaled to unit norm: step against
     P(K u - R(u) grad |u|_q) with backtracking, P ``precond``, any fixed
-    SPD operator with ``solve`` and ``shape`` (default: the mesh's own
-    factorization, which makes it a descent in the energy inner product), and stop once R
-    decreases by less than ``tol`` in relative terms.  A line search that
-    finds no decrease raises ``SolverError`` unless the direction's energy
+    SPD operator with ``solve`` and ``shape`` (a factorization makes it a
+    descent in the energy inner product), and stop once R decreases by
+    less than ``tol`` in relative terms.  A line search that finds no
+    decrease raises ``SolverError`` unless the direction's energy
     norm over sqrt(R) is at most ``tol``, i.e. the iterate is already
     critical; so does reaching ``max_iter`` iterations, with the last
     relative decrease.
     """
     q = float(q)
-    if not 1.0 <= q <= q_max:
-        raise ValueError(f"exponent q={q} outside the supported range [1, {q_max}]")
+    if not 1.0 <= q <= DEFAULT_Q_MAX:
+        raise ValueError(f"exponent q={q} outside the supported range [1, {DEFAULT_Q_MAX}]")
     n = mesh.n_interior
     k = mesh.stiffness
     precond = _preconditioner(mesh, precond)
@@ -705,10 +698,10 @@ def poincare_sobolev(mesh: TriMesh, q: float, tol: float = DEFAULT_DESCENT_TOL,
                       f"last relative drop {drop:.3g} > {tol:.3g}")
 
 
-def principal_eigenvalue(mesh: TriMesh, **kwargs) -> tuple[float, ScalarField]:
+def principal_eigenvalue(mesh: TriMesh, *, precond, **kwargs) -> tuple[float, ScalarField]:
     """Smallest Dirichlet eigenvalue and its M-unit eigenvector: the q = 2
     constant of :func:`poincare_sobolev`, which takes the same keywords."""
-    return poincare_sobolev(mesh, 2.0, **kwargs)
+    return poincare_sobolev(mesh, 2.0, precond=precond, **kwargs)
 
 
 def tail_sup(u: ScalarField, ball_radius: float) -> tuple[float, float]:

@@ -54,6 +54,8 @@ DEFAULT_RINGS = 64
 DEFAULT_RINGS_FINE = 128
 RATIO_ASYMMETRY_FLOOR = 1e-3
 ORDER_BAND = (1.6, 2.4)
+# sup-norm range drawn for the random near-spheres of sweeps and `verify fuglede`
+NEAR_SPHERE_SUP = (0.015, 0.047)
 
 
 # -- per-level functionals ------------------------------------------------
@@ -96,6 +98,7 @@ class Level:
         self.volume = volume(d)
         self._coarse = coarse
         self._energy: float | None = None
+        self.torsion_stats: fem.SolveStats | None = None
         self._lq: dict[float, float] = {}
         self._solutions: dict[float, np.ndarray] = {}
 
@@ -113,10 +116,10 @@ class Level:
     @cached_property
     def precond(self):
         """The V-cycle over the coarse chain at a nested ring count, the
-        mesh's own factorization (``fem.factorize``) otherwise."""
+        mesh's interior stiffness factored by ``fem.factorize`` otherwise."""
         if nested(self.rings):
             return fem.VCycle(self.mesh, self.rings, self.coarse.precond)
-        return self.mesh._interior_factor
+        return fem.factorize(self.mesh.stiffness, self.rings)
 
     def release(self) -> None:
         """Drop the mesh, ``precond`` and the q-solutions, keeping every
@@ -131,10 +134,16 @@ class Level:
         except fem.SolverError as exc:
             raise fem.SolverError(f"rings {self.rings}: {exc}") from exc
 
+    def torsion(self) -> fem.ScalarField:
+        """The torsion field, solved on each call and not kept; the energy
+        and the solve's ``torsion_stats`` are kept."""
+        u, self.torsion_stats = self._solve(fem.solve_torsion)
+        self._energy = fem.energy_of(u)
+        return u
+
     def energy(self) -> float:
         if self._energy is None:
-            u, _ = self._solve(fem.solve_torsion)
-            self._energy = fem.energy_of(u)
+            self.torsion()
         return self._energy
 
     def eigenvalue(self) -> float:
@@ -428,8 +437,6 @@ class SweepSpec:
     eps_values: tuple = tuple(np.round(np.linspace(0.02, 0.2, 8), 6))
     random_count: int = 52
     seed: int = 7
-    sup_min: float = 0.015
-    sup_max: float = 0.047
     q_list: tuple = (1.5, 2.0, 3.0)
     rings: int = DEFAULT_RINGS
     rings_fine: int = DEFAULT_RINGS_FINE
@@ -485,7 +492,7 @@ def build_family(spec: SweepSpec) -> list[tuple[str, str, float, StarDomain]]:
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.random_count)
     for i, ss in enumerate(seeds):
         rng = np.random.default_rng(ss)
-        sup = rng.uniform(spec.sup_min, spec.sup_max)
+        sup = rng.uniform(*NEAR_SPHERE_SUP)
         profile = random_near_sphere_profile(rng, sup)
         members.append((f"random-{i}", "random", float(i),
                         StarDomain((0.0, 0.0), profile)))

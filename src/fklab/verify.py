@@ -94,7 +94,7 @@ def suite_fuglede(cfg) -> list[Check]:
     sups, margins = [], []
     for ss in np.random.SeedSequence(cfg.seed).spawn(count):
         rng = np.random.default_rng(ss)
-        p = stability.random_near_sphere_profile(rng, rng.uniform(0.015, 0.047))
+        p = stability.random_near_sphere_profile(rng, rng.uniform(*stability.NEAR_SPHERE_SUP))
         sups.append(p.grid_sup())
         margins.append(stability.fuglede_margin(p, cfg.rings, cfg.rings_fine))
     return [_check(f"sup norm <= 0.05 on {count} seeded profiles", max(sups) <= 0.05,
@@ -292,17 +292,13 @@ def _spike_profile(amplitude: float, width: float) -> BoundaryProfile:
 
 def suite_tail_sup(cfg) -> list[Check]:
     out = []
-    mesh = fem.disk_mesh(cfg.rings)
-    u, _ = fem.solve_torsion(mesh)
-    sup, meas = fem.tail_sup(u, 1.0)
+    sup, meas = fem.tail_sup(stability.disk_data(cfg.rings).torsion(), 1.0)
     out.append(_check("disk tail at R=1", sup == 0.0 and meas <= 1e-12,
                       f"sup {sup:.2e}, measure {meas:.2e}"))
     ratios = []
     for amp, width in ((1.3, 0.22), (1.5, 0.18), (1.7, 0.15)):
         p = _spike_profile(amp, width)
-        d = StarDomain((0.0, 0.0), p)
-        mesh = fem.polar_mesh(d, cfg.rings)
-        u, _ = fem.solve_torsion(mesh)
+        u = stability.Level(StarDomain((0.0, 0.0), p), cfg.rings).torsion()
         sup, meas = fem.tail_sup(u, 1.2)
         if meas > 0.0:
             ratios.append(sup / math.sqrt(meas))

@@ -1,6 +1,7 @@
 import os
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,21 @@ def random_profile(rng, kmax=16, zero_mean=False, scale=1.0):
     sin = rng.standard_normal(k) * scale
     a0 = 0.0 if zero_mean else float(rng.standard_normal()) * scale
     return BoundaryProfile(a0, cos, sin)
+
+
+_DIRECT = weakref.WeakKeyDictionary()
+
+
+def direct(mesh):
+    """The factorization of a mesh's interior stiffness by
+    ``fem.factorize``: as the ``precond`` of a solver it makes the first
+    solve a direct one, the reference that the tests compare the
+    V-cycle solves of ``stability.Level`` with.  Built once per mesh."""
+    from fklab import fem
+
+    if mesh not in _DIRECT:
+        _DIRECT[mesh] = fem.factorize(mesh.stiffness, mesh.skeleton.rings)
+    return _DIRECT[mesh]
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,8 @@ import pytest
 
 import fklab
 from fklab import fem, stability, verify
-from fklab.cli import (_CONFIG_KEYS, DISK_EIGENVALUE, RunConfig, UsageError, csv_header,
-                       csv_row, load_config, main, parse_domain_spec)
+from fklab.cli import (_CONFIG_KEYS, DISK_EIGENVALUE, RunConfig, UsageError, ball_reference,
+                       csv_header, csv_row, load_config, main, parse_domain_spec)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -280,6 +280,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "energy E(B_1)" in out and "beta_2" in out
 
+    def test_ball_reference_prints_the_deficit_references(self):
+        # the disk values every deficit at rings 16 subtracts, bit for bit,
+        # prepared and released as a sweep prepares them
+        q_list = (1.5, 2.0, 3.0)
+        stability.prepare_disk_references((16,), q_list)
+        level = stability.disk_data(16)
+        expected = {"energy E(B_1)": level.energy(),
+                    "eigenvalue lambda(B_1)": level.eigenvalue(),
+                    "lambda_{2,1}(B_1)": level.lambda_q(1.0),
+                    "lambda_{2,1.5}(B_1)": level.lambda_q(1.5),
+                    "lambda_{2,3}(B_1)": level.lambda_q(3.0)}
+        header, rows = ball_reference(RunConfig(rings=16, rings_fine=32, q_list=q_list))
+        got = {name: value for name, _, value, _, _ in rows if name != "beta_2"}
+        assert got == expected
+        assert f"torsion residual = {level.torsion_stats.residual:.1e}" in header
+        assert level.torsion_stats.residual <= fem.DEFAULT_CG_TOL
+
     def test_full_precision_output(self, capsys):
         main(["--rings", "16", "--rings-fine", "32",
               "deficit", "ellipse:0.1", "--q", "2"])
@@ -343,6 +360,25 @@ class TestImports:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_single_domain_commands_without_scipy_sparse_linalg(self):
+        # each solves through its level's V-cycle chain, whose dense
+        # bottom at rings 4 is its only factorization
+        src = os.path.dirname(os.path.dirname(fklab.__file__))
+        commands = [["ball-reference"], ["verify", "tail-sup"],
+                    ["mesh-dump", "ellipse:0.1", "--field", "torsion"]]
+        code = ("import contextlib, io, sys\n"
+                "from fklab.cli import main\n"
+                f"for args in {commands!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = main(args)\n"
+                "    print(args[0], code, sorted(m for m in sys.modules\n"
+                "                                if m.startswith('scipy.sparse.linalg')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "ball-reference 0 []", "verify 0 []", "mesh-dump 0 []"]
 
     def test_disk_eigenvalue_is_j01_squared(self):
         import mpmath

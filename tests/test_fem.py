@@ -12,6 +12,7 @@ from fklab.domain import (StarDomain, barycenter, ellipse, unit_disk, volume,
                           volume_corrected_profile)
 from fklab.stability import Level, random_near_sphere_profile
 
+from conftest import direct
 from oracles import (disk_eigenvalue_shooting, disk_lambda_q_radial,
                      lq_midpoint_per_triangle, p1_matrices_per_triangle)
 
@@ -25,7 +26,7 @@ def disk64():
 
 @pytest.fixture(scope="module")
 def torsion64(disk64):
-    return fem.solve_torsion(disk64)
+    return fem.solve_torsion(disk64, precond=direct(disk64))
 
 
 class TestPolarMesh:
@@ -173,7 +174,7 @@ class TestStiffness:
             assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
         assert np.max(np.abs(mesh.load - load)) <= 1e-14 * np.max(load)
         if rings >= 8:  # a rings-4 mesh has no half-ring level to build a V-cycle on
-            coarse = fem.polar_mesh(d, rings // 2)._interior_factor
+            coarse = direct(fem.polar_mesh(d, rings // 2))
             weight = fem.VCycle(mesh, rings, coarse).weight
             assert abs(weight - gershgorin_weight(interior)) <= 1e-14 * weight
 
@@ -245,7 +246,8 @@ class TestTorsion:
     def test_rms_error_order(self):
         errs = []
         for rings in (16, 32, 64):
-            u, _ = fem.solve_torsion(fem.disk_mesh(rings))
+            mesh = fem.disk_mesh(rings)
+            u, _ = fem.solve_torsion(mesh, precond=direct(mesh))
             r = np.hypot(u.mesh.vertices[:, 0], u.mesh.vertices[:, 1])
             errs.append(math.sqrt(np.mean((u.values - (1 - r ** 2) / 4) ** 2)))
         assert errs[0] / errs[1] > 3.0
@@ -254,7 +256,8 @@ class TestTorsion:
     def test_nonnegative(self):
         for d in (unit_disk(), ellipse(0.2),
                   StarDomain((0, 0), volume_corrected_profile(4, 0.1))):
-            u, _ = fem.solve_torsion(fem.polar_mesh(d, 24))
+            mesh = fem.polar_mesh(d, 24)
+            u, _ = fem.solve_torsion(mesh, precond=direct(mesh))
             assert u.values.min() >= 0.0
 
     def test_discrete_energy_identity(self, torsion64):
@@ -271,15 +274,17 @@ class TestEnergy:
         assert abs(fem.energy_of(u) / (-PI / 16) - 1.0) < 5e-3
 
     def test_dilation_scaling(self):
-        u, _ = fem.solve_torsion(fem.polar_mesh(unit_disk(2.0), 32))
-        u1, _ = fem.solve_torsion(fem.disk_mesh(32))
+        big, unit = fem.polar_mesh(unit_disk(2.0), 32), fem.disk_mesh(32)
+        u, _ = fem.solve_torsion(big, precond=direct(big))
+        u1, _ = fem.solve_torsion(unit, precond=direct(unit))
         assert fem.energy_of(u) == pytest.approx(16 * fem.energy_of(u1),
                                                  rel=1e-12)
 
     def test_refinement_decreases_energy(self):
         vals = []
         for rings in (8, 16, 32, 64):
-            u, _ = fem.solve_torsion(fem.disk_mesh(rings))
+            mesh = fem.disk_mesh(rings)
+            u, _ = fem.solve_torsion(mesh, precond=direct(mesh))
             vals.append(fem.energy_of(u))
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert all(v > -PI / 16 for v in vals)
@@ -287,23 +292,24 @@ class TestEnergy:
 
 class TestEigenvalue:
     def test_disk_against_shooting_oracle(self, disk64):
-        lam, _ = fem.principal_eigenvalue(disk64)
+        lam, _ = fem.principal_eigenvalue(disk64, precond=direct(disk64))
         oracle = disk_eigenvalue_shooting()
         assert oracle == pytest.approx(5.783185962946785, rel=1e-10)
         assert abs(lam / oracle - 1.0) < 1e-2
 
     def test_dilation_scaling(self):
-        lam2, _ = fem.principal_eigenvalue(fem.polar_mesh(unit_disk(2.0), 32))
-        lam1, _ = fem.principal_eigenvalue(fem.disk_mesh(32))
+        big, unit = fem.polar_mesh(unit_disk(2.0), 32), fem.disk_mesh(32)
+        lam2, _ = fem.principal_eigenvalue(big, precond=direct(big))
+        lam1, _ = fem.principal_eigenvalue(unit, precond=direct(unit))
         assert lam2 == pytest.approx(lam1 / 4, rel=1e-10)
 
     def test_eigenfield_one_sign(self, disk64):
-        _, field = fem.principal_eigenvalue(disk64)
+        _, field = fem.principal_eigenvalue(disk64, precond=direct(disk64))
         assert field.values.min() >= -1e-12 * field.values.max()
 
     def test_refinement_decreases_lambda(self):
-        vals = [fem.principal_eigenvalue(fem.disk_mesh(r))[0]
-                for r in (8, 16, 32, 64)]
+        meshes = [fem.disk_mesh(r) for r in (8, 16, 32, 64)]
+        vals = [fem.principal_eigenvalue(m, precond=direct(m))[0] for m in meshes]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert all(v > 5.783185962946785 for v in vals)
 
@@ -311,7 +317,7 @@ class TestEigenvalue:
 class TestPoincareSobolev:
     def test_q1_matches_torsion_identity(self, disk64, torsion64):
         u, _ = torsion64
-        lam1, _ = fem.poincare_sobolev(disk64, 1.0)
+        lam1, _ = fem.poincare_sobolev(disk64, 1.0, precond=direct(disk64))
         assert abs(lam1 * PI / 8 - 1.0) < 5e-3
         # the discrete identity lambda_1 = 1 / (b' K^-1 b): the q = 1 rule is
         # exact for the one-sign minimizer
@@ -327,17 +333,17 @@ class TestPoincareSobolev:
             exact = scipy.linalg.eigh(mesh.stiffness.toarray(),
                                       mesh.mass[:n, :n].toarray(), eigvals_only=True,
                                       subset_by_index=[0, 0])[0]
-            own, _ = fem.poincare_sobolev(mesh, 2.0)
+            own, _ = fem.poincare_sobolev(mesh, 2.0, precond=direct(mesh))
             assert abs(own / exact - 1.0) <= 1e-9
             assert abs(Level(d, 16).lambda_q(2.0) / exact - 1.0) <= 1e-9
 
     def test_q15_matches_radial_oracle(self, disk64):
-        lam, _ = fem.poincare_sobolev(disk64, 1.5)
+        lam, _ = fem.poincare_sobolev(disk64, 1.5, precond=direct(disk64))
         oracle = disk_lambda_q_radial(1.5)
         assert abs(lam / oracle - 1.0) < 5e-3
 
     def test_q3_matches_radial_oracle(self, disk64):
-        lam, _ = fem.poincare_sobolev(disk64, 3.0)
+        lam, _ = fem.poincare_sobolev(disk64, 3.0, precond=direct(disk64))
         oracle = disk_lambda_q_radial(3.0)
         assert abs(lam / oracle - 1.0) < 5e-3
 
@@ -354,13 +360,13 @@ class TestPoincareSobolev:
 
         monkeypatch.setattr(fem, "lq_integral", shrunk)
         with pytest.raises(fem.SolverError, match=r"L\^1.5 .* at iteration 0"):
-            fem.poincare_sobolev(disk64, 1.5)
+            fem.poincare_sobolev(disk64, 1.5, precond=direct(disk64))
 
     def test_q_range_validated(self, disk64):
         with pytest.raises(ValueError):
-            fem.poincare_sobolev(disk64, 0.5)
+            fem.poincare_sobolev(disk64, 0.5, precond=direct(disk64))
         with pytest.raises(ValueError):
-            fem.poincare_sobolev(disk64, 5.0)
+            fem.poincare_sobolev(disk64, 5.0, precond=direct(disk64))
 
 
 class TestTailSup:
@@ -374,7 +380,8 @@ class TestTailSup:
         # volume-pi mode-1 domain reaching radius ~1.5: nothing beyond
         # B_{2.2}, but positive measure outside B_{1.2}
         d = StarDomain((0, 0), volume_corrected_profile(1, 0.6))
-        u, _ = fem.solve_torsion(fem.polar_mesh(d, 48))
+        mesh = fem.polar_mesh(d, 48)
+        u, _ = fem.solve_torsion(mesh, precond=direct(mesh))
         sup, measure = fem.tail_sup(u, 1.2)
         assert sup == 0.0
         assert measure > 0.05
@@ -388,17 +395,18 @@ class TestTailSup:
 class TestDirectTorsion:
     def test_residual_above_tolerance_raises(self, disk64):
         with pytest.raises(fem.SolverError):
-            fem.solve_torsion(disk64, tol=1e-30)
+            fem.solve_torsion(disk64, precond=direct(disk64), tol=1e-30)
 
-    def test_default_solve_meets_tolerance(self, disk64):
-        _, stats = fem.solve_torsion(disk64)
+    def test_direct_solve_meets_tolerance(self, disk64):
+        _, stats = fem.solve_torsion(disk64, precond=direct(disk64))
         assert stats.iterations == 1
         assert stats.residual <= fem.DEFAULT_CG_TOL
 
     def test_own_factor_is_one_solve_at_rings_128(self):
         # the direct solve's relative residual, 1.3e-12, lies above the
         # rounding of smaller meshes but below the stop DEFAULT_CG_TOL / 10
-        _, stats = fem.solve_torsion(fem.disk_mesh(128))
+        mesh = fem.disk_mesh(128)
+        _, stats = fem.solve_torsion(mesh, precond=direct(mesh))
         assert stats.iterations == 1
         assert 1e-12 < stats.residual <= fem.DEFAULT_CG_TOL
 
@@ -411,28 +419,35 @@ def near_sphere():
 class TestPreconditionedTorsion:
     @pytest.mark.parametrize("rings", [32, 64])
     @pytest.mark.parametrize("name", ["ellipse", "near-sphere"])
-    def test_disk_preconditioner_matches_direct_solve(self, name, rings):
+    def test_disk_preconditioner_matches_direct_solve(self, name, rings, monkeypatch):
         d = ellipse(0.2) if name == "ellipse" else near_sphere()
         mesh = fem.polar_mesh(d, rings)
-        u, stats = fem.solve_torsion(
-            mesh, precond=fem.disk_mesh(rings)._interior_factor)
-        assert "_interior_factor" not in vars(mesh)  # no factorization built
+        disk = direct(fem.disk_mesh(rings))
+        factorize, calls = fem.factorize, []
+
+        def counted(*args):
+            calls.append(args)
+            return factorize(*args)
+
+        monkeypatch.setattr(fem, "factorize", counted)
+        u, stats = fem.solve_torsion(mesh, precond=disk)
+        monkeypatch.undo()
+        assert len(calls) == 0  # no factorization built
         assert 1 < stats.iterations <= 20
         assert stats.residual <= fem.DEFAULT_CG_TOL
-        direct = mesh._interior_factor.solve(mesh.load[:mesh.n_interior])
-        e_direct = -0.5 * float(mesh.load[:mesh.n_interior] @ direct)
+        x = direct(mesh).solve(mesh.load[:mesh.n_interior])
+        e_direct = -0.5 * float(mesh.load[:mesh.n_interior] @ x)
         assert abs(fem.energy_of(u) / e_direct - 1.0) <= 1e-13
 
     def test_wrong_size_preconditioner_rejected(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
         with pytest.raises(ValueError, match="preconditioner"):
-            fem.solve_torsion(mesh, precond=fem.disk_mesh(8)._interior_factor)
+            fem.solve_torsion(mesh, precond=direct(fem.disk_mesh(8)))
 
     def test_unreachable_tolerance_raises_with_iterations(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
         with pytest.raises(fem.SolverError, match=r"iterations.*residual"):
-            fem.solve_torsion(mesh, tol=1e-30,
-                              precond=fem.disk_mesh(16)._interior_factor)
+            fem.solve_torsion(mesh, tol=1e-30, precond=direct(fem.disk_mesh(16)))
 
 
 def vcycle_chain(d, rings):
@@ -440,7 +455,7 @@ def vcycle_chain(d, rings):
     d at rings / 2, rings / 4, ... down to rings 4, which is factored."""
     mesh = fem.polar_mesh(d, rings)
     if rings == 4:
-        return mesh, mesh._interior_factor
+        return mesh, direct(mesh)
     return mesh, fem.VCycle(mesh, rings, vcycle_chain(d, rings // 2)[1])
 
 
@@ -492,13 +507,13 @@ class TestVCycle:
         u, stats = fem.solve_torsion(mesh, precond=vcycle)
         assert stats.iterations <= bound
         assert stats.residual <= fem.DEFAULT_CG_TOL
-        direct = fem.energy_of(fem.solve_torsion(mesh)[0])
-        assert abs(fem.energy_of(u) / direct - 1.0) <= 1e-13
+        e_direct = fem.energy_of(fem.solve_torsion(mesh, precond=direct(mesh))[0])
+        assert abs(fem.energy_of(u) / e_direct - 1.0) <= 1e-13
 
     def test_coarse_operator_must_match(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
         with pytest.raises(ValueError, match="coarse operator"):
-            fem.VCycle(mesh, 16, fem.disk_mesh(4)._interior_factor)
+            fem.VCycle(mesh, 16, direct(fem.disk_mesh(4)))
 
     def test_transfer_is_cached_read_only(self):
         p, r = fem._interior_transfer(8)
@@ -516,7 +531,7 @@ class TestFactorize:
     def test_dense_inverse_is_spd_and_matches_superlu(self, name, rings, rng):
         mesh = fem.polar_mesh(VCYCLE_DOMAINS[name](), rings)
         a = mesh.stiffness
-        factor = mesh._interior_factor
+        factor = fem.factorize(a, rings)
         assert isinstance(factor, fem.DenseInverse)
         n = mesh.n_interior
         dense = np.column_stack([factor.solve(e) for e in np.eye(n)])
@@ -530,7 +545,7 @@ class TestFactorize:
 
     def test_superlu_from_eight_rings(self):
         mesh = fem.polar_mesh(ellipse(0.2), fem.DENSE_RINGS)
-        factor = mesh._interior_factor
+        factor = fem.factorize(mesh.stiffness, fem.DENSE_RINGS)
         assert type(factor).__name__ == "SuperLU"
         b = mesh.load[:mesh.n_interior]
         residual = mesh.stiffness @ factor.solve(b) - b
@@ -593,8 +608,8 @@ class TestProlongation:
 
     def test_prolonged_eigenvector_is_within_h2(self):
         coarse, fine = fem.disk_mesh(64), fem.disk_mesh(128)
-        _, u_coarse = fem.principal_eigenvalue(coarse)
-        _, u_fine = fem.principal_eigenvalue(fine)
+        _, u_coarse = fem.principal_eigenvalue(coarse, precond=direct(coarse))
+        _, u_fine = fem.principal_eigenvalue(fine, precond=direct(fine))
         n = fine.n_interior
         m = fine.mass[:n, :n]
         start = fem.prolongation(64) @ u_coarse.values
@@ -637,7 +652,8 @@ def prolonged_starts(request):
     d = AGREEMENT_DOMAINS[request.param]()
     coarse = fem.polar_mesh(d, 64)
     fine, vcycle = vcycle_chain(d, 128)
-    return fine, vcycle, {q: fem.prolongation(64) @ fem.poincare_sobolev(coarse, q)[1].values
+    return fine, vcycle, {q: fem.prolongation(64)
+                          @ fem.poincare_sobolev(coarse, q, precond=direct(coarse))[1].values
                           for q in (1.5, 2.0, 3.0)}
 
 
@@ -645,9 +661,9 @@ class TestSolverStart:
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_prolonged_start_takes_at_most_three_solves(self, nested_pair, q):
         coarse, fine = nested_pair
-        _, u_coarse = fem.poincare_sobolev(coarse, q)
-        cold, _ = fem.poincare_sobolev(fine, q)
-        factor = CountingFactor(fine._interior_factor)
+        _, u_coarse = fem.poincare_sobolev(coarse, q, precond=direct(coarse))
+        cold, _ = fem.poincare_sobolev(fine, q, precond=direct(fine))
+        factor = CountingFactor(direct(fine))
         warm, u_warm = fem.poincare_sobolev(
             fine, q, start=fem.prolongation(64) @ u_coarse.values, precond=factor)
         assert factor.solves <= 3
@@ -662,7 +678,7 @@ class TestSolverStart:
         # most 3 V-cycles from the prolonged start, and the value of the
         # solve by the domain's own factor within 1e-9
         fine, vcycle, starts = prolonged_starts
-        own, _ = fem.poincare_sobolev(fine, q, start=starts[q])
+        own, _ = fem.poincare_sobolev(fine, q, start=starts[q], precond=direct(fine))
         counted = CountingFactor(vcycle)
         chained, u = fem.poincare_sobolev(fine, q, start=starts[q], precond=counted)
         assert counted.solves <= 3
@@ -671,9 +687,10 @@ class TestSolverStart:
 
     def test_start_is_interior_values(self, disk64):
         with pytest.raises(ValueError, match="start"):
-            fem.principal_eigenvalue(disk64, start=np.ones(disk64.n_vertices))
+            fem.principal_eigenvalue(disk64, start=np.ones(disk64.n_vertices),
+                                     precond=direct(disk64))
         with pytest.raises(ValueError, match="start"):
-            fem.poincare_sobolev(disk64, 3.0, start=np.ones(3))
+            fem.poincare_sobolev(disk64, 3.0, start=np.ones(3), precond=direct(disk64))
 
 
 class FixedDirection:
@@ -689,7 +706,7 @@ class FixedDirection:
 class TestSolverEvidence:
     def test_wrong_size_preconditioner_rejected(self):
         mesh = fem.polar_mesh(ellipse(0.1), 128)
-        factor = fem.disk_mesh(64)._interior_factor
+        factor = direct(fem.disk_mesh(64))
         with pytest.raises(ValueError, match="preconditioner"):
             fem.principal_eigenvalue(mesh, precond=factor)
         with pytest.raises(ValueError, match="preconditioner"):
@@ -701,7 +718,7 @@ class TestSolverEvidence:
             with pytest.raises(fem.SolverError,
                                match=rf"L\^{q} descent did not converge in 1 iterations: "
                                      r"last relative drop \S+ > 1e-08$"):
-                fem.poincare_sobolev(mesh, q, max_iter=1)
+                fem.poincare_sobolev(mesh, q, max_iter=1, precond=direct(mesh))
 
     def test_non_finite_preconditioner_raises(self):
         mesh = fem.polar_mesh(ellipse(0.2), 16)

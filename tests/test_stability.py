@@ -1,7 +1,10 @@
+import ast
 import functools
+import inspect
 import math
 import multiprocessing
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from fklab import stability as st
 from fklab.circle import BoundaryProfile, h_half_norm_sq
 from fklab.domain import (StarDomain, ellipse, unit_disk, volume,
                           volume_corrected_profile)
+
+from conftest import direct
 
 PI = math.pi
 FAST = dict(rings=32, rings_fine=64)  # acceptance runs the 64/128 pair
@@ -365,7 +370,7 @@ class TestSharedLevel:
         r = st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=18, rings_fine=36)
         bottom = fem.ring_skeleton(9).n_interior
         assert calls == {"mesh": 3, "factor": [bottom]}
-        assert type(fem.polar_mesh(ellipse(0.1), 9)._interior_factor).__name__ == "SuperLU"
+        assert type(st.Level(ellipse(0.1), 9).precond).__name__ == "SuperLU"
         assert [c for c in verify.row_checks(r, 18, 36) if not c[1]] == []
 
 
@@ -430,7 +435,7 @@ class TestNestedLevels:
         assert calls == {"mesh": 3, "factor": [BOTTOM]}  # rings 16, 8 and 4
         assert [level.lambda_q(3.0)] == member[16, 3.0]  # on the same chain
         assert calls == {"mesh": 3, "factor": [BOTTOM]}
-        cold, _ = fem.poincare_sobolev(level.mesh, 3.0)
+        cold, _ = fem.poincare_sobolev(level.mesh, 3.0, precond=direct(level.mesh))
         assert cold != member[16, 3.0][0]
 
     def test_q_list_without_two_solves_each_q_once(self, monkeypatch):
@@ -518,6 +523,53 @@ class TestDiskReferences:
             st.install_disk_references(references)
             assert values() == prepared
         assert calls == {"mesh": 0, "factor": []}
+
+
+class TestOneSolvePath:
+    SOLVERS = ("solve_torsion", "poincare_sobolev", "principal_eigenvalue")
+
+    def test_torsion_field_gives_the_energy(self, monkeypatch):
+        d = ellipse(0.1)
+        energy = st.Level(d, 16).energy()
+        level = st.Level(d, 16)
+        solves, solve = [], fem.solve_torsion
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_torsion", counted)
+        u = level.torsion()
+        assert fem.energy_of(u) == energy
+        assert level.energy() == energy
+        assert len(solves) == 1  # the energy was kept, not solved again
+        assert u.mesh is level.mesh
+        assert not any(isinstance(v, fem.ScalarField) for v in vars(level).values())
+        assert level.torsion_stats.residual <= fem.DEFAULT_CG_TOL
+        assert 1 < level.torsion_stats.iterations  # by the V-cycle
+
+    def test_solvers_take_no_default_preconditioner(self):
+        assert not hasattr(fem.TriMesh, "_interior_factor")
+        for name in self.SOLVERS:
+            precond = inspect.signature(getattr(fem, name)).parameters["precond"]
+            assert precond.kind is inspect.Parameter.KEYWORD_ONLY
+            assert precond.default is inspect.Parameter.empty
+
+    def test_only_fem_and_stability_call_the_solvers(self):
+        # every other module solves through a stability.Level, which
+        # chooses the preconditioner; a Level passes a solver to its
+        # _solve, so any reference to one counts, imports included
+        def name(node):
+            if isinstance(node, ast.Attribute):
+                return node.attr
+            if isinstance(node, ast.Name):
+                return node.id
+            return node.name if isinstance(node, ast.alias) else None
+
+        callers = {path.stem for path in Path(fem.__file__).parent.glob("*.py")
+                   if any(name(node) in self.SOLVERS
+                          for node in ast.walk(ast.parse(path.read_text())))}
+        assert callers == {"fem", "stability"}
 
 
 class TestLevelFailure:
