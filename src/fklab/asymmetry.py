@@ -38,10 +38,11 @@ import numpy as np
 from . import fem
 from .circle import TWO_PI
 from .domain import StarDomain, barycenter, volume
-# unused here: perfbench/spans.py wraps asymmetry.profile_relative_to by
-# name, so the name stays until that benchmark changes
+# unused here: perfbench/spans.py wraps asymmetry.profile_relative_to and
+# asymmetry.triangles_disk_area by name, so the names stay until that
+# benchmark changes
 from .domain import profile_relative_to  # noqa: F401
-from .geometry import triangles_disk_area
+from .geometry import triangles_disk_area  # noqa: F401
 
 _MIN_GRID = 128        # smallest crossing-search grid of PolarOverlap
 _MAX_ROOT_STEPS = 60   # safeguarded Newton steps per crossing; as many
@@ -75,17 +76,6 @@ def beta_const(dim: int) -> float:
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     return unit_ball_volume(dim) / (dim + 1)
-
-
-def sym_diff_fraction(mesh: fem.TriMesh, center) -> float:
-    """|Omega delta B_1(center)| / |B_1| on the given mesh of Omega.
-
-    Mesh-level: the polygonal boundary of the mesh biases the value by
-    O(h^2); :class:`PolarOverlap` gives the exact value of the domain.
-    """
-    tri = mesh.vertices[mesh.triangles]
-    inter = triangles_disk_area(tri, center, 1.0)
-    return (mesh.area() + math.pi - 2.0 * inter) / math.pi
 
 
 class PolarOverlap:

@@ -223,18 +223,6 @@ def boundary_l2_sq(p: BoundaryProfile) -> float:
     return mass
 
 
-def boundary_mean_integral(p: BoundaryProfile) -> float:
-    """int_{circle} phi d theta = 2 pi a0."""
-    return TWO_PI * p.a0
-
-
-def first_moments(p: BoundaryProfile) -> tuple[float, float]:
-    """(int phi cos theta, int phi sin theta) = pi (a_1, b_1)."""
-    if p.max_mode == 0:
-        return 0.0, 0.0
-    return math.pi * float(p.cos_coeffs[0]), math.pi * float(p.sin_coeffs[0])
-
-
 def extension_energy(p: BoundaryProfile) -> float:
     """Dirichlet energy of the harmonic extension of phi to the unit disk.
 
@@ -287,19 +275,6 @@ def low_mode_projection(p: BoundaryProfile) -> ProjectionSplit:
     high_sin[0] = 0.0
     high = BoundaryProfile(0.0, high_cos, high_sin).trimmed()
     return ProjectionSplit(low=low, high=high)
-
-
-def m_delta_defect(p: BoundaryProfile) -> float:
-    """Normalized size of the mean and first moments of the profile.
-
-    Returns (|int phi| + |int x1 phi| + |int x2 phi|) / ||phi||_{H^{1/2}};
-    zero exactly on the mean-free, moment-free class.
-    """
-    norm_sq = h_half_norm_sq(p)
-    if norm_sq == 0.0:
-        raise ValueError("m_delta_defect is undefined for the zero profile")
-    m1, m2 = first_moments(p)
-    return (abs(boundary_mean_integral(p)) + abs(m1) + abs(m2)) / math.sqrt(norm_sq)
 
 
 def mode_rayleigh(k: int) -> float:

@@ -62,6 +62,13 @@ class StarDomain:
     def translated(self, dx: float, dy: float) -> "StarDomain":
         return StarDomain((self.center[0] + dx, self.center[1] + dy), self.profile)
 
+    def dilated(self, s: float) -> "StarDomain":
+        """The dilate s Omega about the origin: center s o, radius s (1 + phi)."""
+        p = self.profile
+        return StarDomain((s * self.center[0], s * self.center[1]),
+                          BoundaryProfile(s * (1.0 + p.a0) - 1.0,
+                                          s * p.cos_coeffs, s * p.sin_coeffs))
+
     def min_radius(self) -> float:
         theta = _exact_angles(4 * self.profile.max_mode)
         return float(np.min(self.radius(theta)))
@@ -205,12 +212,8 @@ def recenter_rescale(d: StarDomain) -> StarDomain:
         p = d.profile
     else:
         p = profile_relative_to(d, c)
-    vol = math.pi * ((1.0 + p.a0) ** 2
-                     + 0.5 * float(np.sum(p.cos_coeffs ** 2 + p.sin_coeffs ** 2)))
-    s = math.sqrt(math.pi / vol)
-    scaled = BoundaryProfile(s * (1.0 + p.a0) - 1.0,
-                             s * p.cos_coeffs, s * p.sin_coeffs)
-    return StarDomain((0.0, 0.0), scaled)
+    centered = StarDomain((0.0, 0.0), p)
+    return centered.dilated(math.sqrt(math.pi / volume(centered)))
 
 
 def ellipse(eps: float, max_modes: int = 16) -> StarDomain:
@@ -229,10 +232,7 @@ def ellipse(eps: float, max_modes: int = 16) -> StarDomain:
     r = (1.0 + eps) ** 0.25 / np.sqrt(1.0 + eps * np.sin(theta) ** 2)
     profile, _ = fit_profile(r, max_modes)
     dom = StarDomain((0.0, 0.0), profile)
-    s = math.sqrt(math.pi / volume(dom))
-    profile = BoundaryProfile(s * (1.0 + profile.a0) - 1.0,
-                              s * profile.cos_coeffs, s * profile.sin_coeffs)
-    return StarDomain((0.0, 0.0), profile)
+    return dom.dilated(math.sqrt(math.pi / volume(dom)))
 
 
 def volume_flow(p: BoundaryProfile, t: float) -> StarDomain:

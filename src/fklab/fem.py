@@ -68,8 +68,7 @@ from functools import cache, cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .domain import StarDomain, unit_disk
-from .geometry import triangles_disk_area
+from .domain import StarDomain
 
 # bound on the torsion solve's true relative residual; preconditioned CG
 # iterates until its recursive residual is below DEFAULT_CG_TOL / 10.  A
@@ -480,10 +479,6 @@ def polar_mesh(d: StarDomain, rings: int) -> TriMesh:
     return TriMesh(xy.T, sk)
 
 
-def disk_mesh(rings: int) -> TriMesh:
-    return polar_mesh(unit_disk(), rings)
-
-
 class VCycle:
     """One symmetric multigrid V-cycle for the interior stiffness A of the
     ``rings``-ring ``mesh``, a fixed SPD operator B approximating A^{-1}
@@ -703,17 +698,3 @@ def principal_eigenvalue(mesh: TriMesh, *, precond, **kwargs) -> tuple[float, Sc
     constant of :func:`poincare_sobolev`, which takes the same keywords."""
     return poincare_sobolev(mesh, 2.0, precond=precond, **kwargs)
 
-
-def tail_sup(u: ScalarField, ball_radius: float) -> tuple[float, float]:
-    """(sup of u outside B_{R+1}, |domain outside B_R|), balls at the origin."""
-    if ball_radius < 1.0:
-        raise ValueError("tail radius must be >= 1")
-    mesh = u.mesh
-    if abs(mesh.area() / math.pi - 1.0) > 0.05:
-        raise ValueError("tail estimate expects a volume-normalized domain")
-    dist = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    outside = dist > ball_radius + 1.0
-    sup = float(np.max(u.values[outside])) if np.any(outside) else 0.0
-    tri_verts = mesh.vertices[mesh.triangles]
-    measure = mesh.area() - triangles_disk_area(tri_verts, (0.0, 0.0), ball_radius)
-    return max(sup, 0.0), max(measure, 0.0)

@@ -1,12 +1,13 @@
 """Exact areas of triangle/disk intersections, for mesh-level quantities.
 
-Used where only a mesh is at hand: measures of mesh regions outside a
-ball (tail estimates) and the mesh symmetric difference with a ball
-(``asymmetry.sym_diff_fraction``).  Each triangle is decomposed edge by
-edge into circular sectors and chords, which gives the exact
-intersection area with a disk; the only approximation left is the
-polygonal boundary of the mesh itself.  Domain-level asymmetries use the
-exact polar overlap of ``asymmetry.PolarOverlap`` instead.
+No fklab computation calls it: every area of a domain against a disk,
+the tail measure of ``fklab verify tail-sup`` included, comes from the
+exact polar overlap of ``asymmetry.PolarOverlap``.  The tests use it as
+an independent oracle, the mesh symmetric difference with a ball, and
+``asymmetry`` keeps its name for the benchmark's span wrappers.  Each
+triangle is decomposed edge by edge into circular sectors and chords,
+which gives the exact intersection area with a disk; the only
+approximation left is the polygonal boundary of the mesh itself.
 """
 
 from __future__ import annotations

@@ -468,7 +468,6 @@ class DeficitReport:
     kj_slack: dict
     cappio: dict
     ratio_energy_asym_sq: float
-    ratio_fk2_asym_sq: float
     mesh_rings: int
     extrap_order: float
     order_flagged: bool
@@ -480,7 +479,6 @@ class SweepResult:
     slope: float
     slope_residual: float
     min_ratio_energy: float
-    min_ratio_fk2: float
     min_ratio_fk: dict
     kj_slack_min: dict
     q_list: tuple
@@ -536,16 +534,13 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
     bound = asymmetry.annular_lower_bound(outside, missing)
 
     ratio_e = deficit_e / frk ** 2 if frk >= RATIO_ASYMMETRY_FLOOR else math.nan
-    ratio_fk2 = (deficit_fk.get(2.0, math.nan) / frk ** 2
-                 if frk >= RATIO_ASYMMETRY_FLOOR and 2.0 in deficit_fk else math.nan)
 
     return DeficitReport(
         domain_id=domain_id, family=family, param=param, volume=volume(d),
         energy=x["energy"], eigenvalue=x["eigenvalue"], lambda_q=by_q("lambda_q"),
         fraenkel=frk, alpha=alpha_val, alpha_annular_bound=bound,
         deficit_energy=deficit_e, deficit_fk=deficit_fk, kj_slack=by_q("kj_slack"),
-        cappio=by_q("cappio"), ratio_energy_asym_sq=ratio_e,
-        ratio_fk2_asym_sq=ratio_fk2, mesh_rings=rings_fine,
+        cappio=by_q("cappio"), ratio_energy_asym_sq=ratio_e, mesh_rings=rings_fine,
         extrap_order=order, order_flagged=flagged,
     )
 
@@ -596,8 +591,6 @@ def sigma_scan(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         slope_res = math.sqrt(float(residuals[0]) / len(ell)) if len(residuals) else 0.0
     ratios_e = [r.ratio_energy_asym_sq for r in reports
                 if math.isfinite(r.ratio_energy_asym_sq)]
-    ratios_fk = [r.ratio_fk2_asym_sq for r in reports
-                 if math.isfinite(r.ratio_fk2_asym_sq)]
     min_fk = {}
     for q in spec.q_list:
         q = float(q)
@@ -609,7 +602,6 @@ def sigma_scan(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     return SweepResult(
         reports=reports, slope=slope, slope_residual=slope_res,
         min_ratio_energy=min(ratios_e) if ratios_e else math.nan,
-        min_ratio_fk2=min(ratios_fk) if ratios_fk else math.nan,
         min_ratio_fk=min_fk, kj_slack_min=kj_min,
         q_list=tuple(float(q) for q in spec.q_list),
     )

@@ -4,12 +4,18 @@ Each suite re-runs one block of the paper's statements end to end and
 returns (check name, passed, detail) triples; the CLI renders them and
 turns any failure into exit code 3.  The suites are the single
 implementation of each check: the acceptance criteria run them and
-assert on their results.  ``row_checks``, the sign rules of one deficit
-row, is shared by the ``saint-venant-signs`` and ``kohler-jobin`` suites
-and by the criteria that quantify over the combined sweep.  Each member
-of those two suites is evaluated by one of them, which runs its row
-rules and its Kohler-Jobin slack rule: ``saint-venant-signs`` the disk,
-ellipse(0.1) and a mode-3 profile, ``kohler-jobin`` ellipse(0.2).
+assert on their results.  Every criterion but 1 (the ball reference),
+5 and 11 (the combined sweep) runs one suite; two suites need no solve:
+``fourier-identities`` (criterion 7), the Fourier identities of the
+nearly-spherical step, and ``penalty`` (criterion 10), the volume
+penalty of the selection principle.  ``row_checks``, the sign
+rules of one deficit row, is shared by the ``saint-venant-signs`` and
+``kohler-jobin`` suites and by the criteria that quantify over the
+combined sweep.  Each member of those two suites is evaluated by one of
+them, which runs its row rules and its Kohler-Jobin slack rule:
+``saint-venant-signs`` the disk, ellipse(0.1) and a mode-3 profile,
+``kohler-jobin`` ellipse(0.2).  ``tail-sup`` measures the domain outside
+a ball exactly, from the polar overlap of the dilated domain.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 
 import numpy as np
 
-from . import asymmetry, circle, fem, stability
+from . import asymmetry, circle, stability
 from .circle import BoundaryProfile
 from .domain import (StarDomain, ellipse, fit_profile, unit_disk, volume,
                      volume_corrected, volume_corrected_profile, volume_flow)
@@ -87,6 +93,41 @@ def suite_steklov(cfg) -> list[Check]:
         out.append(_check(f"mode-{k} quotient equals {k}", abs(q - k) < 1e-13,
                           f"value {q!r}"))
     return out
+
+
+def _random_profile(rng, zero_mean: bool) -> BoundaryProfile:
+    """Modes 1..K, K uniform in 1..16, with standard normal coefficients,
+    and a standard normal constant mode unless ``zero_mean``."""
+    k = int(rng.integers(1, 17))
+    cos, sin = rng.standard_normal(k), rng.standard_normal(k)
+    return BoundaryProfile(0.0 if zero_mean else float(rng.standard_normal()), cos, sin)
+
+
+def suite_fourier_identities(cfg) -> list[Check]:
+    """The closed-form identities of the nearly-spherical step on seeded
+    random profiles: the H^{1/2} sandwich ext <= ||phi||^2 <= 2 ext on
+    zero-mean profiles, and the split into modes {0, 1} and the rest, whose
+    squared norms add up (Pythagoras) and whose sum is the profile.  Each
+    worst case is relative to ||phi||^2."""
+    count = 200
+    rng = np.random.default_rng(cfg.seed)
+    sandwich, pythagoras, recon = [], [], []
+    for _ in range(count):
+        p = _random_profile(rng, zero_mean=True)
+        ext, nrm = circle.extension_energy(p), circle.h_half_norm_sq(p)
+        sandwich.append(max(ext - nrm, nrm - 2.0 * ext) / nrm)
+        p = _random_profile(rng, zero_mean=False)
+        split = circle.low_mode_projection(p)
+        total = circle.h_half_norm_sq(p)
+        parts = circle.h_half_norm_sq(split.low) + circle.h_half_norm_sq(split.high)
+        pythagoras.append(abs(total - parts) / total)
+        recon.append(circle.h_half_norm_sq(split.low + split.high - p) / total)
+    return [_check(f"ext <= ||phi||^2 <= 2 ext on {count} zero-mean profiles",
+                   max(sandwich) <= 1e-12, f"worst slack {max(sandwich):.1e}"),
+            _check(f"Pythagoras for the modes-{{0, 1}} split on {count} profiles",
+                   max(pythagoras) <= 1e-12, f"worst defect {max(pythagoras):.1e}"),
+            _check(f"low + high reconstructs the profile on {count} profiles",
+                   max(recon) <= 1e-12, f"worst defect {max(recon):.1e}")]
 
 
 def suite_fuglede(cfg) -> list[Check]:
@@ -217,6 +258,34 @@ def suite_alpha_props(cfg) -> list[Check]:
     return out
 
 
+def suite_penalty(cfg) -> list[Check]:
+    """The penalized ball energy g(r) = F_eta(B_r) at half the threshold
+    eta of ``asymmetry.eta_threshold``: its minimum over a radius grid
+    through r = 1 lies at r = 1 with a finite coercivity constant, and g
+    rises on both sides of it."""
+    eta = asymmetry.eta_threshold(2, 2.0) / 2
+    grid = np.linspace(0.005, 2.0, 400)  # r = 1 is grid[199]
+    r_min, c = asymmetry.radial_coercivity(eta, grid)
+
+    def g(r):
+        return asymmetry.ball_penalized_energy(r, eta)
+
+    left = [r for r in grid if 0.9 <= r < 1.0]
+    right = [r for r in grid if 1.0 < r <= 1.1]
+    slope_l = np.polyfit(left, [g(r) for r in left], 1)[0]
+    slope_r = np.polyfit(right, [g(r) for r in right], 1)[0]
+    gaps = [(g(r) - g(1.0)) / abs(r - 1.0) for r in (0.96, 0.98, 1.02, 1.04)]
+    return [_check(f"minimum of g at r = 1, eta = {eta:.4f}", abs(r_min - 1.0) <= 1e-12,
+                   f"grid minimum at r = {r_min!r}"),
+            _check("coercivity constant 0 < C < inf", 0.0 < c < math.inf, f"C = {c:.2f}"),
+            _check("one-sided slopes on [0.9, 1) and (1, 1.1] of opposite signs",
+                   slope_l < 0.0 < slope_r and math.isfinite(slope_l)
+                   and math.isfinite(slope_r),
+                   f"slopes {slope_l:.3f} / {slope_r:+.3f}"),
+            _check("(g(r) - g(1)) / |r - 1| > 0 at r = 0.96, 0.98, 1.02, 1.04",
+                   min(gaps) > 0.0, f"min {min(gaps):.3e}")]
+
+
 FLOW_AREA_TOL = 1e-10
 
 
@@ -290,16 +359,29 @@ def _spike_profile(amplitude: float, width: float) -> BoundaryProfile:
     return volume_corrected(profile)
 
 
+def _tail(level: stability.Level, ball_radius: float) -> tuple[float, float]:
+    """(sup of the level's torsion over its vertices outside B_{R+1},
+    |Omega \\ B_R|), balls at the origin.  The measure is exact:
+    |Omega| - R^2 |Omega / R cap B_1|, by the polar overlap."""
+    if ball_radius < 1.0:
+        raise ValueError("tail radius must be >= 1")
+    u = level.torsion()
+    xy = u.mesh.vertices
+    outside = np.hypot(xy[:, 0], xy[:, 1]) > ball_radius + 1.0
+    sup = float(np.max(u.values[outside])) if np.any(outside) else 0.0
+    inside = asymmetry.PolarOverlap(level.domain.dilated(1.0 / ball_radius)).area((0.0, 0.0))
+    return max(sup, 0.0), max(level.volume - ball_radius ** 2 * inside, 0.0)
+
+
 def suite_tail_sup(cfg) -> list[Check]:
     out = []
-    sup, meas = fem.tail_sup(stability.disk_data(cfg.rings).torsion(), 1.0)
+    sup, meas = _tail(stability.disk_data(cfg.rings), 1.0)
     out.append(_check("disk tail at R=1", sup == 0.0 and meas <= 1e-12,
                       f"sup {sup:.2e}, measure {meas:.2e}"))
     ratios = []
     for amp, width in ((1.3, 0.22), (1.5, 0.18), (1.7, 0.15)):
         p = _spike_profile(amp, width)
-        u = stability.Level(StarDomain((0.0, 0.0), p), cfg.rings).torsion()
-        sup, meas = fem.tail_sup(u, 1.2)
+        sup, meas = _tail(stability.Level(StarDomain((0.0, 0.0), p), cfg.rings), 1.2)
         if meas > 0.0:
             ratios.append(sup / math.sqrt(meas))
         out.append(_check(f"spike amp={amp}: finite pair", sup >= 0.0 and meas > 0.0,
@@ -311,6 +393,8 @@ def suite_tail_sup(cfg) -> list[Check]:
 
 
 SUITES = {
+    "fourier-identities": suite_fourier_identities,
+    "penalty": suite_penalty,
     "steklov": suite_steklov,
     "fuglede": suite_fuglede,
     "taylor": suite_taylor,

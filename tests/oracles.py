@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: circle
 quantities are integrated by quadrature instead of mode sums, the disk
 eigenvalue comes from radial shooting, the radial embedding constants
 from a one-dimensional minimizer, areas from polygon resampling,
-Monte Carlo or the classical lens formula, the P1 matrices and the
+Monte Carlo, the classical lens formula or exact triangle/disk
+clipping of a mesh (``fklab.geometry``), the P1 matrices and the
 L^q midpoint rule triangle by triangle, profile values from full
 tables of cos(k theta) and sin(k theta), asymmetry minima from a
 derivative-free polish, and alpha from the profile refitted about the
@@ -216,6 +217,16 @@ def two_disks_symmetric_difference(d: float, r: float = 1.0) -> float:
     lens = (2.0 * r * r * math.acos(d / (2.0 * r))
             - 0.5 * d * math.sqrt(4.0 * r * r - d * d))
     return 2.0 * math.pi * r * r - 2.0 * lens
+
+
+def sym_diff_fraction(mesh, center) -> float:
+    """|Omega delta B_1(center)| / |B_1| on the given mesh of Omega, from
+    the exact clipped area of each triangle: the polygonal boundary of the
+    mesh biases the value by O(h^2)."""
+    from fklab.geometry import triangles_disk_area
+
+    inter = triangles_disk_area(mesh.vertices[mesh.triangles], center, 1.0)
+    return (mesh.area() + math.pi - 2.0 * inter) / math.pi
 
 
 def polished_minimum(objective, center, step: float = 1e-3) -> float:

@@ -9,11 +9,13 @@ size.  Each run is a fresh interpreter, because OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` when it loads.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
 
 import fklab
+from fklab import stability
 
 SRC = os.path.dirname(os.path.dirname(fklab.__file__))
 
@@ -43,7 +45,9 @@ def run(code, threads, args=()):
 
 def test_member_fields_at_1_2_and_4_threads():
     outputs = {n: run(MEMBERS, n) for n in (1, 2, 4)}
-    assert len(outputs[1].splitlines()) > 40
+    # every report field and the two extra lines, for each of the two members
+    fields = len(dataclasses.fields(stability.DeficitReport))
+    assert len(outputs[1].splitlines()) == 2 * (fields + 2)
     for n in (2, 4):
         assert outputs[n] == outputs[1], n
 

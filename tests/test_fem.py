@@ -19,9 +19,13 @@ from oracles import (disk_eigenvalue_shooting, disk_lambda_q_radial,
 PI = math.pi
 
 
+def disk_mesh(rings):
+    return fem.polar_mesh(unit_disk(), rings)
+
+
 @pytest.fixture(scope="module")
 def disk64():
-    return fem.disk_mesh(64)
+    return disk_mesh(64)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +109,7 @@ class TestPolarMesh:
         # reflecting vertex 2 in the x-axis inverts it, and moving it onto
         # the axis gives it zero area while every other triangle stays
         # positive, so the check rejects a degenerate element on its own
-        mesh = fem.disk_mesh(4)
+        mesh = disk_mesh(4)
         verts = mesh.vertices.copy()
         assert np.array_equal(mesh.triangles[0], [0, 1, 2]) and verts[1, 1] == 0.0
         verts[2] = {"reflected": (verts[2, 0], -verts[2, 1]),
@@ -126,7 +130,7 @@ class TestPolarMesh:
             fem.polar_mesh(unit_disk(), 3)
 
     def test_area_converges_quadratically(self):
-        errs = [abs(fem.disk_mesh(r).area() - PI) for r in (16, 32, 64)]
+        errs = [abs(disk_mesh(r).area() - PI) for r in (16, 32, 64)]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 
@@ -246,7 +250,7 @@ class TestTorsion:
     def test_rms_error_order(self):
         errs = []
         for rings in (16, 32, 64):
-            mesh = fem.disk_mesh(rings)
+            mesh = disk_mesh(rings)
             u, _ = fem.solve_torsion(mesh, precond=direct(mesh))
             r = np.hypot(u.mesh.vertices[:, 0], u.mesh.vertices[:, 1])
             errs.append(math.sqrt(np.mean((u.values - (1 - r ** 2) / 4) ** 2)))
@@ -274,7 +278,7 @@ class TestEnergy:
         assert abs(fem.energy_of(u) / (-PI / 16) - 1.0) < 5e-3
 
     def test_dilation_scaling(self):
-        big, unit = fem.polar_mesh(unit_disk(2.0), 32), fem.disk_mesh(32)
+        big, unit = fem.polar_mesh(unit_disk(2.0), 32), disk_mesh(32)
         u, _ = fem.solve_torsion(big, precond=direct(big))
         u1, _ = fem.solve_torsion(unit, precond=direct(unit))
         assert fem.energy_of(u) == pytest.approx(16 * fem.energy_of(u1),
@@ -283,7 +287,7 @@ class TestEnergy:
     def test_refinement_decreases_energy(self):
         vals = []
         for rings in (8, 16, 32, 64):
-            mesh = fem.disk_mesh(rings)
+            mesh = disk_mesh(rings)
             u, _ = fem.solve_torsion(mesh, precond=direct(mesh))
             vals.append(fem.energy_of(u))
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -298,7 +302,7 @@ class TestEigenvalue:
         assert abs(lam / oracle - 1.0) < 1e-2
 
     def test_dilation_scaling(self):
-        big, unit = fem.polar_mesh(unit_disk(2.0), 32), fem.disk_mesh(32)
+        big, unit = fem.polar_mesh(unit_disk(2.0), 32), disk_mesh(32)
         lam2, _ = fem.principal_eigenvalue(big, precond=direct(big))
         lam1, _ = fem.principal_eigenvalue(unit, precond=direct(unit))
         assert lam2 == pytest.approx(lam1 / 4, rel=1e-10)
@@ -308,7 +312,7 @@ class TestEigenvalue:
         assert field.values.min() >= -1e-12 * field.values.max()
 
     def test_refinement_decreases_lambda(self):
-        meshes = [fem.disk_mesh(r) for r in (8, 16, 32, 64)]
+        meshes = [disk_mesh(r) for r in (8, 16, 32, 64)]
         vals = [fem.principal_eigenvalue(m, precond=direct(m))[0] for m in meshes]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert all(v > 5.783185962946785 for v in vals)
@@ -369,29 +373,6 @@ class TestPoincareSobolev:
             fem.poincare_sobolev(disk64, 5.0, precond=direct(disk64))
 
 
-class TestTailSup:
-    def test_disk_trivial(self, torsion64):
-        u, _ = torsion64
-        sup, measure = fem.tail_sup(u, 1.0)
-        assert sup == 0.0
-        assert measure < 1e-12
-
-    def test_elongated_domain(self):
-        # volume-pi mode-1 domain reaching radius ~1.5: nothing beyond
-        # B_{2.2}, but positive measure outside B_{1.2}
-        d = StarDomain((0, 0), volume_corrected_profile(1, 0.6))
-        mesh = fem.polar_mesh(d, 48)
-        u, _ = fem.solve_torsion(mesh, precond=direct(mesh))
-        sup, measure = fem.tail_sup(u, 1.2)
-        assert sup == 0.0
-        assert measure > 0.05
-
-    def test_radius_validated(self, torsion64):
-        u, _ = torsion64
-        with pytest.raises(ValueError):
-            fem.tail_sup(u, 0.5)
-
-
 class TestDirectTorsion:
     def test_residual_above_tolerance_raises(self, disk64):
         with pytest.raises(fem.SolverError):
@@ -405,7 +386,7 @@ class TestDirectTorsion:
     def test_own_factor_is_one_solve_at_rings_128(self):
         # the direct solve's relative residual, 1.3e-12, lies above the
         # rounding of smaller meshes but below the stop DEFAULT_CG_TOL / 10
-        mesh = fem.disk_mesh(128)
+        mesh = disk_mesh(128)
         _, stats = fem.solve_torsion(mesh, precond=direct(mesh))
         assert stats.iterations == 1
         assert 1e-12 < stats.residual <= fem.DEFAULT_CG_TOL
@@ -422,7 +403,7 @@ class TestPreconditionedTorsion:
     def test_disk_preconditioner_matches_direct_solve(self, name, rings, monkeypatch):
         d = ellipse(0.2) if name == "ellipse" else near_sphere()
         mesh = fem.polar_mesh(d, rings)
-        disk = direct(fem.disk_mesh(rings))
+        disk = direct(disk_mesh(rings))
         factorize, calls = fem.factorize, []
 
         def counted(*args):
@@ -442,12 +423,12 @@ class TestPreconditionedTorsion:
     def test_wrong_size_preconditioner_rejected(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
         with pytest.raises(ValueError, match="preconditioner"):
-            fem.solve_torsion(mesh, precond=direct(fem.disk_mesh(8)))
+            fem.solve_torsion(mesh, precond=direct(disk_mesh(8)))
 
     def test_unreachable_tolerance_raises_with_iterations(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
         with pytest.raises(fem.SolverError, match=r"iterations.*residual"):
-            fem.solve_torsion(mesh, tol=1e-30, precond=direct(fem.disk_mesh(16)))
+            fem.solve_torsion(mesh, tol=1e-30, precond=direct(disk_mesh(16)))
 
 
 def vcycle_chain(d, rings):
@@ -513,7 +494,7 @@ class TestVCycle:
     def test_coarse_operator_must_match(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
         with pytest.raises(ValueError, match="coarse operator"):
-            fem.VCycle(mesh, 16, direct(fem.disk_mesh(4)))
+            fem.VCycle(mesh, 16, direct(disk_mesh(4)))
 
     def test_transfer_is_cached_read_only(self):
         p, r = fem._interior_transfer(8)
@@ -555,7 +536,7 @@ class TestFactorize:
 class TestProlongation:
     @pytest.mark.parametrize("rings", [4, 8, 64])
     def test_bijection_onto_coarse_vertices_and_edges(self, rings):
-        coarse, fine = fem.disk_mesh(rings), fem.disk_mesh(2 * rings)
+        coarse, fine = disk_mesh(rings), disk_mesh(2 * rings)
         p = fem.prolongation(rings)
         assert p.shape == (fine.n_interior, coarse.n_vertices)
         nnz = np.diff(p.indptr)
@@ -607,7 +588,7 @@ class TestProlongation:
             assert np.array_equal(p @ interior, fem.prolongation(32) @ field)
 
     def test_prolonged_eigenvector_is_within_h2(self):
-        coarse, fine = fem.disk_mesh(64), fem.disk_mesh(128)
+        coarse, fine = disk_mesh(64), disk_mesh(128)
         _, u_coarse = fem.principal_eigenvalue(coarse, precond=direct(coarse))
         _, u_fine = fem.principal_eigenvalue(fine, precond=direct(fine))
         n = fine.n_interior
@@ -706,7 +687,7 @@ class FixedDirection:
 class TestSolverEvidence:
     def test_wrong_size_preconditioner_rejected(self):
         mesh = fem.polar_mesh(ellipse(0.1), 128)
-        factor = direct(fem.disk_mesh(64))
+        factor = direct(disk_mesh(64))
         with pytest.raises(ValueError, match="preconditioner"):
             fem.principal_eigenvalue(mesh, precond=factor)
         with pytest.raises(ValueError, match="preconditioner"):
@@ -732,7 +713,7 @@ class TestSolverEvidence:
 
 class TestScalarField:
     def test_caller_array_is_not_modified(self):
-        mesh = fem.disk_mesh(4)
+        mesh = disk_mesh(4)
         v = np.ones(mesh.n_vertices)
         f = fem.ScalarField(mesh, v)
         assert np.all(v == 1.0)
@@ -742,7 +723,7 @@ class TestScalarField:
 
 class TestMeshDump:
     def test_dump_format(self):
-        mesh = fem.disk_mesh(4)
+        mesh = disk_mesh(4)
         lines = mesh.dump().splitlines()
         n_v = sum(1 for ln in lines if ln.startswith("v "))
         n_t = sum(1 for ln in lines if ln.startswith("t "))

@@ -1,12 +1,12 @@
-"""The shared row rules of ``fklab verify``, and a guard that every
-verify suite is run by some test."""
+"""The shared row rules of ``fklab verify``, its exact tail measure, and
+a guard that every verify suite is run by some test."""
 
 import dataclasses
 
 import pytest
 
 from fklab import cli, stability, verify
-from fklab.domain import ellipse, unit_disk
+from fklab.domain import StarDomain, ellipse, unit_disk, volume_corrected_profile
 
 from test_acceptance import SUITE_OF
 
@@ -58,7 +58,31 @@ class TestRowChecks:
         assert len(names) == 1 and names[0].startswith(rule), names
 
 
+class TestTailSup:
+    def test_disk_trivial(self):
+        sup, measure = verify._tail(stability.disk_data(64), 1.0)
+        assert sup == 0.0
+        assert measure <= 1e-12
+
+    def test_elongated_domain(self):
+        # volume-pi mode-1 domain reaching radius ~1.5: nothing beyond
+        # B_{2.2}, but positive measure outside B_{1.2}
+        d = StarDomain((0, 0), volume_corrected_profile(1, 0.6))
+        sup, measure = verify._tail(stability.Level(d, 48), 1.2)
+        assert sup == 0.0
+        assert measure > 0.05
+
+    def test_radius_validated(self):
+        with pytest.raises(ValueError):
+            verify._tail(stability.disk_data(64), 0.5)
+
+
 class TestSuiteCoverage:
+    def test_only_criteria_1_5_and_11_have_no_suite(self):
+        # keeps the check logic of a criterion in its suite, not in
+        # test_acceptance.py
+        assert set(range(1, 12)) - set(SUITE_OF) == {1, 5, 11}
+
     def test_every_suite_is_run_by_a_test(self):
         assert not set(SUITE_OF.values()) & set(OTHER_SUITES)
         assert set(SUITE_OF.values()) | set(OTHER_SUITES) == set(verify.SUITES)
