@@ -130,6 +130,16 @@ class TestRecenterRescale:
         assert np.max(np.abs(s1 - s2)) < 1e-8
 
 
+class TestDilated:
+    @pytest.mark.parametrize("s", [0.5, 1.0 / 1.2, 1.7, 2.5])
+    def test_boundary_volume_and_barycenter_scale(self, rng, s):
+        d = StarDomain((0.1, -0.2), volume_corrected(random_profile(rng, kmax=8, scale=0.05)))
+        theta, dilated = np.linspace(0.0, 2 * PI, 257), d.dilated(s)
+        assert np.max(np.abs(dilated.boundary_points(theta) - s * d.boundary_points(theta))) < 1e-14
+        assert volume(dilated) == pytest.approx(s * s * volume(d), rel=1e-14)
+        assert np.max(np.abs(barycenter(dilated) - s * barycenter(d))) < 1e-14
+
+
 class TestEllipse:
     def test_zero_eccentricity(self):
         d = ellipse(0.0)

@@ -1,13 +1,16 @@
-"""The shared row rules of ``fklab verify``, its exact tail measure, and
-a guard that every verify suite is run by some test."""
+"""The shared row rules of ``fklab verify``, its exact tail measure, how its
+solve-free suites fail, and a guard that every suite is run by some test."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from fklab import cli, stability, verify
+from fklab import asymmetry, circle, cli, stability, verify
 from fklab.domain import StarDomain, ellipse, unit_disk, volume_corrected_profile
+from fklab.geometry import triangles_disk_area
 
+from oracles import two_disks_symmetric_difference
 from test_acceptance import SUITE_OF
 
 # the suites that no acceptance criterion runs
@@ -75,6 +78,43 @@ class TestTailSup:
     def test_radius_validated(self):
         with pytest.raises(ValueError):
             verify._tail(stability.disk_data(64), 0.5)
+
+    @pytest.mark.parametrize("rho, center, radius, exact", [  # B_rho(center) outside B_radius
+        (1.0, (0.3, 0.0), 1.0, two_disks_symmetric_difference(0.3) / 2),
+        (1.5, (0.0, 0.0), 1.2, np.pi * (1.5 ** 2 - 1.2 ** 2))], ids=["lens", "annulus"])
+    def test_disk_measure_is_exact(self, rho, center, radius, exact):
+        level = stability.Level(unit_disk(rho, center=center), 16)
+        assert verify._tail(level, radius)[1] == pytest.approx(exact, rel=1e-13)
+
+    def test_mesh_clipping_converges_to_exact_measure(self):
+        # the clipped mesh area misses O(h^2) of the curved boundary
+        errors, d = [], StarDomain((0, 0), verify._spike_profile(1.3, 0.22))
+        for level in (stability.Level(d, 32), stability.Level(d, 64)):
+            tri = level.mesh.vertices[level.mesh.triangles]
+            clipped = level.mesh.area() - float(np.sum(triangles_disk_area(tri, (0, 0), 1.2)))
+            errors.append(abs(clipped - verify._tail(level, 1.2)[1]))
+        assert errors[1] < min(2e-3, errors[0] / 3)
+
+
+class TestSolveFreeSuitesFail:
+    def test_lossy_split_fails_pythagoras_and_reconstruction(self, monkeypatch):
+        real = circle.low_mode_projection
+        monkeypatch.setattr(circle, "low_mode_projection",
+                            lambda p: dataclasses.replace(real(p), high=real(p).high * 0.5))
+        checks = verify.suite_fourier_identities(cli.RunConfig())
+        assert [ok for _, ok, _ in checks] == [True, False, False]
+
+    def test_understated_extension_energy_fails_sandwich(self, monkeypatch):
+        real = circle.extension_energy
+        monkeypatch.setattr(circle, "extension_energy", lambda p: 0.4 * real(p))
+        assert not verify.suite_fourier_identities(cli.RunConfig())[0][1]
+
+    def test_eta_twice_the_threshold_fails_every_penalty_check(self, monkeypatch):
+        # above the threshold g(0+) < g(1): the minimum leaves r = 1
+        real = asymmetry.eta_threshold
+        monkeypatch.setattr(asymmetry, "eta_threshold", lambda *a: 4.0 * real(*a))
+        checks = verify.suite_penalty(cli.RunConfig())
+        assert len(checks) == 4 and not any(ok for _, ok, _ in checks)
 
 
 class TestSuiteCoverage:
