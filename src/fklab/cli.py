@@ -306,7 +306,7 @@ def cmd_sweep(cfg: RunConfig, family: str, count: int | None, out: str | None,
                                seed=cfg.seed, q_list=cfg.q_list,
                                rings=cfg.rings, rings_fine=cfg.rings_fine)
 
-    workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
+    workers = cfg.workers if cfg.workers > 0 else stability.available_cpus()
     result = stability.sigma_scan(spec, workers=workers)
 
     lines = [csv_header(cfg.q_list)]

@@ -25,10 +25,12 @@ the skeleton marks its entries in the interior-first pattern: the
 stiffness every solver reads.  Mass, which no solver reads, follows from
 the per-edge areas and the load vector on the full pattern.  The L^q
 integrals use the 3-point edge-midpoint rule, each unique edge midpoint
-once.  The 2r-ring skeleton is the red refinement of the r-ring one:
-:func:`prolongation` carries nodal values from the coarser mesh to the
-finer one's interior, and its interior columns, cached per ring count,
-carry interior values between the two levels.
+once; one pass over the edges gives a field's integral and its
+gradient, and the field keeps that pass.  The 2r-ring skeleton is the
+red refinement of the r-ring one: :func:`prolongation` carries nodal
+values from the coarser mesh to the finer one's interior, and its
+interior columns, cached per ring count, carry interior values between
+the two levels.
 
 Every solver requires a ``precond``, any fixed SPD operator on the
 interior values with a ``solve`` method and a ``shape``, which
@@ -45,11 +47,13 @@ preconditioned by it; with a factorization that is a direct solve.
 Every optimal Poincare-Sobolev constant lambda_q comes from one normalized
 preconditioned gradient descent with backtracking line search, a
 Sobolev-gradient descent in the inner product of the preconditioner (J.
-W. Neuberger, Sobolev Gradients and Differential Equations).  The
-principal Dirichlet eigenvalue is its q = 2 member, where the L^2 norm of
-the midpoint rule is exactly the mass quadratic form.  The descent
-returns its solution field with the value and takes an optional
-``start``, first smoothed by damped Jacobi sweeps, which cost no solve;
+W. Neuberger, Sobolev Gradients and Differential Equations), with one
+midpoint pass per iterate: the pass of the accepted trial that gave its
+norm also gives the next gradient.  The principal Dirichlet eigenvalue
+is its q = 2 member, where the L^2 norm of the midpoint rule is exactly
+the mass quadratic form.  The descent returns its solution field with
+the value and takes an optional ``start``, first smoothed by damped
+Jacobi sweeps, which cost no solve;
 started from the prolonged solution at half the ring count (nested
 iteration), it takes 2-3 solves at rings 128, by a factorization or by
 the V-cycle.  The stopping tolerances are the module constants
@@ -62,11 +66,12 @@ count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .domain import StarDomain
 
@@ -448,18 +453,29 @@ class SolveStats:
     residual: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Nodal P1 field with zero boundary values."""
+    """Nodal P1 field with zero boundary values, read-only once built: it
+    keeps its midpoint pass per exponent q, which :func:`lq_integral` and
+    :func:`_lq_gradient` read."""
 
     mesh: TriMesh
     values: np.ndarray
+    _passes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.array(self.values, dtype=float)  # the caller keeps its array
-        if self.values.shape != (self.mesh.n_vertices,):
+        values = np.array(self.values, dtype=float)  # the caller keeps its array
+        if values.shape != (self.mesh.n_vertices,):
             raise ValueError("field length does not match the mesh")
-        self.values[self.mesh.n_interior:] = 0.0
+        values[self.mesh.n_interior:] = 0.0
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def _quadrature(self, q: float) -> tuple[float, np.ndarray]:
+        """:func:`_midpoint_pass` of this field, run once per q."""
+        if q not in self._passes:
+            self._passes[q] = _midpoint_pass(self, q)
+        return self._passes[q]
 
 
 def _extend(mesh: TriMesh, x: np.ndarray) -> np.ndarray:
@@ -494,7 +510,9 @@ class VCycle:
     |a_ij| / a_ii, a Gershgorin bound on the spectrum of D^{-1} A whose
     row sums are read from A's CSR data, so a sweep contracts the error
     in the energy norm and B is SPD on every mesh; I - B A is the product
-    of the sweeps and the coarse correction, self-adjoint in that norm."""
+    of the sweeps and the coarse correction, self-adjoint in that norm.
+    Every residual and the prolonged correction of one application go
+    through one work vector, each product by :func:`_csr_matvec`."""
 
     def __init__(self, mesh: TriMesh, rings: int, coarse):
         a = mesh.stiffness
@@ -512,13 +530,32 @@ class VCycle:
         self._d_inv = self.weight / diagonal
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        a, d_inv = self._a, self._d_inv
-        x = d_inv * b
-        x += d_inv * (b - a @ x)
-        x += self._p @ self._coarse.solve(self._r @ (b - a @ x))
+        x = self._d_inv * b
+        t = np.empty_like(x)  # the one work vector: residuals, prolonged correction
+        self._sweep(b, x, t)
+        np.subtract(b, _csr_matvec(self._a, x, t), out=t)
+        coarse = self._coarse.solve(_csr_matvec(self._r, t, np.empty(self._r.shape[0])))
+        x += _csr_matvec(self._p, coarse, t)
         for _ in range(2):
-            x += d_inv * (b - a @ x)
+            self._sweep(b, x, t)
         return x
+
+    def _sweep(self, b: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
+        """One damped Jacobi sweep, x += D^{-1} (b - A x), in place."""
+        np.subtract(b, _csr_matvec(self._a, x, t), out=t)
+        t *= self._d_inv
+        x += t
+
+
+def _csr_matvec(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ x`` written into ``out``, which must not be ``x``, by scipy's
+    CSR kernel, the one that ``a @ x`` runs on a zeroed result, so the two
+    agree bit for bit.  It skips the allocation and the about 6 us of
+    scipy's operator dispatch, which is most of a product on the
+    V-cycle's levels below rings 32."""
+    out.fill(0.0)
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    return out
 
 
 def _preconditioner(mesh: TriMesh, precond):
@@ -579,21 +616,36 @@ def energy_of(u: ScalarField) -> float:
     return -0.5 * integral(u)
 
 
+def _midpoint_pass(u: ScalarField, q: float) -> tuple[float, np.ndarray]:
+    """The one pass of the 3-point edge-midpoint rule over ``u``: with m
+    the edge-midpoint values and w the edge weights, the per-edge vector s
+    = w |m|^(q-1) sign(m) and int |u|^q = s.m.  For q in {1.5, 2, 3} the
+    power takes numpy's fast paths (sqrt, copy, square).  The sign is
+    copied from m, so at q = 1 a zero midpoint takes the subgradient +-w."""
+    mesh = u.mesh
+    w = mesh._edge_weights  # first, so a mesh's first pass builds it without m and s
+    m = mesh.skeleton.midpoints @ u.values
+    s = np.abs(m)
+    s **= q - 1.0
+    np.copysign(s, m, out=s)
+    s *= w
+    return _dot(s, m), s
+
+
 def lq_integral(u: ScalarField, q: float) -> float:
     """int |u|^q by the 3-point edge-midpoint rule, each edge midpoint
     taken once with a third of the area of its triangles; exact for q = 2,
     where |u|^2 is piecewise quadratic, and for q = 1 when u has one sign,
-    where |u| is linear on each triangle."""
-    mesh = u.mesh
-    mids = mesh.skeleton.midpoints @ u.values
-    return _dot(mesh._edge_weights, np.abs(mids) ** q)
+    where |u| is linear on each triangle.  The field keeps the pass that
+    gives the value, so its gradient, :func:`_lq_gradient`, costs one
+    transposed product more."""
+    return u._quadrature(q)[0]
 
 
-def _lq_gradient(mesh: TriMesh, values: np.ndarray, q: float) -> np.ndarray:
-    """Gradient of ``lq_integral`` with respect to nodal values."""
-    mids = mesh.skeleton.midpoints @ values
-    dmid = mesh._edge_weights * q * np.abs(mids) ** (q - 1.0) * np.sign(mids)
-    return mesh.skeleton.midpoints.T @ dmid
+def _lq_gradient(u: ScalarField, q: float) -> np.ndarray:
+    """Gradient of ``lq_integral`` with respect to nodal values: q M^T s,
+    with M the midpoint map and s from the field's midpoint pass."""
+    return q * (u.mesh.skeleton.midpoints.T @ u._quadrature(q)[1])
 
 
 def _start_values(mesh: TriMesh, start) -> np.ndarray:
@@ -636,7 +688,10 @@ def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
     P(K u - R(u) grad |u|_q) with backtracking, P ``precond``, any fixed
     SPD operator with ``solve`` and ``shape`` (a factorization makes it a
     descent in the energy inner product), and stop once R decreases by
-    less than ``tol`` in relative terms.  A line search that finds no
+    less than ``tol`` in relative terms.  Each trial takes one midpoint
+    pass, through ``lq_integral``; the accepted trial's pass, scaled by
+    its norm to the power 1 - q, is the gradient at the normalized
+    iterate, so a step needs no other pass.  A line search that finds no
     decrease raises ``SolverError`` unless the direction's energy
     norm over sqrt(R) is at most ``tol``, i.e. the iterate is already
     critical; so does reaching ``max_iter`` iterations, with the last
@@ -649,30 +704,35 @@ def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
     k = mesh.stiffness
     precond = _preconditioner(mesh, precond)
 
-    def norm_q(x):
-        return lq_integral(ScalarField(mesh, _extend(mesh, x)), q) ** (1.0 / q)
+    def on_mesh(x):
+        return ScalarField(mesh, _extend(mesh, x))
 
-    def grad_rho(x):
-        # gradient of ||.||_q at a unit-norm point, interior dofs
-        return _lq_gradient(mesh, _extend(mesh, x), q)[:n] / q
-
-    def result(value, x):
-        return value, ScalarField(mesh, _extend(mesh, x))
+    def norm_gradient(f, nrm):
+        # gradient of ||.||_q at f / nrm, nrm = ||f||_q, interior dofs: the
+        # pass of f scaled by nrm^(1-q), so a normalized trial needs no pass
+        g = _lq_gradient(f, q)[:n]
+        g *= nrm ** (1.0 - q) / q
+        return g
 
     u = precond.solve(mesh.load[:n]) if start is None else _start_values(mesh, start)
-    u = _smoothed(mesh, u, grad_rho(u))
-    u /= norm_q(u)
+    u = _smoothed(mesh, u, norm_gradient(on_mesh(u), 1.0))
+    # from here on u is f's interior values over nrm = ||f||_q; f is
+    # rebound to each trial, which frees the accepted iterate's pass
+    f = on_mesh(u)
+    nrm = lq_integral(f, q) ** (1.0 / q)
+    u /= nrm
     ku = k @ u
     rayleigh, drop = _dot(u, ku), math.nan
     for it in range(max_iter):
-        direction = precond.solve(ku - rayleigh * grad_rho(u))
+        direction = precond.solve(ku - rayleigh * norm_gradient(f, nrm))
         step = 1.0
         improved = False
         for _ in range(40):
             trial = u - step * direction
-            nrm = norm_q(trial)
-            if nrm > 0.0:
-                trial = trial / nrm
+            f = on_mesh(trial)
+            trial_nrm = lq_integral(f, q) ** (1.0 / q)
+            if trial_nrm > 0.0:
+                trial /= trial_nrm
                 k_trial = k @ trial
                 r_trial = _dot(trial, k_trial)
                 if r_trial < rayleigh:
@@ -684,11 +744,11 @@ def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
             if not dnorm <= tol:
                 raise SolverError(f"L^{q} descent line search failed at iteration {it} "
                                   f"with relative direction norm {dnorm:.3g} > {tol:.3g}")
-            return result(rayleigh, u)
+            return rayleigh, on_mesh(u)
         drop = (rayleigh - r_trial) / rayleigh
-        u, ku, rayleigh = trial, k_trial, r_trial
+        u, ku, rayleigh, nrm = trial, k_trial, r_trial, trial_nrm
         if drop <= tol:
-            return result(rayleigh, u)
+            return rayleigh, on_mesh(u)
     raise SolverError(f"L^{q} descent did not converge in {max_iter} iterations: "
                       f"last relative drop {drop:.3g} > {tol:.3g}")
 

@@ -560,8 +560,17 @@ def _worker(args) -> DeficitReport:
     return evaluate_member(*args)
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sigma_scan(spec: SweepSpec, workers: int | None = None) -> SweepResult:
-    """Evaluate the whole family, in input order, optionally in parallel.
+    """Evaluate the whole family, in input order, optionally in parallel,
+    by default on every available CPU (:func:`available_cpus`).
 
     Any member whose solves fail aborts the scan with that member's id;
     other errors propagate unchanged, at any worker count.
@@ -572,7 +581,7 @@ def sigma_scan(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     jobs = [(mid, fam, par, dom, spec.q_list, spec.rings, spec.rings_fine)
             for (mid, fam, par, dom) in members]
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = available_cpus()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=install_disk_references,

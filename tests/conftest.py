@@ -42,7 +42,7 @@ def combined_sweep():
     from fklab import stability
 
     spec = stability.SweepSpec()
-    workers = os.cpu_count() or 1
+    workers = stability.available_cpus()
     start = time.monotonic()
     result = stability.sigma_scan(spec, workers=workers)
     elapsed = time.monotonic() - start

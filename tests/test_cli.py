@@ -274,6 +274,20 @@ class TestCommands:
         assert (spec.seed, spec.q_list, spec.rings, spec.rings_fine) == (
             7, (1.5, 2.0, 3.0), 64, 128)
 
+    @pytest.mark.parametrize("flag, expected", [("0", 3), ("2", 2)])
+    def test_sweep_workers_zero_is_every_available_cpu(self, capsys, monkeypatch,
+                                                       flag, expected):
+        seen = []
+
+        def fake_scan(spec, workers=None):
+            seen.append(workers)
+            raise fem.SolverError("stop after the worker count")
+        monkeypatch.setattr(stability, "sigma_scan", fake_scan)
+        monkeypatch.setattr(stability, "available_cpus", lambda: 3)
+        assert main(["--workers", flag, "sweep", "random"]) == 2
+        capsys.readouterr()
+        assert seen == [expected]
+
     def test_ball_reference(self, capsys):
         assert main(["--rings", "32", "--rings-fine", "64",
                      "ball-reference"]) == 0

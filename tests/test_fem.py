@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import math
 
@@ -204,7 +206,7 @@ class TestScatterSums:
             integral, grad = lq_midpoint_per_triangle(mesh.vertices, mesh.triangles,
                                                       u.values, q)
             assert abs(fem.lq_integral(u, q) / integral - 1.0) <= 1e-14
-            got = fem._lq_gradient(mesh, u.values, q)
+            got = fem._lq_gradient(u, q)
             assert np.max(np.abs(got - grad)) <= 1e-14 * np.max(np.abs(grad))
 
     def test_q1_is_the_load_form_on_one_sign_fields(self, rng):
@@ -214,7 +216,7 @@ class TestScatterSums:
         exact = float(mesh.load @ u.values)
         assert abs(fem.lq_integral(u, 1.0) / exact - 1.0) <= 1e-14
         n = mesh.n_interior  # the field vanishes on the boundary
-        got = fem._lq_gradient(mesh, u.values, 1.0)[:n]
+        got = fem._lq_gradient(u, 1.0)[:n]
         assert np.max(np.abs(got - mesh.load[:n])) <= 1e-14 * np.max(mesh.load)
 
     def test_q2_is_the_mass_quadratic_form(self, rng):
@@ -223,7 +225,7 @@ class TestScatterSums:
         exact = float(u.values @ (mesh.mass @ u.values))
         assert abs(fem.lq_integral(u, 2.0) / exact - 1.0) <= 1e-14
         grad = 2.0 * (mesh.mass @ u.values)
-        got = fem._lq_gradient(mesh, u.values, 2.0)
+        got = fem._lq_gradient(u, 2.0)
         assert np.max(np.abs(got - grad)) <= 1e-14 * np.max(np.abs(grad))
 
     def test_load_matches_add_at(self):
@@ -366,6 +368,41 @@ class TestPoincareSobolev:
         with pytest.raises(fem.SolverError, match=r"L\^1.5 .* at iteration 0"):
             fem.poincare_sobolev(disk64, 1.5, precond=direct(disk64))
 
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_one_midpoint_pass_per_norm_evaluation(self, q, monkeypatch):
+        # one pass for the start's smoothing gradient, then one per
+        # integral the descent asks for: the accepted trial's gradient
+        # reuses the pass of its integral
+        mesh = fem.polar_mesh(ellipse(0.2), 16)
+        passes, integrals, caller = [], [], []
+        exact_pass, exact_integral, exact_gradient = (
+            fem._midpoint_pass, fem.lq_integral, fem._lq_gradient)
+
+        def counted_pass(u, q):
+            passes.append((u, caller[-1] if caller else None))
+            return exact_pass(u, q)
+
+        def inside(name, fn):
+            def wrapped(u, q):
+                caller.append(name)
+                try:
+                    return fn(u, q)
+                finally:
+                    caller.pop()
+            return wrapped
+
+        def counted_integral(u, q):
+            integrals.append(u)
+            return exact_integral(u, q)
+
+        monkeypatch.setattr(fem, "_midpoint_pass", counted_pass)
+        monkeypatch.setattr(fem, "lq_integral", inside("integral", counted_integral))
+        monkeypatch.setattr(fem, "_lq_gradient", inside("gradient", exact_gradient))
+        fem.poincare_sobolev(mesh, q, precond=direct(mesh))
+        assert len(integrals) >= 2
+        assert [c for _, c in passes] == ["gradient"] + ["integral"] * len(integrals)
+        assert all(p is u for (p, _), u in zip(passes[1:], integrals))
+
     def test_q_range_validated(self, disk64):
         with pytest.raises(ValueError):
             fem.poincare_sobolev(disk64, 0.5, precond=direct(disk64))
@@ -490,6 +527,29 @@ class TestVCycle:
         assert stats.residual <= fem.DEFAULT_CG_TOL
         e_direct = fem.energy_of(fem.solve_torsion(mesh, precond=direct(mesh))[0])
         assert abs(fem.energy_of(u) / e_direct - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["ellipse-0.2", "mode-8"])
+    def test_solve_is_the_textbook_cycle(self, name, rng):
+        # the in-place sweeps against x = D^{-1} b, x += D^{-1}(b - A x),
+        # the coarse correction and two more sweeps, bit for bit at every
+        # level of the rings-32 chain; on mode-8 the Gershgorin cap binds
+        def textbook(vcycle, b):
+            a, d_inv = vcycle._a, vcycle._d_inv
+            coarse = vcycle._coarse
+            solve = (functools.partial(textbook, coarse)
+                     if isinstance(coarse, fem.VCycle) else coarse.solve)
+            x = d_inv * b
+            x += d_inv * (b - a @ x)
+            x += vcycle._p @ solve(vcycle._r @ (b - a @ x))
+            for _ in range(2):
+                x += d_inv * (b - a @ x)
+            return x
+
+        _, vcycle = vcycle_chain(VCYCLE_DOMAINS[name](), 32)
+        if name == "mode-8":
+            assert vcycle.weight < fem.JACOBI_WEIGHT
+        b = rng.standard_normal(vcycle.shape[0])
+        assert np.array_equal(vcycle.solve(b), textbook(vcycle, b))
 
     def test_coarse_operator_must_match(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
@@ -719,6 +779,15 @@ class TestScalarField:
         assert np.all(v == 1.0)
         assert f.values is not v
         assert np.all(f.values[mesh.n_interior:] == 0.0)
+
+    def test_values_are_read_only(self):
+        # a field keeps its midpoint passes, which a write would make stale
+        mesh = disk_mesh(4)
+        f = fem.ScalarField(mesh, np.ones(mesh.n_vertices))
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.values = np.zeros(mesh.n_vertices)
 
 
 class TestMeshDump:

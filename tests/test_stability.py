@@ -3,6 +3,7 @@ import functools
 import inspect
 import math
 import multiprocessing
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -585,6 +586,28 @@ class TestLevelFailure:
             "sweep member ellipse-0.05 failed: rings 4: torsion PCG ")
         assert "iterations" in str(info.value)
         assert "residual" in str(info.value)
+
+
+class TestDefaultWorkers:
+    def test_one_cpu_affinity_scans_serially(self, monkeypatch):
+        # the default worker count is the CPUs the process may run on, not
+        # every CPU of the machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert st.available_cpus() == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(st, "ProcessPoolExecutor", no_pool)
+        spec = st.SweepSpec(eps_values=(0.05,), random_count=0, rings=8, rings_fine=16)
+        assert [r.domain_id for r in st.sigma_scan(spec).reports] == ["ellipse-0.05"]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert st.available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert st.available_cpus() == 1
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

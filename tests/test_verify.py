@@ -86,6 +86,23 @@ class TestTailSup:
         level = stability.Level(unit_disk(rho, center=center), 16)
         assert verify._tail(level, radius)[1] == pytest.approx(exact, rel=1e-13)
 
+    def test_spikes_reach_past_the_outer_ball(self):
+        # every spike has torsion to take the sup of beyond B_{2.2}
+        theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        for amp, width in verify.TAIL_SPIKES:
+            d = StarDomain((0, 0), verify._spike_profile(amp, width))
+            assert np.max(d.radius(theta)) > 2.3
+
+    def test_spike_with_no_vertex_beyond_the_outer_ball_fails(self, monkeypatch):
+        # the amp-1.3 spike stays inside B_{2.2}: a sup of 0 is no evidence,
+        # so its pair fails and the family has a ratio short
+        real = verify._spike_profile
+        monkeypatch.setattr(verify, "_spike_profile",
+                            lambda amp, width: real(1.3, 0.22) if amp == 1.5 else real(amp, width))
+        checks = verify.suite_tail_sup(cli.RunConfig(rings=16, rings_fine=32))
+        assert [ok for _, ok, _ in checks] == [True, False, True, True, False]
+        assert "over 2 positive pairs" in checks[-1][2]
+
     def test_mesh_clipping_converges_to_exact_measure(self):
         # the clipped mesh area misses O(h^2) of the curved boundary
         errors, d = [], StarDomain((0, 0), verify._spike_profile(1.3, 0.22))
