@@ -372,7 +372,7 @@ def cmd_flow_check(cfg: RunConfig, mode: int, amplitude: float,
 def cmd_mesh_dump(cfg: RunConfig, spec: str, rings: int | None,
                   field: str) -> int:
     _, _, dom = parse_domain_spec(spec)
-    level = stability.Level(dom, rings or cfg.rings)
+    level = stability.Level(dom, cfg.rings if rings is None else rings)
     sys.stdout.write(level.mesh.dump())
     if field == "torsion":
         for i, v in enumerate(level.torsion().values):
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
             overrides["rings_fine"] = args.rings_fine
         if args.workers is not None:
             overrides["workers"] = args.workers
-        if getattr(args, "eps", None):
+        if getattr(args, "eps", None) is not None:
             try:
                 lo, hi, n = args.eps.split(":")
                 overrides.update(eps_min=float(lo), eps_max=float(hi),
@@ -452,7 +452,7 @@ def main(argv=None) -> int:
                 raise UsageError(f"bad --eps {args.eps!r}, expected MIN:MAX:COUNT")
         if getattr(args, "seed", None) is not None:
             overrides["seed"] = args.seed
-        if getattr(args, "q", None):
+        if getattr(args, "q", None) is not None:
             try:
                 overrides["q_list"] = tuple(float(x) for x in args.q.split(","))
             except ValueError:

@@ -4,10 +4,10 @@ A domain is the set of points ``center + rho * (cos t, sin t)`` with
 ``0 <= rho < 1 + phi(t)`` for a boundary profile ``phi``.  Volumes and
 barycenters of such domains are trigonometric-polynomial integrals and
 are computed exactly (uniform-grid trapezoid sums are exact for band-
-limited integrands).  The module also provides the ellipse family, the
-volume-interpolating radial flow from the unit disk to a target domain,
-and renormalization to unit-disk volume with the barycenter at the
-origin.
+limited integrands).  The module also re-expresses a boundary about
+another center, and provides the ellipse family, the volume-
+interpolating radial flow from the unit disk to a target domain, and
+renormalization to unit-disk volume with the barycenter at the origin.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ import numpy as np
 from .circle import TWO_PI, BoundaryProfile
 
 _FIT_EXTRA_MODES = 8  # fitted profiles keep the input's K plus this many
+_TRIM_TOL = 1e-15     # fits drop trailing modes below this relative size
+_REFIT_TOL = 1e-9     # largest boundary miss of a profile about a new center
+_ELLIPSE_MODES = 16   # Fourier modes of the ellipse family's profile
 
 
 class NotStarShapedError(ValueError):
@@ -69,10 +72,6 @@ class StarDomain:
                           BoundaryProfile(s * (1.0 + p.a0) - 1.0,
                                           s * p.cos_coeffs, s * p.sin_coeffs))
 
-    def min_radius(self) -> float:
-        theta = _exact_angles(4 * self.profile.max_mode)
-        return float(np.min(self.radius(theta)))
-
 
 def unit_disk(radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)) -> StarDomain:
     if radius <= 0.0:
@@ -99,8 +98,16 @@ def barycenter(d: StarDomain) -> np.ndarray:
     return np.array([d.center[0] + mx / vol, d.center[1] + my / vol])
 
 
-def fit_profile(radii: np.ndarray, max_modes: int | None = None,
-                tail_tol: float = 1e-15) -> tuple[BoundaryProfile, float]:
+def _profile_from_coeffs(coeffs: np.ndarray) -> BoundaryProfile:
+    """The profile whose radius 1 + phi has ``coeffs[k]`` as its coefficient
+    of e^{-ik theta}, k = 0..K (a_k = 2 Re, b_k = -2 Im), with the trailing
+    modes below ``_TRIM_TOL`` dropped."""
+    return BoundaryProfile(float(coeffs[0].real) - 1.0, 2.0 * coeffs[1:].real,
+                           -2.0 * coeffs[1:].imag).trimmed(rel_tol=_TRIM_TOL)
+
+
+def fit_profile(radii: np.ndarray,
+                max_modes: int | None = None) -> tuple[BoundaryProfile, float]:
     """Fourier-fit a sampled radius function, returning (profile, tail energy).
 
     ``radii`` are samples of r(theta) on a uniform grid starting at 0.
@@ -110,101 +117,58 @@ def fit_profile(radii: np.ndarray, max_modes: int | None = None,
     radii = np.asarray(radii, dtype=float)
     m = len(radii)
     coeffs = np.fft.rfft(radii) / m
-    a0 = float(coeffs[0].real) - 1.0
     kmax_avail = (m - 1) // 2
     kmax = kmax_avail if max_modes is None else min(max_modes, kmax_avail)
-    cos = 2.0 * coeffs[1:kmax + 1].real
-    sin = -2.0 * coeffs[1:kmax + 1].imag
     tail = 2.0 * float(np.sum(np.abs(coeffs[kmax + 1:]) ** 2))
-    profile = BoundaryProfile(a0, cos, sin).trimmed(rel_tol=tail_tol)
-    return profile, tail
+    return _profile_from_coeffs(coeffs[:kmax + 1]), tail
 
 
-def profile_relative_to(d: StarDomain, c, max_modes: int | None = None,
-                        fit_tol: float = 1e-9) -> BoundaryProfile:
+def profile_relative_to(d: StarDomain, c) -> BoundaryProfile:
     """Radial profile of the same boundary, re-expressed about the point c.
 
-    Every ray from c must cross the boundary exactly once.  Angles are
-    resolved by bisection on the boundary parameter, then the sampled
-    radii are Fourier-fitted (keeping the input's mode count plus a
-    fixed margin unless ``max_modes`` overrides it).
+    Along the boundary x(t) = o + (1 + phi(t)) e_t let w = x - c and
+    psi = arg w.  Then rho d psi = (w x w') / |w| dt, so the coefficient
+    of e^{-ik psi} in rho(psi) is (1/2 pi) int (w x w') / |w| (conj(w) /
+    |w|)^k dt, a smooth periodic integrand that the trapezoid rule in t
+    sums to geometric accuracy; no angle is inverted.  The sum keeps the
+    input's mode count plus a margin, doubled and then doubled again if
+    the profile misses the boundary points by more than ``_REFIT_TOL``.
+    Raises ``NotStarShapedError`` where the angle about c is not
+    increasing at a grid point or no sum reproduces the boundary.
     """
-    c = np.asarray(c, dtype=float)
-    offset = c - np.asarray(d.center)
-    dist = float(np.hypot(*offset))
     p = d.profile
-    if dist >= d.min_radius():
-        raise NotStarShapedError(
-            f"center offset {dist:.3g} exceeds the minimal boundary radius")
-    if max_modes is None:
-        # start at the input's resolution plus a margin and escalate if the
-        # refit tail is not yet below tolerance
-        base = p.max_mode + _FIT_EXTRA_MODES
-        candidates = [base, 2 * base, 4 * base]
-    else:
-        candidates = [max_modes]
-    n_fit = max(8 * (candidates[-1] + 1), 256)
-
-    if dist == 0.0:
+    offset = np.asarray(d.center, dtype=float) - np.asarray(c, dtype=float)
+    if float(np.hypot(*offset)) == 0.0:
         return p
-
-    # Boundary point at parameter t, relative to c.
-    def rel(t):
-        pts = d.boundary_points(t)
-        return pts[..., 0] - c[0], pts[..., 1] - c[1]
-
-    n_coarse = max(4 * n_fit, 2048)
-    t_grid = np.linspace(0.0, TWO_PI, n_coarse + 1)
-    vx, vy = rel(t_grid)
-    ang = np.unwrap(np.arctan2(vy, vx))
-    if np.any(np.diff(ang) <= 0.0) or abs(ang[-1] - ang[0] - TWO_PI) > 1e-9:
-        raise NotStarShapedError("boundary angle about c is not monotone")
-
-    targets = ang[0] + np.arange(n_fit) * (TWO_PI / n_fit)
-    idx = np.searchsorted(ang, targets, side="right") - 1
-    idx = np.clip(idx, 0, n_coarse - 1)
-    lo = t_grid[idx]
-    hi = t_grid[idx + 1]
-    # Vectorized bisection on the boundary parameter; the bracket width
-    # bounds the radius error well below the requested tolerance.
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        vx, vy = rel(mid)
-        gap = np.arctan2(vy, vx) - targets
-        gap = (gap + math.pi) % TWO_PI - math.pi
-        above = gap > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    t_star = 0.5 * (lo + hi)
-    vx, vy = rel(t_star)
-    rho = np.hypot(vx, vy)
-
-    # Samples are indexed by angle targets[i] = ang[0] + i * step; the fit
-    # lives on the shifted grid and is rotated back to the theta = 0 frame.
-    phase = targets[0]
-    check = math.inf
-    for kmax in candidates:
-        profile, _tail = fit_profile(rho, kmax)
-        if phase != 0.0 and profile.max_mode:
-            k = np.arange(1, profile.max_mode + 1, dtype=float)
-            ck, sk = np.cos(k * phase), np.sin(k * phase)
-            cos = profile.cos_coeffs * ck - profile.sin_coeffs * sk
-            sin = profile.sin_coeffs * ck + profile.cos_coeffs * sk
-            profile = BoundaryProfile(profile.a0, cos, sin)
-        check = float(np.max(np.abs(1.0 + profile.values(targets) - rho)))
-        if check <= fit_tol:
+    dp = p.derivative()
+    base = p.max_mode + _FIT_EXTRA_MODES
+    for kmax in (base, 2 * base, 4 * base):
+        t = np.linspace(0.0, TWO_PI, max(8 * (kmax + 1), 256), endpoint=False)
+        e = np.exp(1j * t)
+        r = 1.0 + p.values(t)
+        w = complex(*offset) + r * e
+        cross = (w.conjugate() * (dp.values(t) + 1j * r) * e).imag  # w x w'
+        if np.min(cross) <= 0.0:
+            raise NotStarShapedError("boundary angle about c is not monotone")
+        rho, psi = np.abs(w), np.angle(w)
+        # summed by numpy, not BLAS, so no bit depends on the BLAS thread count
+        coeffs = np.einsum("j,jk->k", cross / rho,
+                           np.exp(-1j * np.outer(psi, np.arange(kmax + 1)))) / len(t)
+        profile = _profile_from_coeffs(coeffs)
+        miss = float(np.max(np.abs(1.0 + profile.values(psi) - rho)))
+        if miss <= _REFIT_TOL:
             return profile
     raise NotStarShapedError(
-        f"refit boundary deviates by {check:.3g} (> {fit_tol:.1g}); "
+        f"refit boundary deviates by {miss:.3g} (> {_REFIT_TOL:.1g}); "
         "profile about c is not resolvable at this truncation")
 
 
 def recenter_rescale(d: StarDomain) -> StarDomain:
     """Normalize to volume pi with the barycenter at the origin.
 
-    The domain is re-expressed about its barycenter (per-angle ray/boundary
-    bisection plus a Fourier refit) and dilated so the exact Fourier
-    volume equals pi.  Idempotent up to refit roundoff.
+    The domain is re-expressed about its barycenter (one trapezoid sum in
+    the boundary parameter, :func:`profile_relative_to`) and dilated so
+    the exact Fourier volume equals pi.  Idempotent up to roundoff.
     """
     c = barycenter(d)
     offset = float(np.hypot(c[0] - d.center[0], c[1] - d.center[1]))
@@ -216,7 +180,7 @@ def recenter_rescale(d: StarDomain) -> StarDomain:
     return centered.dilated(math.sqrt(math.pi / volume(centered)))
 
 
-def ellipse(eps: float, max_modes: int = 16) -> StarDomain:
+def ellipse(eps: float) -> StarDomain:
     """Volume-pi ellipse {x^2 + (1+eps) y^2 <= 1} scaled to area pi.
 
     The unscaled boundary radius is (1 + eps sin^2 theta)^{-1/2}; the
@@ -230,7 +194,7 @@ def ellipse(eps: float, max_modes: int = 16) -> StarDomain:
         return unit_disk()
     theta = np.linspace(0.0, TWO_PI, 256, endpoint=False)
     r = (1.0 + eps) ** 0.25 / np.sqrt(1.0 + eps * np.sin(theta) ** 2)
-    profile, _ = fit_profile(r, max_modes)
+    profile, _ = fit_profile(r, _ELLIPSE_MODES)
     dom = StarDomain((0.0, 0.0), profile)
     return dom.dilated(math.sqrt(math.pi / volume(dom)))
 

@@ -37,13 +37,13 @@ interior values with a ``solve`` method and a ``shape``, which
 ``stability.Level`` chooses for every (domain, rings) problem: a
 :class:`VCycle`, one symmetric multigrid V-cycle over the same domain's
 meshes at half, a quarter, ... of the ring count, down to a small mesh
-that is factored, or a factorization by :func:`factorize`.  A mesh of
-fewer than ``DENSE_RINGS`` rings, as every chain bottom is at the
-default ring counts, has at most 127 interior unknowns and is factored
-densely by numpy; a larger one by symmetric-mode SuperLU, fklab's only
-use of scipy.sparse.linalg, which is imported then.  Torsion (-Laplace
-u = 1, u = 0 on the boundary) is one conjugate-gradient solve
-preconditioned by it; with a factorization that is a direct solve.
+that is factored, or a factorization by :func:`factorize`.  A matrix of
+at most ``DENSE_ROWS`` rows, as every chain bottom's stiffness is at the
+default ring counts, is factored densely by numpy; a larger one by
+symmetric-mode SuperLU, fklab's only use of scipy.sparse.linalg, which
+is imported then.  Torsion (-Laplace u = 1, u = 0 on the boundary) is
+one conjugate-gradient solve preconditioned by it; with a factorization
+that is a direct solve.
 Every optimal Poincare-Sobolev constant lambda_q comes from one normalized
 preconditioned gradient descent with backtracking line search, a
 Sobolev-gradient descent in the inner product of the preconditioner (J.
@@ -83,8 +83,8 @@ from .domain import StarDomain
 DEFAULT_CG_TOL = 1e-10
 DEFAULT_DESCENT_TOL = 1e-8
 DEFAULT_Q_MAX = 4.0
-# meshes of fewer rings, at most 127 interior unknowns, are factored densely
-DENSE_RINGS = 8
+# matrices up to the interior stiffness of a rings-7 mesh are factored densely
+DENSE_ROWS = 127
 # damping of the V-cycle's Jacobi sweeps, lowered on a mesh whose
 # Gershgorin bound would make it diverge
 JACOBI_WEIGHT = 0.8
@@ -433,13 +433,12 @@ class DenseInverse:
         return np.einsum("ij,j->i", self._inverse, b)
 
 
-def factorize(a: sp.csr_matrix, rings: int):
-    """A factorization of ``a``, the SPD interior stiffness of a
-    ``rings``-ring mesh, with ``solve`` and ``shape``: a
-    :class:`DenseInverse` below ``DENSE_RINGS`` rings, otherwise SuperLU,
-    whose symmetric ordering and diagonal pivots suit an SPD matrix and
-    keep the fill low."""
-    if rings < DENSE_RINGS:
+def factorize(a: sp.csr_matrix):
+    """A factorization of ``a``, an SPD interior stiffness, with ``solve``
+    and ``shape``: a :class:`DenseInverse` up to ``DENSE_ROWS`` rows,
+    otherwise SuperLU, whose symmetric ordering and diagonal pivots suit
+    an SPD matrix and keep the fill low."""
+    if a.shape[0] <= DENSE_ROWS:
         return DenseInverse(a)
     # imported on first use: it adds about 0.1 s and 10 MB to a process
     import scipy.sparse.linalg as spla
@@ -496,13 +495,13 @@ def polar_mesh(d: StarDomain, rings: int) -> TriMesh:
 
 
 class VCycle:
-    """One symmetric multigrid V-cycle for the interior stiffness A of the
-    ``rings``-ring ``mesh``, a fixed SPD operator B approximating A^{-1}
+    """One symmetric multigrid V-cycle for the interior stiffness A of
+    ``mesh``, a fixed SPD operator B approximating A^{-1}
     (W. Hackbusch, Multi-Grid Methods and Applications, Springer 1985).
 
     ``solve(b)`` runs two damped Jacobi sweeps from zero, restricts the
     residual by the transposed interior prolongation, applies
-    ``coarse.solve`` on the ``rings // 2``-ring mesh of the same domain,
+    ``coarse.solve`` on the mesh of half the ring count of the same domain,
     prolongs the correction and runs two more Jacobi sweeps.  ``coarse``
     is any SPD operator with ``solve`` and ``shape``: the coarse level's
     own V-cycle, or at the bottom of the chain a factorization.  The
@@ -514,8 +513,8 @@ class VCycle:
     Every residual and the prolonged correction of one application go
     through one work vector, each product by :func:`_csr_matvec`."""
 
-    def __init__(self, mesh: TriMesh, rings: int, coarse):
-        a = mesh.stiffness
+    def __init__(self, mesh: TriMesh, coarse):
+        a, rings = mesh.stiffness, mesh.skeleton.rings
         self._p, self._r = _interior_transfer(rings // 2)
         if self._p.shape != (a.shape[0], coarse.shape[0]):
             raise ValueError(f"coarse operator of shape {coarse.shape} does not match "

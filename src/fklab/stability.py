@@ -118,8 +118,8 @@ class Level:
         """The V-cycle over the coarse chain at a nested ring count, the
         mesh's interior stiffness factored by ``fem.factorize`` otherwise."""
         if nested(self.rings):
-            return fem.VCycle(self.mesh, self.rings, self.coarse.precond)
-        return fem.factorize(self.mesh.stiffness, self.rings)
+            return fem.VCycle(self.mesh, self.coarse.precond)
+        return fem.factorize(self.mesh.stiffness)
 
     def release(self) -> None:
         """Drop the mesh, ``precond`` and the q-solutions, keeping every

@@ -31,7 +31,7 @@ def direct(mesh):
     from fklab import fem
 
     if mesh not in _DIRECT:
-        _DIRECT[mesh] = fem.factorize(mesh.stiffness, mesh.skeleton.rings)
+        _DIRECT[mesh] = fem.factorize(mesh.stiffness)
     return _DIRECT[mesh]
 
 

@@ -286,10 +286,10 @@ def mc_alpha(radius_fn, center, n: int = 2_000_000, seed: int = 11,
 
 def refit_alpha(d) -> float:
     """alpha = beta_2 + int (r^3/3 - r^2/2) d theta in polar form about the
-    barycenter: the boundary is re-expressed about it by ray bisection and
-    a Fourier refit (``domain.profile_relative_to``), and the trapezoid
-    rule on max(3K + 2, 64) angles integrates that trigonometric
-    polynomial of the refitted profile exactly.  Raises
+    barycenter: the boundary is re-expressed about it by one trapezoid
+    sum in the boundary parameter (``domain.profile_relative_to``), and
+    the trapezoid rule on max(3K + 2, 64) angles integrates that
+    trigonometric polynomial of the refitted profile exactly.  Raises
     ``NotStarShapedError`` where the refit does."""
     from fklab.domain import barycenter, profile_relative_to
 

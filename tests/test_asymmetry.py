@@ -251,7 +251,7 @@ class TestPolarOverlap:
 
 def refit_failures():
     """Domains on which the refit about the barycenter fails: the refit is
-    off by 4.1e-4, and the boundary angle about it is not monotone."""
+    off by 4.4e-4, and the boundary angle about it is not monotone."""
     return [StarDomain((0, 0), BoundaryProfile(0.0, cos, sin)) for cos, sin in (
         ([0.031, -0.033, 0.16, 0.026], [-0.134, 0.09, 0.326, 0.237]),
         ([-0.136, -0.079, 0.103, 0.261], [-0.032, 0.342, -0.166, 0.088]))]

@@ -174,6 +174,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("fklab: error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [["mesh-dump", "ellipse:0.1", "--mesh-rings", "0"],
+                                      ["deficit", "ellipse:0.1", "--q", ""],
+                                      ["sweep", "ellipse", "--eps", ""]],
+                             ids=["mesh-rings-0", "q-empty", "eps-empty"])
+    def test_empty_or_zero_option_is_not_the_default(self, capsys, monkeypatch, args):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("the defaults ran")
+        monkeypatch.setattr(stability, "sigma_scan", no_run)
+        monkeypatch.setattr(stability, "prepare_disk_references", no_run)
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(("fklab: error:", "fklab: input error:"))
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_verify_failure_is_three(self, capsys, monkeypatch):
         monkeypatch.setitem(verify.SUITES, "always-fails",
                             lambda cfg: [("doomed", False, "by design")])

@@ -62,6 +62,14 @@ class TestBarycenter:
                 polygon_centroid(dense_boundary(d)), abs=1e-8)
 
 
+def decaying_profile(rng, kmax=6, scale=0.08):
+    """Random profile whose mode-k coefficients decay like k^-2."""
+    k = np.arange(1, kmax + 1)
+    return BoundaryProfile(0.05 * rng.standard_normal(),
+                           scale * rng.standard_normal(kmax) / k ** 2,
+                           scale * rng.standard_normal(kmax) / k ** 2)
+
+
 class TestProfileRelativeTo:
     def test_same_center_is_identity(self):
         p = BoundaryProfile.single_mode(2, cos_amp=0.1)
@@ -75,7 +83,7 @@ class TestProfileRelativeTo:
         theta = np.linspace(0, 2 * PI, 181)
         expected = (-0.2 * np.cos(theta)
                     + np.sqrt(1 - 0.04 * np.sin(theta) ** 2))
-        assert np.max(np.abs(1 + q.values(theta) - expected)) < 1e-10
+        assert np.max(np.abs(1 + q.values(theta) - expected)) < 1e-11
 
     def test_near_barycenter_keeps_profile(self):
         p = BoundaryProfile.single_mode(2, cos_amp=0.05)
@@ -84,9 +92,30 @@ class TestProfileRelativeTo:
         theta = np.linspace(0, 2 * PI, 73)
         assert np.max(np.abs(q.values(theta) - p.values(theta))) < 1e-10
 
-    def test_rejects_far_center(self):
+    def test_rejects_far_center(self, rng):
         with pytest.raises(NotStarShapedError):
             profile_relative_to(unit_disk(), (1.5, 0.0))
+        d = StarDomain((0.3, -0.2), decaying_profile(rng))
+        with pytest.raises(NotStarShapedError):
+            profile_relative_to(d, (-40.0, 7.0))
+
+    def test_keeps_exact_volume_and_barycenter(self, rng):
+        # the boundary about its barycenter and about two off-center points
+        for _ in range(4):
+            d = StarDomain((0.3, -0.2), decaying_profile(rng))
+            b = barycenter(d)
+            for c in (b, b + (0.2, 0.1), b - (0.1, 0.25)):
+                moved = StarDomain(c, profile_relative_to(d, c))
+                assert volume(moved) == pytest.approx(volume(d), abs=1e-13)
+                assert np.max(np.abs(barycenter(moved) - b)) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.5, 4.0, 5.5])
+    def test_rejects_center_just_outside(self, rng, theta):
+        d = StarDomain((0.3, -0.2), decaying_profile(rng))
+        r = float(d.radius(np.array([theta]))[0])
+        c = np.asarray(d.center) + 1.0005 * r * np.array([math.cos(theta), math.sin(theta)])
+        with pytest.raises(NotStarShapedError):
+            profile_relative_to(d, c)
 
 
 class TestRecenterRescale:

@@ -181,7 +181,7 @@ class TestStiffness:
         assert np.max(np.abs(mesh.load - load)) <= 1e-14 * np.max(load)
         if rings >= 8:  # a rings-4 mesh has no half-ring level to build a V-cycle on
             coarse = direct(fem.polar_mesh(d, rings // 2))
-            weight = fem.VCycle(mesh, rings, coarse).weight
+            weight = fem.VCycle(mesh, coarse).weight
             assert abs(weight - gershgorin_weight(interior)) <= 1e-14 * weight
 
 
@@ -474,7 +474,7 @@ def vcycle_chain(d, rings):
     mesh = fem.polar_mesh(d, rings)
     if rings == 4:
         return mesh, direct(mesh)
-    return mesh, fem.VCycle(mesh, rings, vcycle_chain(d, rings // 2)[1])
+    return mesh, fem.VCycle(mesh, vcycle_chain(d, rings // 2)[1])
 
 
 VCYCLE_DOMAINS = {
@@ -554,7 +554,7 @@ class TestVCycle:
     def test_coarse_operator_must_match(self):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
         with pytest.raises(ValueError, match="coarse operator"):
-            fem.VCycle(mesh, 16, direct(disk_mesh(4)))
+            fem.VCycle(mesh, direct(disk_mesh(4)))
 
     def test_transfer_is_cached_read_only(self):
         p, r = fem._interior_transfer(8)
@@ -572,7 +572,7 @@ class TestFactorize:
     def test_dense_inverse_is_spd_and_matches_superlu(self, name, rings, rng):
         mesh = fem.polar_mesh(VCYCLE_DOMAINS[name](), rings)
         a = mesh.stiffness
-        factor = fem.factorize(a, rings)
+        factor = fem.factorize(a)
         assert isinstance(factor, fem.DenseInverse)
         n = mesh.n_interior
         dense = np.column_stack([factor.solve(e) for e in np.eye(n)])
@@ -585,8 +585,9 @@ class TestFactorize:
             assert np.max(np.abs(factor.solve(b) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_superlu_from_eight_rings(self):
-        mesh = fem.polar_mesh(ellipse(0.2), fem.DENSE_RINGS)
-        factor = fem.factorize(mesh.stiffness, fem.DENSE_RINGS)
+        mesh = fem.polar_mesh(ellipse(0.2), 8)
+        assert mesh.n_interior > fem.DENSE_ROWS
+        factor = fem.factorize(mesh.stiffness)
         assert type(factor).__name__ == "SuperLU"
         b = mesh.load[:mesh.n_interior]
         residual = mesh.stiffness @ factor.solve(b) - b
