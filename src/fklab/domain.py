@@ -22,6 +22,7 @@ from .circle import TWO_PI, BoundaryProfile
 _FIT_EXTRA_MODES = 8  # fitted profiles keep the input's K plus this many
 _TRIM_TOL = 1e-15     # fits drop trailing modes below this relative size
 _REFIT_TOL = 1e-9     # largest boundary miss of a profile about a new center
+_REFIT_MAX_MODES = 512  # most modes of a profile about a new center
 _ELLIPSE_MODES = 16   # Fourier modes of the ellipse family's profile
 
 
@@ -132,17 +133,22 @@ def profile_relative_to(d: StarDomain, c) -> BoundaryProfile:
     |w|)^k dt, a smooth periodic integrand that the trapezoid rule in t
     sums to geometric accuracy; no angle is inverted.  The sum keeps the
     input's mode count plus a margin, doubled and then doubled again if
-    the profile misses the boundary points by more than ``_REFIT_TOL``.
-    Raises ``NotStarShapedError`` where the angle about c is not
-    increasing at a grid point or no sum reproduces the boundary.
+    the profile misses the boundary points by more than ``_REFIT_TOL``;
+    from there the count keeps doubling while the miss falls, up to
+    ``_REFIT_MAX_MODES``.  Raises ``NotStarShapedError`` where the angle
+    about c is not increasing at a grid point, and a plain ``ValueError``
+    naming the miss and the mode count where no sum reproduces the
+    boundary.
     """
     p = d.profile
     offset = np.asarray(d.center, dtype=float) - np.asarray(c, dtype=float)
     if float(np.hypot(*offset)) == 0.0:
         return p
     dp = p.derivative()
-    base = p.max_mode + _FIT_EXTRA_MODES
-    for kmax in (base, 2 * base, 4 * base):
+    kmax = p.max_mode + _FIT_EXTRA_MODES
+    tried_first = 4 * kmax  # the counts up to this one run whatever their misses
+    previous = math.inf
+    while True:
         t = np.linspace(0.0, TWO_PI, max(8 * (kmax + 1), 256), endpoint=False)
         e = np.exp(1j * t)
         r = 1.0 + p.values(t)
@@ -158,9 +164,12 @@ def profile_relative_to(d: StarDomain, c) -> BoundaryProfile:
         miss = float(np.max(np.abs(1.0 + profile.values(psi) - rho)))
         if miss <= _REFIT_TOL:
             return profile
-    raise NotStarShapedError(
-        f"refit boundary deviates by {miss:.3g} (> {_REFIT_TOL:.1g}); "
-        "profile about c is not resolvable at this truncation")
+        if kmax >= tried_first and (not miss < previous or 2 * kmax > _REFIT_MAX_MODES):
+            raise ValueError(
+                f"refit boundary deviates by {miss:.3g} (> {_REFIT_TOL:.1g}) at {kmax} "
+                "modes; the profile about c is not resolved")
+        previous = miss
+        kmax *= 2
 
 
 def recenter_rescale(d: StarDomain) -> StarDomain:

@@ -546,13 +546,17 @@ class VCycle:
         x += t
 
 
-def _csr_matvec(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ x`` written into ``out``, which must not be ``x``, by scipy's
-    CSR kernel, the one that ``a @ x`` runs on a zeroed result, so the two
-    agree bit for bit.  It skips the allocation and the about 6 us of
-    scipy's operator dispatch, which is most of a product on the
-    V-cycle's levels below rings 32."""
-    out.fill(0.0)
+def _csr_matvec(a: sp.csr_matrix, x: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ x`` written into ``out``, which must not be ``x``, or into a
+    new vector, by scipy's CSR kernel, the one that ``a @ x`` runs on a
+    zeroed result, so the two agree bit for bit.  It skips the about 6 us
+    of scipy's operator dispatch, which is most of a product on the
+    V-cycle's levels below rings 32, and with ``out`` the allocation."""
+    if out is None:
+        out = np.zeros(a.shape[0])
+    else:
+        out.fill(0.0)
     _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
     return out
 
@@ -582,7 +586,7 @@ def solve_torsion(mesh: TriMesh, *, precond, tol: float = DEFAULT_CG_TOL,
     precond = _preconditioner(mesh, precond)
     b_norm = _norm(b)
     x = precond.solve(b)
-    r = b - a @ x
+    r = b - _csr_matvec(a, x)
     r_norm = _norm(r)
     it, p, rz = 1, np.zeros_like(b), 1.0
     while r_norm > tol / 10.0 * b_norm:
@@ -593,12 +597,12 @@ def solve_torsion(mesh: TriMesh, *, precond, tol: float = DEFAULT_CG_TOL,
         it += 1
         rz, rz_prev = _dot(r, z), rz
         p = z + (rz / rz_prev) * p
-        ap = a @ p
+        ap = _csr_matvec(a, p)
         alpha = rz / _dot(p, ap)
         x += alpha * p
         r -= alpha * ap
         r_norm = _norm(r)
-    res = _norm(a @ x - b) / b_norm
+    res = _norm(_csr_matvec(a, x) - b) / b_norm
     if not res <= tol:
         raise SolverError(f"torsion PCG stopped after {it} iterations with true "
                           f"relative residual {res:.3g} > {tol:.3g}")
@@ -623,7 +627,7 @@ def _midpoint_pass(u: ScalarField, q: float) -> tuple[float, np.ndarray]:
     copied from m, so at q = 1 a zero midpoint takes the subgradient +-w."""
     mesh = u.mesh
     w = mesh._edge_weights  # first, so a mesh's first pass builds it without m and s
-    m = mesh.skeleton.midpoints @ u.values
+    m = _csr_matvec(mesh.skeleton.midpoints, u.values)
     s = np.abs(m)
     s **= q - 1.0
     np.copysign(s, m, out=s)
@@ -667,7 +671,7 @@ def _smoothed(mesh: TriMesh, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     V-cycle then takes 3 solves instead of 5."""
     k, diagonal = mesh.stiffness, mesh._interior_diagonal
     for _ in range(3):
-        kx = k @ x
+        kx = _csr_matvec(k, x)
         x = x - (2.0 / 3.0) * (kx - _dot(x, kx) / _dot(x, g) * g) / diagonal
     return x
 
@@ -720,7 +724,7 @@ def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
     f = on_mesh(u)
     nrm = lq_integral(f, q) ** (1.0 / q)
     u /= nrm
-    ku = k @ u
+    ku = _csr_matvec(k, u)
     rayleigh, drop = _dot(u, ku), math.nan
     for it in range(max_iter):
         direction = precond.solve(ku - rayleigh * norm_gradient(f, nrm))
@@ -732,14 +736,14 @@ def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
             trial_nrm = lq_integral(f, q) ** (1.0 / q)
             if trial_nrm > 0.0:
                 trial /= trial_nrm
-                k_trial = k @ trial
+                k_trial = _csr_matvec(k, trial)
                 r_trial = _dot(trial, k_trial)
                 if r_trial < rayleigh:
                     improved = True
                     break
             step *= 0.5
         if not improved:
-            dnorm = math.sqrt(_dot(direction, k @ direction) / rayleigh)
+            dnorm = math.sqrt(_dot(direction, _csr_matvec(k, direction)) / rayleigh)
             if not dnorm <= tol:
                 raise SolverError(f"L^{q} descent line search failed at iteration {it} "
                                   f"with relative direction norm {dnorm:.3g} > {tol:.3g}")

@@ -1,12 +1,20 @@
 """Deficits, inequality margins, and sweep-level stability scans.
 
-All deficits compare a star domain against the unit disk on matched
-meshes: the domain mesh is the disk mesh of the same ring count pushed
-radially onto the boundary, so the leading O(h^2) discretization bias
-cancels in the difference.  Quantities are computed on a coarse/fine
-pair of ring counts and Richardson-extrapolated with assumed order 2;
-the energy route also solves one extra coarser level so an observed
-convergence order can be attached to each data point.
+Every deficit of a sweep row compares a star domain against the unit
+disk on matched meshes: the domain mesh is the disk mesh of the same
+ring count pushed radially onto the boundary, so the leading O(h^2)
+discretization bias cancels in the difference.  Quantities are computed
+on a coarse/fine pair of ring counts and Richardson-extrapolated with
+assumed order 2; the energy route also solves one extra coarser level so
+an observed convergence order can be attached to each data point.
+
+The torsion-only helpers, :func:`energy_gap` and :func:`energy_deficit`
+and the Taylor, Fuglede and sharpness checks built on them, build no
+mesh: :func:`torsion_energy` fits the harmonic part of the torsion
+function by powers of x - o and integrates it exactly on the domain's
+Fourier boundary, with a maximum-principle bound of at most
+``TREFFTZ_TOL`` |E| on its error.  Their ring counts are still checked
+as a Richardson pair, but no longer change a value.
 
 The eigenvalue is the q = 2 Poincare-Sobolev constant, and every L^q
 solve uses nested iteration: at every even ring count >= 8 it starts
@@ -21,10 +29,9 @@ symmetric V-cycle over it, and only the bottom level, 37 unknowns at
 rings 4, is factored, densely (``fem.factorize``), so a sweep at the
 default ring counts never imports scipy.sparse.linalg.  The unit disk's
 levels follow the same rule; once prepared they keep their values alone,
-and sweep workers receive those values.  Torsion-only paths solve no L^q
-problem.
+and sweep workers receive those values.
 
-Conventions (dimension is fixed to 2 for all meshed quantities):
+Conventions (dimension is fixed to 2):
 
 * energy gap     :  E(Omega) - E(B_1), both volumes pi
 * energy deficit :  D = E|Omega|^{-2} - E(B_1) pi^{-2}  (scale invariant)
@@ -43,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import asymmetry, fem
-from .circle import BoundaryProfile, h_half_norm_sq, hessian_form
+from .circle import TWO_PI, BoundaryProfile, h_half_norm_sq, hessian_form
 from .domain import (StarDomain, ellipse, recenter_rescale, unit_disk, volume,
                      volume_corrected, volume_corrected_profile)
 
@@ -54,6 +61,11 @@ DEFAULT_RINGS = 64
 DEFAULT_RINGS_FINE = 128
 RATIO_ASYMMETRY_FLOOR = 1e-3
 ORDER_BAND = (1.6, 2.4)
+DISK_ENERGY = -math.pi / 16.0  # E(B_1)
+# the mode counts of the Trefftz fit, tried in turn, and the largest
+# accepted bound on the error of its energy, relative to the energy
+TREFFTZ_MODES = (32, 64, 128, 256)
+TREFFTZ_TOL = 1e-10
 # sup-norm range drawn for the random near-spheres of sweeps and `verify fuglede`
 NEAR_SPHERE_SUP = (0.015, 0.047)
 
@@ -166,7 +178,7 @@ class Level:
         start = None
         if nested(self.rings):
             p, _ = fem._interior_transfer(self.rings // 2)
-            start = p @ self.coarse._solution(q)
+            start = fem._csr_matvec(p, self.coarse._solution(q))
         lam, u = self._solve(fem.poincare_sobolev, q, start=start)
         self._lq[q] = lam
         self._solutions[q] = u.values[:self.mesh.n_interior].copy()
@@ -291,10 +303,6 @@ def kj_exponent(q: float, dim: int = DIM) -> float:
     return (1.0 / q - (dim - 2.0) / (2.0 * dim)) * 2.0 * dim / (dim + 2.0)
 
 
-def _gap_term(dom: Level, ref: Level) -> float:
-    return dom.energy() - ref.energy()
-
-
 def _energy_term(dom: Level, ref: Level) -> float:
     return (dom.energy() * dom.volume ** (-SCALE_EXP)
             - ref.energy() * math.pi ** (-SCALE_EXP))
@@ -317,19 +325,145 @@ def _ratio_terms(dom: Level, ref: Level, q: float) -> tuple[float, float]:
             (ref.energy() / dom.energy()) ** th - 1.0)
 
 
+# -- the torsion energy without a mesh -----------------------------------
+
+
+@dataclass(frozen=True)
+class TrefftzStats:
+    """The evidence of a :func:`torsion_energy`: the mode count K of the
+    fit, ``miss``, a bound on the sup of its boundary miss, and ``bound`` =
+    |Omega| miss / 2, a bound on the error of the energy."""
+
+    modes: int
+    miss: float
+    bound: float
+
+
+def _householder_lstsq(at: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution x of A x ~ b, A of full column rank with
+    at least as many rows as columns, given as its transpose ``at``, so
+    that each column of A is a contiguous row.  Householder QR reflects
+    the columns and b in turn, then back substitution solves R x = Q^T b.
+    Neither calls BLAS or LAPACK, so no bit depends on the BLAS thread
+    count, as those of ``numpy.linalg.lstsq`` do."""
+    at = np.array(at, dtype=float)
+    b = np.array(b, dtype=float)
+    cols = len(at)
+    for j in range(cols):
+        v = at[j, j:].copy()
+        norm = fem._norm(v)
+        alpha = -math.copysign(norm, v[0])
+        scale = 2.0 * norm * (norm + abs(v[0]))  # |v - alpha e_1|^2
+        v[0] -= alpha
+        at[j, j] = alpha
+        if scale == 0.0:
+            continue
+        v *= math.sqrt(2.0 / scale)  # the reflection is I - v v^T
+        rest = at[j + 1:, j:]
+        rest -= np.multiply.outer(np.einsum("ij,j->i", rest, v), v)
+        b[j:] -= fem._dot(b[j:], v) * v
+    # back substitution by columns: column i of R above its diagonal is
+    # at[i, :i], contiguous
+    x = b[:cols]
+    for i in range(cols - 1, -1, -1):
+        x[i] /= at[i, i]
+        x[:i] -= x[i] * at[i, :i]
+    return x
+
+
+def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k - 1] w^k over k = 1..K, by Horner's rule."""
+    acc = np.full(w.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= w
+        acc += c
+    acc *= w
+    return acc
+
+
+def _trefftz(d: StarDomain, modes: int) -> tuple[float, float]:
+    """The torsion energy of the ``modes``-mode Trefftz fit and a bound on
+    its boundary miss (:func:`torsion_energy`)."""
+    m = d.profile.max_mode
+    k = np.arange(1, modes + 1)
+    t = np.linspace(0.0, TWO_PI, max(4 * modes + 64, 4 * m + 2), endpoint=False)
+    r = d.radius(t)
+    rho = float(np.max(r))
+    w = r * np.exp(1j * t) / rho
+    powers = np.cumprod(np.broadcast_to(w, (modes, len(t))), axis=0)
+    at = np.empty((2 * modes + 1, len(t)))
+    at[0] = 1.0
+    at[1::2] = powers.real
+    at[2::2] = powers.imag
+    x = _householder_lstsq(at, r * r / 4.0)
+    a0, c = x[0], x[1::2] - 1j * x[2::2]
+    # one grid of L = 4N points samples the miss, of degree N, and sums the
+    # energy's integrand, of degree (K + 2) M + K < L, exactly
+    degree = max(modes * (m + 1), 2 * m)
+    t = np.linspace(0.0, TWO_PI, 4 * degree, endpoint=False)
+    r = d.radius(t)
+    r2 = r * r
+    w = r * np.exp(1j * t) / rho
+    miss = a0 + _horner(c, w).real - r2 / 4.0
+    # Bernstein: |m'| <= N sup |m|, and each t lies within pi / L of a sample
+    sup = float(np.max(np.abs(miss))) / (1.0 - math.pi * degree / len(t))
+    integrand = r2 * (a0 / 2.0 + _horner(c / (k + 2), w).real - r2 / 16.0)
+    return -math.pi * float(np.mean(integrand)), sup
+
+
+def torsion_energy(d: StarDomain) -> tuple[float, TrefftzStats]:
+    """The torsion energy E = -(1/2) int u of -Laplace u = 1, u = 0 on the
+    boundary, without a mesh, with a proved error bound (a Trefftz method:
+    E. Trefftz, "Ein Gegenstueck zum Ritzschen Verfahren", Zuerich 1926).
+
+    With o the center and r = R(t) the boundary, u = h - |x - o|^2 / 4 for
+    the harmonic h with h = R^2 / 4 on the boundary.  The fit h_K = a_0 +
+    Re sum_{k <= K} c_k w^k, w = (x - o) / rho and rho = max R, is the
+    least-squares one (:func:`_householder_lstsq`) at max(4K + 64, 4M + 2)
+    boundary points, M the profile's mode count.  Integrating r dr in
+    closed form, E_K = -(1/2) int [a_0 R^2 / 2 + Re sum c_k R^2 w^k / (k +
+    2) - R^4 / 16] dt, whose trigonometric polynomial the trapezoid rule
+    sums exactly.  u_K - u is harmonic and equals the fit's miss m(t) on
+    the boundary, so by the maximum principle |E_K - E| <= |Omega| sup |m|
+    / 2.  m has degree N = max(K (M + 1), 2M); Bernstein's inequality
+    bounds sup |m| by its largest value at 4N points over 1 - pi / 4.
+
+    K runs through ``TREFFTZ_MODES``, and the first fit whose bound is at
+    most ``TREFFTZ_TOL`` |E_K| is returned with its :class:`TrefftzStats`;
+    ``fem.SolverError`` names the last K and miss if none is.  Far from
+    the disk the powers of w resolve h poorly (r = 1 + 0.4 cos 2 theta
+    raises), so the sweep rows keep the mesh.
+    """
+    for modes in TREFFTZ_MODES:
+        energy, miss = _trefftz(d, modes)
+        bound = 0.5 * volume(d) * miss
+        if bound <= TREFFTZ_TOL * abs(energy):
+            return energy, TrefftzStats(modes, miss, bound)
+    raise fem.SolverError(
+        f"Trefftz fit of the torsion energy misses the boundary by up to {miss:.3g} "
+        f"at {modes} modes: bound {bound:.3g} > {TREFFTZ_TOL:.1g} |E|")
+
+
 # -- deficits -------------------------------------------------------------
 
 
 def energy_gap(d: StarDomain, rings: int = DEFAULT_RINGS,
                rings_fine: int = DEFAULT_RINGS_FINE) -> float:
-    """Extrapolated E(Omega) - E(B_1) on matched meshes (volumes must be pi)."""
-    return richardson(*_per_level(d, _pair(rings, rings_fine), _gap_term))
+    """E(Omega) - E(B_1) (volumes must be pi), from :func:`torsion_energy`.
+    ``rings`` and ``rings_fine`` are checked as a Richardson pair but no
+    longer change the value."""
+    _pair(rings, rings_fine)
+    return torsion_energy(d)[0] - DISK_ENERGY
 
 
 def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
                    rings_fine: int = DEFAULT_RINGS_FINE) -> float:
-    """Scale-invariant energy deficit D, Richardson-extrapolated."""
-    return richardson(*_per_level(d, _pair(rings, rings_fine), _energy_term))
+    """Scale-invariant energy deficit D, from :func:`torsion_energy`.
+    ``rings`` and ``rings_fine`` are checked as a Richardson pair but no
+    longer change the value."""
+    _pair(rings, rings_fine)
+    return (torsion_energy(d)[0] * volume(d) ** (-SCALE_EXP)
+            - DISK_ENERGY * math.pi ** (-SCALE_EXP))
 
 
 # -- expansions at the disk ----------------------------------------------

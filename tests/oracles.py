@@ -290,7 +290,9 @@ def refit_alpha(d) -> float:
     sum in the boundary parameter (``domain.profile_relative_to``), and
     the trapezoid rule on max(3K + 2, 64) angles integrates that
     trigonometric polynomial of the refitted profile exactly.  Raises
-    ``NotStarShapedError`` where the refit does."""
+    where the refit does: ``NotStarShapedError`` where the angle about the
+    barycenter is not monotone, ``ValueError`` where no sum resolves the
+    boundary."""
     from fklab.domain import barycenter, profile_relative_to
 
     p = profile_relative_to(d, barycenter(d))

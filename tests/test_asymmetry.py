@@ -9,7 +9,8 @@ from fklab.asymmetry import (PolarOverlap, alpha, ball_energy, ball_overlaps,
                              f_eta, fraenkel, radial_coercivity, unit_ball_volume)
 from fklab.circle import BoundaryProfile
 from fklab.domain import (NotStarShapedError, StarDomain, barycenter, ellipse,
-                          unit_disk, volume_corrected, volume_corrected_profile)
+                          profile_relative_to, unit_disk, volume_corrected,
+                          volume_corrected_profile)
 from fklab.stability import SweepSpec, build_family, random_near_sphere_profile
 
 from oracles import (mc_alpha, polished_minimum, refit_alpha, sym_diff_fraction,
@@ -249,12 +250,13 @@ class TestPolarOverlap:
             assert moved.area(shifted) == pytest.approx(base.area(c), rel=1e-12)
 
 
-def refit_failures():
-    """Domains on which the refit about the barycenter fails: the refit is
-    off by 4.4e-4, and the boundary angle about it is not monotone."""
-    return [StarDomain((0, 0), BoundaryProfile(0.0, cos, sin)) for cos, sin in (
-        ([0.031, -0.033, 0.16, 0.026], [-0.134, 0.09, 0.326, 0.237]),
-        ([-0.136, -0.079, 0.103, 0.261], [-0.032, 0.342, -0.166, 0.088]))]
+# the refit about the barycenter misses the boundary by 4.4e-4 at 4(K + 8) =
+# 48 modes and resolves at 384
+LATE_REFIT = StarDomain((0, 0), BoundaryProfile(0.0, [0.031, -0.033, 0.16, 0.026],
+                                                [-0.134, 0.09, 0.326, 0.237]))
+# the boundary angle about the barycenter is not monotone, so no refit exists
+NO_REFIT = StarDomain((0, 0), BoundaryProfile(0.0, [-0.136, -0.079, 0.103, 0.261],
+                                              [-0.032, 0.342, -0.166, 0.088]))
 
 
 def alpha_shapes():
@@ -280,9 +282,8 @@ class TestAlpha:
         worst = max(abs(alpha(d) - refit_alpha(d)) for d in alpha_shapes())
         assert worst <= 1e-14
 
-    @pytest.mark.parametrize("index", [0, 1])
-    def test_defined_where_the_refit_fails(self, index):
-        d = refit_failures()[index]
+    def test_defined_where_the_refit_fails(self):
+        d = NO_REFIT
         with pytest.raises(NotStarShapedError):
             refit_alpha(d)
         p = d.profile
@@ -290,9 +291,14 @@ class TestAlpha:
         assert stderr < 1e-3
         assert abs(alpha(d) - mc) <= 3.0 * stderr
 
+    def test_matches_a_refit_of_384_modes(self):
+        d = LATE_REFIT
+        assert profile_relative_to(d, barycenter(d)).max_mode == 384
+        assert abs(alpha(d) - refit_alpha(d)) <= 1e-14
+
     def test_unresolved_boundary_integral_raises(self, monkeypatch):
         # 32 of the 4-mode profile's angles miss the integral by 8.4e-7
-        d = refit_failures()[1]
+        d = NO_REFIT
         monkeypatch.setattr(asymmetry, "_ALPHA_MIN_GRID", 16)
         with pytest.raises(fem.SolverError, match="on 32 angles.* on 64"):
             alpha(d)

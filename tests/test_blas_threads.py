@@ -5,8 +5,11 @@ a reduction over a rings-128 nodal vector through ``@`` would change its
 last bits with the thread count; the solvers sum them by numpy instead
 (``fem._dot``).  The products left to BLAS, the small tables of
 ``asymmetry`` and the moments of ``domain.barycenter``, stay below that
-size.  Each run is a fresh interpreter, because OpenBLAS reads
-``OPENBLAS_NUM_THREADS`` when it loads.
+size.  The least squares of the meshless torsion energy is a Householder
+QR in numpy (``stability._householder_lstsq``): ``numpy.linalg.lstsq``
+changed the last bits of the mode-3 and mode-4 energies at s = 0.09
+between 1 and 2 threads.  Each run is a fresh interpreter, because
+OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when it loads.
 """
 
 import dataclasses
@@ -34,6 +37,19 @@ for name, family_name, param, d in (("ellipse-0.1", "ellipse", 0.1, ellipse(0.1)
     print(name, "barycenter", repr(barycenter(d).tolist()))
 """
 
+HELPERS = """
+import numpy as np
+from fklab import stability
+from fklab.domain import StarDomain, ellipse, volume_corrected_profile
+print(repr(stability.energy_deficit(ellipse(0.1))))
+rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+p = stability.random_near_sphere_profile(rng, rng.uniform(*stability.NEAR_SPHERE_SUP))
+print(repr(stability.fuglede_margin(p)))
+for k in (3, 4):
+    print(repr(stability.torsion_energy(StarDomain((0.0, 0.0),
+                                                   volume_corrected_profile(k, 0.09)))))
+"""
+
 
 def run(code, threads, args=()):
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
@@ -48,6 +64,13 @@ def test_member_fields_at_1_2_and_4_threads():
     # every report field and the two extra lines, for each of the two members
     fields = len(dataclasses.fields(stability.DeficitReport))
     assert len(outputs[1].splitlines()) == 2 * (fields + 2)
+    for n in (2, 4):
+        assert outputs[n] == outputs[1], n
+
+
+def test_torsion_only_helpers_at_1_2_and_4_threads():
+    outputs = {n: run(HELPERS, n) for n in (1, 2, 4)}
+    assert len(outputs[1].splitlines()) == 4
     for n in (2, 4):
         assert outputs[n] == outputs[1], n
 

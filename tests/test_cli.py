@@ -408,6 +408,22 @@ class TestImports:
         assert proc.stdout.splitlines() == [
             "ball-reference 0 []", "verify 0 []", "mesh-dump 0 []"]
 
+    def test_torsion_only_suites_without_scipy_linalg(self):
+        # every energy of taylor and fuglede is meshless, and the least
+        # squares of its fit is numpy's Householder QR, not LAPACK's
+        src = os.path.dirname(os.path.dirname(fklab.__file__))
+        code = ("import contextlib, io, sys\n"
+                "from fklab.cli import main\n"
+                "for suite in ('taylor', 'fuglede'):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = main(['verify', suite])\n"
+                "    print(suite, code, sorted(m for m in sys.modules if m.startswith(\n"
+                "        ('scipy.linalg', 'scipy.sparse.linalg'))))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["taylor 0 []", "fuglede 0 []"]
+
     def test_disk_eigenvalue_is_j01_squared(self):
         import mpmath
         with mpmath.workdps(40):

@@ -109,6 +109,25 @@ class TestProfileRelativeTo:
                 assert volume(moved) == pytest.approx(volume(d), abs=1e-13)
                 assert np.max(np.abs(barycenter(moved) - b)) <= 1e-13
 
+    def test_resolves_center_near_the_boundary(self):
+        # 0.19 inside the boundary: the miss is 4.7e-9 at 4(K + 8) = 96
+        # modes and falls below 1e-9 at 192
+        d = ellipse(0.5)
+        c = (0.92, 0.0)
+        q = profile_relative_to(d, c)
+        assert q.max_mode > 96
+        t = np.linspace(0, 2 * PI, 997, endpoint=False)
+        w = d.boundary_points(t) - c
+        psi = np.arctan2(w[:, 1], w[:, 0])
+        assert np.max(np.abs(1 + q.values(psi) - np.hypot(w[:, 0], w[:, 1]))) <= 1e-9
+        assert volume(StarDomain(c, q)) == pytest.approx(volume(d), abs=1e-13)
+
+    def test_unresolved_center_raises_plain_value_error(self):
+        # 0.05 inside the unit circle the miss rises from 16 modes to 32
+        with pytest.raises(ValueError, match=r"deviates by \S+ .* at 32 modes") as info:
+            profile_relative_to(unit_disk(), (0.95, 0.0))
+        assert not isinstance(info.value, NotStarShapedError)
+
     @pytest.mark.parametrize("theta", [0.0, 1.0, 2.5, 4.0, 5.5])
     def test_rejects_center_just_outside(self, rng, theta):
         d = StarDomain((0.3, -0.2), decaying_profile(rng))

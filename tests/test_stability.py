@@ -128,6 +128,71 @@ class TestEnergyDeficit:
             assert r.extrap_order >= 1.8
 
 
+def ellipse_energy(eps: float) -> float:
+    """-pi a^3 b^3 / (8 (a^2 + b^2)) at the volume-pi axes, ab = 1."""
+    a, b = (1 + eps) ** 0.25, (1 + eps) ** -0.25
+    return -PI / (8 * (a * a + b * b))
+
+
+class TestTorsionEnergy:
+    @pytest.mark.parametrize("eps", [0.02, 0.2, 0.4])
+    def test_ellipse_closed_form(self, eps):
+        energy, stats = st.torsion_energy(ellipse(eps))
+        assert energy == pytest.approx(ellipse_energy(eps), rel=1e-13, abs=0)
+        assert stats.modes == 32
+        assert stats.bound <= st.TREFFTZ_TOL * abs(energy)
+
+    def test_disk(self):
+        energy, stats = st.torsion_energy(unit_disk())
+        assert energy == pytest.approx(-PI / 16, rel=1e-13, abs=0)
+        assert stats.bound == pytest.approx(PI * stats.miss / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("k,modes", [(2, 32), (3, 64), (4, 128)])
+    def test_mode_count_rises_until_the_bound_holds(self, k, modes):
+        # the first mode count whose bound passes is returned; at s = 0.09
+        # mode 3 needs 64 modes and mode 4 needs 128.  The fit at twice
+        # the modes lies within both bounds of it.
+        d = StarDomain((0.0, 0.0), volume_corrected_profile(k, 0.09))
+        energy, stats = st.torsion_energy(d)
+        assert stats.modes == modes
+        assert stats.bound <= st.TREFFTZ_TOL * abs(energy)
+        for fewer in st.TREFFTZ_MODES[:st.TREFFTZ_MODES.index(modes)]:
+            e, miss = st._trefftz(d, fewer)
+            assert PI * miss / 2 > st.TREFFTZ_TOL * abs(e)
+        finer, miss = st._trefftz(d, 2 * modes)
+        assert abs(finer - energy) <= stats.bound + PI * miss / 2
+
+    def test_far_from_the_disk_raises_with_the_miss(self):
+        d = StarDomain((0.0, 0.0), BoundaryProfile.single_mode(2, cos_amp=0.4))
+        with pytest.raises(fem.SolverError,
+                           match=r"misses the boundary by up to \S+ at 256 modes"):
+            st.torsion_energy(d)
+
+    @pytest.mark.parametrize("member", ["ellipse-0.1", "random-12"])
+    def test_fem_energy_within_its_error(self, member):
+        # the sweep row's Richardson energy at rings 64/128 against the
+        # meshless one: the FEM is off by 8.1e-9 to 9.7e-9 relative
+        spec = st.SweepSpec(eps_values=(0.1,), random_count=13)
+        d = {m: d for m, _, _, d in st.build_family(spec)}[member]
+        energy, stats = st.torsion_energy(d)
+        r = st.evaluate_member(member, "", 0.0, d, q_list=(2.0,))
+        assert r.energy == pytest.approx(energy, rel=2e-8, abs=0)
+        assert stats.bound <= 1e-10 * abs(energy)
+
+    def test_translation_invariant(self):
+        d = StarDomain((0.0, 0.0), volume_corrected_profile(3, 0.05))
+        e0, _ = st.torsion_energy(d)
+        e1, _ = st.torsion_energy(d.translated(0.7, -1.3))
+        assert e1 == e0
+
+    def test_least_squares_against_lapack(self, rng):
+        a = rng.standard_normal((40, 9))
+        b = rng.standard_normal(40)
+        x = st._householder_lstsq(a.T, b)
+        expected = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.max(np.abs(x - expected)) <= 1e-13
+
+
 ELLIPSE_Q = (2.0, 3.0, 4.0)
 DISK_Q = (1.0, 1.5, 2.0, 3.0)
 
@@ -349,19 +414,19 @@ class TestSharedLevel:
                            rings_fine=16)
         assert calls == {"mesh": 3, "factor": [BOTTOM]}
 
-    @pytest.mark.parametrize("gap,domains", [
-        (lambda: st.energy_gap(ellipse(0.1), 8, 16), 1),
-        (lambda: st.fuglede_margin(volume_corrected_profile(2, 0.01), 8, 16), 1),
-        (lambda: st.taylor_validation(2, (0.03, 0.05, 0.07), 8, 16), 3),
+    @pytest.mark.parametrize("gap", [
+        lambda: st.energy_gap(ellipse(0.1), 8, 16),
+        lambda: st.fuglede_margin(volume_corrected_profile(2, 0.01), 8, 16),
+        lambda: st.taylor_validation(2, (0.03, 0.05, 0.07), 8, 16),
     ], ids=["energy_gap", "fuglede_margin", "taylor_validation"])
-    def test_torsion_only_paths_factor_only_chain_bottoms(self, monkeypatch, gap,
-                                                          domains):
-        # per domain: the rings 8 and 16 levels and the rings-4 level below
-        # them, the bottom of the V-cycle chain and the only one factored
-        st.prepare_disk_references((8, 16))
+    def test_torsion_only_paths_build_no_mesh(self, monkeypatch, gap):
+        # every energy comes from torsion_energy: no mesh, no factorization
+        # and no new disk level
+        disk_levels = dict(st._DISK)
         calls = count_calls(monkeypatch)
         gap()
-        assert calls == {"mesh": 3 * domains, "factor": [BOTTOM] * domains}
+        assert calls == {"mesh": 0, "factor": []}
+        assert st._DISK == disk_levels
 
     def test_odd_bottom_is_factored_by_superlu_and_passes_row_checks(self, monkeypatch):
         # rings 36 -> 18 -> 9: the order level at rings 9 is the chain's
