@@ -406,66 +406,60 @@ def ball_overlaps(d: StarDomain) -> tuple[float, float]:
     return max(overlap.volume - inter, 0.0), max(math.pi - inter, 0.0)
 
 
-def annular_lower_bound(outside: float, missing: float, dim: int = 2) -> float:
+def annular_lower_bound(outside: float, missing: float) -> float:
     """Rearranged annular lower bound for alpha.
 
     Replacing Omega \\ B_1 and B_1 \\ Omega by annuli of the same measure
     can only decrease the weighted symmetric difference; the resulting
     closed form in the two fractions is a valid lower bound for alpha.
     """
-    w = unit_ball_volume(dim)
-    r1 = (1.0 + outside / w) ** (1.0 / dim)
-    r2 = (1.0 - missing / w) ** (1.0 / dim)
+    r1 = (1.0 + outside / math.pi) ** 0.5
+    r2 = (1.0 - missing / math.pi) ** 0.5
 
     def shell(r):
-        return (r ** (dim + 1) - 1.0) / (dim + 1) - (r ** dim - 1.0) / dim
+        return (r ** 3 - 1.0) / 3.0 - (r ** 2 - 1.0) / 2.0
 
-    return w * (shell(r1) + shell(r2))
+    return math.pi * (shell(r1) + shell(r2))
 
 
-def f_eta(s: float, eta: float, dim: int = 2) -> float:
-    """Piecewise-linear volume penalty vanishing at the unit-ball volume.
+def f_eta(s: float, eta: float) -> float:
+    """Piecewise-linear volume penalty vanishing at the unit-disk area pi.
 
-    Slope eta below omega_N and 1/eta above, so that
+    Slope eta below pi and 1/eta above, so that
     eta (s1 - s2) <= f(s1) - f(s2) <= (s1 - s2)/eta for s2 <= s1.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     if s < 0.0:
         raise ValueError("volumes are nonnegative")
-    w = unit_ball_volume(dim)
-    if s <= w:
-        return eta * (s - w)
-    return (s - w) / eta
+    if s <= math.pi:
+        return eta * (s - math.pi)
+    return (s - math.pi) / eta
 
 
-def eta_threshold(dim: int = 2, r_max: float = 2.0) -> float:
-    """Largest eta for which the ball energy g(r) = F_eta(B_r) is minimized
-    at r = 1 over (0, r_max].
+def eta_threshold() -> float:
+    """Largest eta for which the disk energy g(r) = F_eta(B_r) is minimized
+    at r = 1 over (0, 2].
 
     Two explicit conditions: the right slope
-    g'(r) = r^{N-1}((N+2) r^2 E(B_1) + N omega_N / eta) must be positive on
-    (1, r_max], i.e. eta < N omega_N / ((N+2) r_max^2 |E(B_1)|); and the
-    left branch, whose only interior critical point is a maximum, must
-    satisfy g(0+) = -eta omega_N > E(B_1), i.e. eta < |E(B_1)| / omega_N.
+    g'(r) = r (4 r^2 E(B_1) + 2 pi / eta) must be positive on (1, 2],
+    i.e. eta < 2 pi / (16 |E(B_1)|); and the left branch, whose only
+    interior critical point is a maximum, must satisfy
+    g(0+) = -eta pi > E(B_1), i.e. eta < |E(B_1)| / pi.  With E(B_1) =
+    -pi / 16 the left one, 1/16, is the threshold.
     """
-    if r_max <= 1.0:
-        raise ValueError("r_max must exceed 1")
-    w = unit_ball_volume(dim)
-    e1 = abs(ball_energy(dim))
-    right = dim * w / ((dim + 2) * r_max ** 2 * e1)
-    left = e1 / w
-    return min(right, left, 1.0)
+    e1 = abs(ball_energy(2))
+    return min(2 * math.pi / (4 * 2.0 ** 2 * e1), e1 / math.pi, 1.0)
 
 
-def ball_penalized_energy(r: float, eta: float, dim: int = 2) -> float:
-    """g(r) = F_eta(B_r) = r^{N+2} E(B_1) + f_eta(omega_N r^N), closed form."""
+def ball_penalized_energy(r: float, eta: float) -> float:
+    """g(r) = F_eta(B_r) = r^4 E(B_1) + f_eta(pi r^2), closed form."""
     if r < 0.0:
         raise ValueError("radius must be nonnegative")
-    return r ** (dim + 2) * ball_energy(dim) + f_eta(unit_ball_volume(dim) * r ** dim, eta, dim)
+    return r ** 4 * ball_energy(2) + f_eta(math.pi * r ** 2, eta)
 
 
-def radial_coercivity(eta: float, r_grid, dim: int = 2) -> tuple[float, float]:
+def radial_coercivity(eta: float, r_grid) -> tuple[float, float]:
     """Locate the minimum of g over the grid and fit the coercivity constant.
 
     Returns (radius at the grid minimum, smallest C with
@@ -475,9 +469,9 @@ def radial_coercivity(eta: float, r_grid, dim: int = 2) -> tuple[float, float]:
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or len(r) < 3 or np.any(r <= 0.0):
         raise ValueError("radius grid must be one-dimensional, positive, len >= 3")
-    g = np.array([ball_penalized_energy(x, eta, dim) for x in r])
+    g = np.array([ball_penalized_energy(x, eta) for x in r])
     r_min = float(r[np.argmin(g)])
-    g1 = ball_penalized_energy(1.0, eta, dim)
+    g1 = ball_penalized_energy(1.0, eta)
     off = np.abs(r - 1.0) > 1e-12
     gaps = g[off] - g1
     if np.any(gaps <= 0.0):

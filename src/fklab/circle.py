@@ -15,13 +15,12 @@ Key closed forms used throughout (mode k >= 1, unit circle):
 * boundary L^2 mass      :  int phi^2 = 2 pi a0^2 + pi sum (a_k^2 + b_k^2)
 * harmonic extension     :  H(phi) = a0 + sum r^k (a_k cos k0 + b_k sin k0)
 * extension energy       :  int_{B_1} |grad H|^2 = pi sum k (a_k^2 + b_k^2)
-* energy Hessian at disk :  (extension energy - boundary mass) / dim^2
+* energy Hessian at disk :  (extension energy - boundary mass) / 4
 
-The degree-k harmonic identity (extension energy of a degree-k harmonic
-equals k times its boundary mass) holds on every sphere, which is why
-the Hessian form accepts a symbolic ambient dimension: the mode index
-plays the role of the harmonic degree and only the 1/dim^2 prefactor
-changes.
+The Hessian is the planar case N = 2 of (extension energy - boundary
+mass) / N^2 on the unit sphere, where the degree-k harmonic identity
+(extension energy k times boundary mass) gives mode k the value
+pi (k - 1) (a_k^2 + b_k^2) / 4.
 """
 
 from __future__ import annotations
@@ -97,10 +96,9 @@ class BoundaryProfile:
         return abs(self.a0) + float(np.sum(np.abs(self.cos_coeffs))
                                     + np.sum(np.abs(self.sin_coeffs)))
 
-    def grid_sup(self, samples: int | None = None) -> float:
-        """max |phi| sampled on a uniform grid (default 4K+1 points)."""
-        n = samples if samples is not None else max(4 * self.max_mode + 1, 16)
-        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    def grid_sup(self) -> float:
+        """max |phi| sampled on a uniform grid of max(4K + 1, 16) points."""
+        theta = np.linspace(0.0, TWO_PI, max(4 * self.max_mode + 1, 16), endpoint=False)
         return float(np.max(np.abs(self.values(theta))))
 
     def values(self, theta) -> np.ndarray:
@@ -241,22 +239,14 @@ def h_half_norm_sq(p: BoundaryProfile) -> float:
     return boundary_l2_sq(p) + extension_energy(p)
 
 
-def _check_dim(dim: int) -> int:
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {dim}")
-    return dim
+def hessian_form(p: BoundaryProfile) -> float:
+    """Second shape derivative of the torsional energy at the unit disk.
 
-
-def hessian_form(p: BoundaryProfile, dim: int = 2) -> float:
-    """Second shape derivative of the torsional energy at the unit ball.
-
-    Equals (extension energy - boundary mass) / dim^2.  Mode 1 (the
+    Equals (extension energy - boundary mass) / 4.  Mode 1 (the
     translation direction) is annihilated; the constant mode gives a
     negative value, which the volume constraint excludes.
     """
-    dim = _check_dim(dim)
-    return (extension_energy(p) - boundary_l2_sq(p)) / dim ** 2
+    return (extension_energy(p) - boundary_l2_sq(p)) / 4.0
 
 
 def low_mode_projection(p: BoundaryProfile) -> ProjectionSplit:

@@ -39,13 +39,13 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    rings: int = 64
-    rings_fine: int = 128
+    rings: int = stability.DEFAULT_RINGS
+    rings_fine: int = stability.DEFAULT_RINGS_FINE
     eps_min: float = 0.02
     eps_max: float = 0.2
     eps_count: int = 8
-    seed: int = 7
-    q_list: tuple = (1.5, 2.0, 3.0)
+    seed: int = stability.SweepSpec.seed
+    q_list: tuple = stability.SweepSpec.q_list
     workers: int = 0  # 0 = all available cores
 
     def validate(self) -> "RunConfig":
@@ -288,7 +288,8 @@ def cmd_deficit(cfg: RunConfig, specs, q_list) -> int:
 
 
 # random members per sweep family when --count is not given
-_DEFAULT_RANDOM_COUNT = {"ellipse": 0, "random": 50, "combined": 52}
+_DEFAULT_RANDOM_COUNT = {"ellipse": 0, "random": 50,
+                         "combined": stability.SweepSpec.random_count}
 
 
 def cmd_sweep(cfg: RunConfig, family: str, count: int | None, out: str | None,

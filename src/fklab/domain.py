@@ -23,6 +23,8 @@ _FIT_EXTRA_MODES = 8  # fitted profiles keep the input's K plus this many
 _TRIM_TOL = 1e-15     # fits drop trailing modes below this relative size
 _REFIT_TOL = 1e-9     # largest boundary miss of a profile about a new center
 _REFIT_MAX_MODES = 512  # most modes of a profile about a new center
+_REFIT_POINTS = 8       # boundary points per mode of that profile's sum,
+_REFIT_FINE_POINTS = 32  # and of its second mode ladder near the boundary
 _ELLIPSE_MODES = 16   # Fourier modes of the ellipse family's profile
 
 
@@ -135,21 +137,24 @@ def profile_relative_to(d: StarDomain, c) -> BoundaryProfile:
     input's mode count plus a margin, doubled and then doubled again if
     the profile misses the boundary points by more than ``_REFIT_TOL``;
     from there the count keeps doubling while the miss falls, up to
-    ``_REFIT_MAX_MODES``.  Raises ``NotStarShapedError`` where the angle
-    about c is not increasing at a grid point, and a plain ``ValueError``
-    naming the miss and the mode count where no sum reproduces the
-    boundary.
+    ``_REFIT_MAX_MODES``.  Each sum takes max(8 (K + 1), 256) points for K
+    modes.  Near the boundary the integrand varies faster than that grid
+    resolves and the sum aliases, so where the ladder stops unresolved it
+    is run once more at 32 points per mode.  Raises ``NotStarShapedError``
+    where the angle about c is not increasing at a grid point, and a plain
+    ``ValueError`` naming the miss and the mode count where no sum
+    reproduces the boundary.
     """
     p = d.profile
     offset = np.asarray(d.center, dtype=float) - np.asarray(c, dtype=float)
     if float(np.hypot(*offset)) == 0.0:
         return p
     dp = p.derivative()
-    kmax = p.max_mode + _FIT_EXTRA_MODES
-    tried_first = 4 * kmax  # the counts up to this one run whatever their misses
-    previous = math.inf
+    first = p.max_mode + _FIT_EXTRA_MODES
+    tried_first = 4 * first  # the counts up to this one run whatever their misses
+    per_mode, kmax, previous = _REFIT_POINTS, first, math.inf
     while True:
-        t = np.linspace(0.0, TWO_PI, max(8 * (kmax + 1), 256), endpoint=False)
+        t = np.linspace(0.0, TWO_PI, max(per_mode * (kmax + 1), 256), endpoint=False)
         e = np.exp(1j * t)
         r = 1.0 + p.values(t)
         w = complex(*offset) + r * e
@@ -165,9 +170,12 @@ def profile_relative_to(d: StarDomain, c) -> BoundaryProfile:
         if miss <= _REFIT_TOL:
             return profile
         if kmax >= tried_first and (not miss < previous or 2 * kmax > _REFIT_MAX_MODES):
-            raise ValueError(
-                f"refit boundary deviates by {miss:.3g} (> {_REFIT_TOL:.1g}) at {kmax} "
-                "modes; the profile about c is not resolved")
+            if per_mode == _REFIT_FINE_POINTS:
+                raise ValueError(
+                    f"refit boundary deviates by {miss:.3g} (> {_REFIT_TOL:.1g}) at {kmax} "
+                    "modes; the profile about c is not resolved")
+            per_mode, kmax, previous = _REFIT_FINE_POINTS, first, math.inf
+            continue
         previous = miss
         kmax *= 2
 

@@ -56,11 +56,11 @@ the value and takes an optional ``start``, first smoothed by damped
 Jacobi sweeps, which cost no solve;
 started from the prolonged solution at half the ring count (nested
 iteration), it takes 2-3 solves at rings 128, by a factorization or by
-the V-cycle.  The stopping tolerances are the module constants
-below, the defaults of each solver's ``tol`` argument; nothing sets them
-process-wide.  The solvers' inner products and norms of nodal vectors
-are summed by numpy, not by BLAS, so no value depends on the BLAS thread
-count.
+the V-cycle.  The stopping tolerances and iteration caps are the module
+constants below, which each solver reads when it is called; no argument
+or setting changes them.  The solvers' inner products and norms of
+nodal vectors are summed by numpy, not by BLAS, so no value depends on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -81,7 +81,9 @@ from .domain import StarDomain
 # 1.3e-12 and 5.4e-12 at rings 32/64/128/256, so it stops after one step,
 # and one by the V-cycle takes 10-19 steps at rings 128
 DEFAULT_CG_TOL = 1e-10
+CG_MAX_ITER = 100  # preconditioner solves of one torsion PCG
 DEFAULT_DESCENT_TOL = 1e-8
+DESCENT_MAX_ITER = 500  # iterations of one L^q descent
 DEFAULT_Q_MAX = 4.0
 # matrices up to the interior stiffness of a rings-7 mesh are factored densely
 DENSE_ROWS = 127
@@ -572,15 +574,15 @@ def _preconditioner(mesh: TriMesh, precond):
     return precond
 
 
-def solve_torsion(mesh: TriMesh, *, precond, tol: float = DEFAULT_CG_TOL,
-                  max_iter: int = 100) -> tuple[ScalarField, SolveStats]:
+def solve_torsion(mesh: TriMesh, *, precond) -> tuple[ScalarField, SolveStats]:
     """Solve -Laplace u = 1 with zero boundary values by conjugate
     gradients preconditioned with ``precond``, any fixed SPD operator with
     ``solve`` and ``shape`` (with a factorization the start is the direct
     solve).  The start is ``precond.solve(b)``; CG iterates until the
-    recursive relative residual is at most ``tol / 10``, and a true
-    relative residual above ``tol`` raises.  ``SolveStats.iterations``
-    counts the preconditioner solves."""
+    recursive relative residual is at most ``DEFAULT_CG_TOL / 10``, and
+    ``CG_MAX_ITER`` solves or a true relative residual above
+    ``DEFAULT_CG_TOL`` raise.  ``SolveStats.iterations`` counts the
+    preconditioner solves."""
     a = mesh.stiffness
     b = mesh.load[:mesh.n_interior]
     precond = _preconditioner(mesh, precond)
@@ -589,10 +591,10 @@ def solve_torsion(mesh: TriMesh, *, precond, tol: float = DEFAULT_CG_TOL,
     r = b - _csr_matvec(a, x)
     r_norm = _norm(r)
     it, p, rz = 1, np.zeros_like(b), 1.0
-    while r_norm > tol / 10.0 * b_norm:
-        if it >= max_iter:
+    while r_norm > DEFAULT_CG_TOL / 10.0 * b_norm:
+        if it >= CG_MAX_ITER:
             raise SolverError(f"torsion PCG did not converge in {it} iterations: relative "
-                              f"residual {r_norm / b_norm:.3g} > {tol / 10.0:.3g}")
+                              f"residual {r_norm / b_norm:.3g} > {DEFAULT_CG_TOL / 10.0:.3g}")
         z = precond.solve(r)
         it += 1
         rz, rz_prev = _dot(r, z), rz
@@ -603,9 +605,9 @@ def solve_torsion(mesh: TriMesh, *, precond, tol: float = DEFAULT_CG_TOL,
         r -= alpha * ap
         r_norm = _norm(r)
     res = _norm(_csr_matvec(a, x) - b) / b_norm
-    if not res <= tol:
+    if not res <= DEFAULT_CG_TOL:
         raise SolverError(f"torsion PCG stopped after {it} iterations with true "
-                          f"relative residual {res:.3g} > {tol:.3g}")
+                          f"relative residual {res:.3g} > {DEFAULT_CG_TOL:.3g}")
     return ScalarField(mesh, _extend(mesh, x)), SolveStats(it, res)
 
 
@@ -677,7 +679,6 @@ def _smoothed(mesh: TriMesh, x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
-                     tol: float = DEFAULT_DESCENT_TOL, max_iter: int = 500,
                      start=None) -> tuple[float, ScalarField]:
     """Optimal constant of the embedding into L^q: min of the Dirichlet
     integral over Dirichlet fields with unit L^q norm, and the minimizer
@@ -691,14 +692,14 @@ def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
     P(K u - R(u) grad |u|_q) with backtracking, P ``precond``, any fixed
     SPD operator with ``solve`` and ``shape`` (a factorization makes it a
     descent in the energy inner product), and stop once R decreases by
-    less than ``tol`` in relative terms.  Each trial takes one midpoint
-    pass, through ``lq_integral``; the accepted trial's pass, scaled by
-    its norm to the power 1 - q, is the gradient at the normalized
-    iterate, so a step needs no other pass.  A line search that finds no
+    less than ``DEFAULT_DESCENT_TOL`` in relative terms.  Each trial takes
+    one midpoint pass, through ``lq_integral``; the accepted trial's pass,
+    scaled by its norm to the power 1 - q, is the gradient at the
+    normalized iterate, so a step needs no other pass.  A line search that finds no
     decrease raises ``SolverError`` unless the direction's energy
-    norm over sqrt(R) is at most ``tol``, i.e. the iterate is already
-    critical; so does reaching ``max_iter`` iterations, with the last
-    relative decrease.
+    norm over sqrt(R) is at most ``DEFAULT_DESCENT_TOL``, i.e. the iterate
+    is already critical; so does reaching ``DESCENT_MAX_ITER`` iterations,
+    with the last relative decrease.
     """
     q = float(q)
     if not 1.0 <= q <= DEFAULT_Q_MAX:
@@ -726,7 +727,7 @@ def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
     u /= nrm
     ku = _csr_matvec(k, u)
     rayleigh, drop = _dot(u, ku), math.nan
-    for it in range(max_iter):
+    for it in range(DESCENT_MAX_ITER):
         direction = precond.solve(ku - rayleigh * norm_gradient(f, nrm))
         step = 1.0
         improved = False
@@ -744,20 +745,21 @@ def poincare_sobolev(mesh: TriMesh, q: float, *, precond,
             step *= 0.5
         if not improved:
             dnorm = math.sqrt(_dot(direction, _csr_matvec(k, direction)) / rayleigh)
-            if not dnorm <= tol:
-                raise SolverError(f"L^{q} descent line search failed at iteration {it} "
-                                  f"with relative direction norm {dnorm:.3g} > {tol:.3g}")
+            if not dnorm <= DEFAULT_DESCENT_TOL:
+                raise SolverError(f"L^{q} descent line search failed at iteration {it} with "
+                                  f"relative direction norm {dnorm:.3g} > "
+                                  f"{DEFAULT_DESCENT_TOL:.3g}")
             return rayleigh, on_mesh(u)
         drop = (rayleigh - r_trial) / rayleigh
         u, ku, rayleigh, nrm = trial, k_trial, r_trial, trial_nrm
-        if drop <= tol:
+        if drop <= DEFAULT_DESCENT_TOL:
             return rayleigh, on_mesh(u)
-    raise SolverError(f"L^{q} descent did not converge in {max_iter} iterations: "
-                      f"last relative drop {drop:.3g} > {tol:.3g}")
+    raise SolverError(f"L^{q} descent did not converge in {DESCENT_MAX_ITER} iterations: "
+                      f"last relative drop {drop:.3g} > {DEFAULT_DESCENT_TOL:.3g}")
 
 
-def principal_eigenvalue(mesh: TriMesh, *, precond, **kwargs) -> tuple[float, ScalarField]:
+def principal_eigenvalue(mesh: TriMesh, *, precond, start=None) -> tuple[float, ScalarField]:
     """Smallest Dirichlet eigenvalue and its M-unit eigenvector: the q = 2
-    constant of :func:`poincare_sobolev`, which takes the same keywords."""
-    return poincare_sobolev(mesh, 2.0, precond=precond, **kwargs)
+    constant of :func:`poincare_sobolev`."""
+    return poincare_sobolev(mesh, 2.0, precond=precond, start=start)
 

@@ -13,8 +13,11 @@ and the Taylor, Fuglede and sharpness checks built on them, build no
 mesh: :func:`torsion_energy` fits the harmonic part of the torsion
 function by powers of x - o and integrates it exactly on the domain's
 Fourier boundary, with a maximum-principle bound of at most
-``TREFFTZ_TOL`` |E| on its error.  Their ring counts are still checked
-as a Richardson pair, but no longer change a value.
+``TREFFTZ_TOL`` |E| on its error.  :func:`energy_gap` and
+:func:`sharpness_fit` take no ring counts.  :func:`energy_deficit`,
+:func:`taylor_validation` and :func:`fuglede_margin` keep a ring pair
+only because the benchmark passes one by position; it is checked as a
+Richardson pair and changes no value.
 
 The eigenvalue is the q = 2 Poincare-Sobolev constant, and every L^q
 solve uses nested iteration: at every even ring count >= 8 it starts
@@ -237,27 +240,12 @@ def install_disk_references(references) -> None:
         data._lq.update(lq)
 
 
-def _per_level(d: StarDomain, levels, term, *args) -> list:
-    """``term(domain level, disk level, *args)`` at each ring count.
-
-    A level at twice the previous one's ring count is linked to it, so
-    its L^q solves start from the previous level's and its V-cycle's
-    coarse solve is the previous level's V-cycle.
-    """
-    out, dom = [], None
-    for rings in levels:
-        coarse = dom if dom is not None and 2 * dom.rings == rings else None
-        dom = Level(d, rings, coarse)
-        out.append(term(dom, disk_data(rings), *args))
-    return out
-
-
 # -- extrapolation helpers ----------------------------------------------
 
 
-def _pair(rings: int, rings_fine: int) -> tuple[int, int]:
-    """The Richardson pair ``(rings, rings_fine)``, rejected unless the
-    coarse level is :func:`nested`, so that the order level at
+def _pair(rings: int, rings_fine: int) -> None:
+    """Check the Richardson pair ``(rings, rings_fine)``: rejected unless
+    the coarse level is :func:`nested`, so that the order level at
     ``rings // 2`` is half of it, and the fine level has twice its rings:
     :func:`richardson` and :func:`observed_order` assume a mesh ratio of 2."""
     if not nested(rings):
@@ -265,12 +253,11 @@ def _pair(rings: int, rings_fine: int) -> tuple[int, int]:
     if rings_fine != 2 * rings:
         raise ValueError(f"rings_fine must be twice rings, got rings {rings} "
                          f"and rings_fine {rings_fine}")
-    return rings, rings_fine
 
 
-def richardson(coarse: float, fine: float, order: float = 2.0) -> float:
-    f = 2.0 ** order
-    return (f * fine - coarse) / (f - 1.0)
+def richardson(coarse: float, fine: float) -> float:
+    """Richardson extrapolation of order 2 at a mesh ratio of 2."""
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _extrapolate(coarse, fine):
@@ -447,20 +434,16 @@ def torsion_energy(d: StarDomain) -> tuple[float, TrefftzStats]:
 # -- deficits -------------------------------------------------------------
 
 
-def energy_gap(d: StarDomain, rings: int = DEFAULT_RINGS,
-               rings_fine: int = DEFAULT_RINGS_FINE) -> float:
-    """E(Omega) - E(B_1) (volumes must be pi), from :func:`torsion_energy`.
-    ``rings`` and ``rings_fine`` are checked as a Richardson pair but no
-    longer change the value."""
-    _pair(rings, rings_fine)
+def energy_gap(d: StarDomain) -> float:
+    """E(Omega) - E(B_1) (volumes must be pi), from :func:`torsion_energy`."""
     return torsion_energy(d)[0] - DISK_ENERGY
 
 
 def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
                    rings_fine: int = DEFAULT_RINGS_FINE) -> float:
     """Scale-invariant energy deficit D, from :func:`torsion_energy`.
-    ``rings`` and ``rings_fine`` are checked as a Richardson pair but no
-    longer change the value."""
+    ``rings`` and ``rings_fine`` are checked as a Richardson pair but
+    change no value; the benchmark passes them by position."""
     _pair(rings, rings_fine)
     return (torsion_energy(d)[0] * volume(d) ** (-SCALE_EXP)
             - DISK_ENERGY * math.pi ** (-SCALE_EXP))
@@ -483,16 +466,18 @@ def taylor_validation(k: int, s_values, rings: int = DEFAULT_RINGS,
 
     Fits a quadratic in s to absorb the cubic and quartic terms of the
     gap and returns the intercept, which the closed-form quadratic form
-    predicts to be pi (k-1)/8.
+    predicts to be pi (k-1)/8.  ``rings`` and ``rings_fine`` are checked
+    as a Richardson pair but change no value; the benchmark passes them
+    by position.
     """
     if k < 1:
         raise ValueError("mode index must be >= 1")
     s = np.asarray(s_values, dtype=float)
     if len(s) < 3 or np.any(s <= 0.0) or np.any(s > 0.1):
         raise ValueError("amplitudes must lie in (0, 0.1] and number >= 3")
-    y = np.array([energy_gap(StarDomain((0.0, 0.0), volume_corrected_profile(k, si)),
-                             rings, rings_fine) / si ** 2
-                  for si in s])
+    _pair(rings, rings_fine)
+    y = np.array([energy_gap(StarDomain((0.0, 0.0), volume_corrected_profile(k, si)))
+                  / si ** 2 for si in s])
     coeffs, residuals, *_ = np.polyfit(s, y, 2, full=True)
     intercept = float(coeffs[2])
     rms = math.sqrt(float(residuals[0]) / len(s)) if len(residuals) else 0.0
@@ -509,6 +494,8 @@ def fuglede_margin(p: BoundaryProfile, rings: int = DEFAULT_RINGS,
     The profile must be volume-corrected (volume pi), essentially
     barycentered and supported on modes >= 2; quantitative stability
     bounds this ratio below by 1/(32 N^2) = 1/128 in the plane.
+    ``rings`` and ``rings_fine`` are checked as a Richardson pair but
+    change no value; the benchmark passes them by position.
     """
     if p.grid_sup() > 0.05 * (1.0 + 1e-6):
         raise ValueError("profile sup norm exceeds the nearly-spherical budget 0.05")
@@ -521,11 +508,11 @@ def fuglede_margin(p: BoundaryProfile, rings: int = DEFAULT_RINGS,
     norm_sq = h_half_norm_sq(p)
     if low_mass > 0.05 * norm_sq:
         raise ValueError("translation mode dominates; recenter the profile first")
-    return energy_gap(d, rings, rings_fine) / norm_sq
+    _pair(rings, rings_fine)
+    return energy_gap(d) / norm_sq
 
 
-def sharpness_fit(eps_values, rings: int = DEFAULT_RINGS,
-                  rings_fine: int = DEFAULT_RINGS_FINE) -> tuple[float, float]:
+def sharpness_fit(eps_values) -> tuple[float, float]:
     """Fit the deficit growth rate along the ellipse family.
 
     Returns (log-log slope of D vs eps, relative spread of A/eps); the
@@ -538,7 +525,7 @@ def sharpness_fit(eps_values, rings: int = DEFAULT_RINGS,
     deficits, ratios = [], []
     for e in eps:
         d = ellipse(e)
-        deficits.append(energy_deficit(d, rings, rings_fine))
+        deficits.append(energy_deficit(d))
         a, _ = asymmetry.fraenkel(d)
         ratios.append(a / e)
     slope = float(np.polyfit(np.log(eps), np.log(deficits), 1)[0])
@@ -648,10 +635,13 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
                     q_list=(1.5, 2.0, 3.0), rings: int = DEFAULT_RINGS,
                     rings_fine: int = DEFAULT_RINGS_FINE) -> DeficitReport:
     q_list = [float(q) for q in q_list]
-    # the extra coarse level feeds the observed order of the energy
-    # deficit, and its solutions start those of the coarse level
-    order_terms, lo, hi = _per_level(d, (rings // 2, *_pair(rings, rings_fine)),
-                                     _row_terms, q_list)
+    _pair(rings, rings_fine)
+    # the fine level is linked to the coarse one, and that to the order
+    # level, whose energy deficit gives the observed order and whose
+    # solutions start those of the coarse level
+    fine = Level(d, rings_fine)
+    order_terms, lo, hi = [_row_terms(level, disk_data(level.rings), q_list)
+                           for level in (fine.coarse.coarse, fine.coarse, fine)]
     x = {k: _extrapolate(lo[k], hi[k]) for k in lo}
     deficit_e = x["deficit_energy"]
     order = observed_order(order_terms["deficit_energy"], lo["deficit_energy"],

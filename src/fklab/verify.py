@@ -36,13 +36,14 @@ def _check(name: str, ok: bool, detail: str) -> Check:
     return name, bool(ok), detail
 
 
-def row_checks(r: stability.DeficitReport, rings: int, rings_fine: int) -> list[Check]:
-    """Sign rules of one deficit row computed at (rings, rings_fine): SV,
-    FK per q, KJ and its ratio bound for q > 1, the reduction chain (a
-    positive energy deficit forces every FK deficit positive) and the
-    annular bound.  Sign slacks are 2e-4 relative to the disk references
-    Richardson-extrapolated from the same ring pair."""
-    coarse, fine = stability.disk_data(rings), stability.disk_data(rings_fine)
+def row_checks(r: stability.DeficitReport) -> list[Check]:
+    """Sign rules of one deficit row: SV, FK per q, KJ and its ratio bound
+    for q > 1, the reduction chain (a positive energy deficit forces every
+    FK deficit positive) and the annular bound.  Sign slacks are 2e-4
+    relative to the disk references Richardson-extrapolated from the ring
+    pair the row was computed at, (``r.mesh_rings // 2``, ``r.mesh_rings``)."""
+    coarse = stability.disk_data(r.mesh_rings // 2)
+    fine = stability.disk_data(r.mesh_rings)
     e_ref = stability.richardson(coarse.energy(), fine.energy())
     tol_e = 2e-4 * abs(e_ref) / math.pi ** 2
     tag = r.domain_id
@@ -77,7 +78,7 @@ def _member_checks(cfg, label: str,
                    d: StarDomain) -> tuple[stability.DeficitReport, list[Check]]:
     r = stability.evaluate_member(label, label, 0.0, d, cfg.q_list, cfg.rings,
                                   cfg.rings_fine)
-    return r, row_checks(r, cfg.rings, cfg.rings_fine)
+    return r, row_checks(r)
 
 
 def suite_steklov(cfg) -> list[Check]:
@@ -137,7 +138,7 @@ def suite_fuglede(cfg) -> list[Check]:
         rng = np.random.default_rng(ss)
         p = stability.random_near_sphere_profile(rng, rng.uniform(*stability.NEAR_SPHERE_SUP))
         sups.append(p.grid_sup())
-        margins.append(stability.fuglede_margin(p, cfg.rings, cfg.rings_fine))
+        margins.append(stability.fuglede_margin(p))
     return [_check(f"sup norm <= 0.05 on {count} seeded profiles", max(sups) <= 0.05,
                    f"max sup {max(sups):.6f}"),
             _check(f"gap/||phi||^2 >= 1/128 on {count} seeded profiles",
@@ -149,7 +150,7 @@ def suite_taylor(cfg) -> list[Check]:
     out = []
     s_values = (0.03, 0.05, 0.07, 0.09)
     for k in (1, 2, 3, 4):
-        fit = stability.taylor_validation(k, s_values, cfg.rings, cfg.rings_fine)
+        fit = stability.taylor_validation(k, s_values)
         target = stability.hessian_target(k)
         if k == 1:
             ok = abs(fit) <= 0.02 * math.pi / 8.0
@@ -263,7 +264,7 @@ def suite_penalty(cfg) -> list[Check]:
     eta of ``asymmetry.eta_threshold``: its minimum over a radius grid
     through r = 1 lies at r = 1 with a finite coercivity constant, and g
     rises on both sides of it."""
-    eta = asymmetry.eta_threshold(2, 2.0) / 2
+    eta = asymmetry.eta_threshold() / 2
     grid = np.linspace(0.005, 2.0, 400)  # r = 1 is grid[199]
     r_min, c = asymmetry.radial_coercivity(eta, grid)
 
@@ -332,7 +333,7 @@ def suite_flow(cfg) -> list[Check]:
 
 def suite_sharpness(cfg) -> list[Check]:
     eps = np.linspace(cfg.eps_min, cfg.eps_max, cfg.eps_count)
-    slope, spread = stability.sharpness_fit(eps, cfg.rings, cfg.rings_fine)
+    slope, spread = stability.sharpness_fit(eps)
     return [
         _check("log-log deficit slope in [1.85, 2.15]", 1.85 <= slope <= 2.15,
                f"slope {slope:.4f}"),

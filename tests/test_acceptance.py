@@ -43,8 +43,7 @@ def run_suite(criterion: int) -> tuple[str, float]:
 
 
 def sweep_row_checks(result):
-    return [c for r in result.reports
-            for c in verify.row_checks(r, STATED.rings, STATED.rings_fine)]
+    return [c for r in result.reports for c in verify.row_checks(r)]
 
 
 class TestAcceptance:

@@ -351,7 +351,7 @@ class TestRadialCoercivity:
     def test_threshold_value(self):
         # right-slope condition allows eta < 2 at R = 2; the r -> 0 endpoint
         # is the binding constraint: |E(B_1)| / omega_2 = 1/16
-        assert eta_threshold(2, 2.0) == pytest.approx(1 / 16, rel=1e-14)
+        assert eta_threshold() == pytest.approx(1 / 16, rel=1e-14)
 
     def test_large_eta_migrates_minimum(self):
         r_min, c4 = radial_coercivity(0.9, self.grid())

@@ -70,24 +70,16 @@ class TestHHalfNorm:
 
 class TestHessianForm:
     def test_translation_mode_is_flat(self):
-        assert hessian_form(BoundaryProfile.single_mode(1, cos_amp=1.0), 2) == 0.0
+        assert hessian_form(BoundaryProfile.single_mode(1, cos_amp=1.0)) == 0.0
 
     def test_cos_2theta(self):
         p = BoundaryProfile.single_mode(2, cos_amp=1.0)
-        assert hessian_form(p, 2) == pytest.approx(PI / 4, rel=1e-15)
+        assert hessian_form(p) == pytest.approx(PI / 4, rel=1e-15)
 
     def test_constant_direction_is_negative(self):
-        assert hessian_form(BoundaryProfile.constant(1.0), 2) == pytest.approx(
+        assert hessian_form(BoundaryProfile.constant(1.0)) == pytest.approx(
             -PI / 2, rel=1e-15)
 
-    def test_dimension_prefactor(self, rng):
-        p = random_profile(rng)
-        assert hessian_form(p, 3) == pytest.approx(hessian_form(p, 2) * 4 / 9,
-                                                   rel=1e-14)
-
-    def test_rejects_low_dimension(self):
-        with pytest.raises(ValueError):
-            hessian_form(BoundaryProfile.constant(1.0), 1)
 
 
 class TestLowModeProjection:
@@ -135,25 +127,25 @@ class TestCoercivity:
 
     def test_mode_two(self):
         p = BoundaryProfile.single_mode(2, cos_amp=1.0)
-        margin = hessian_form(p, 2) / h_half_norm_sq(p)
+        margin = hessian_form(p) / h_half_norm_sq(p)
         assert margin == pytest.approx(1 / 12, rel=1e-14)
         assert margin >= 1 / 32
 
     def test_mode_five(self):
         p = BoundaryProfile.single_mode(5, cos_amp=1.0)
-        assert hessian_form(p, 2) / h_half_norm_sq(p) == pytest.approx(
+        assert hessian_form(p) / h_half_norm_sq(p) == pytest.approx(
             1 / 6, rel=1e-14)
 
     def test_translation_direction_excluded(self):
         p = BoundaryProfile.single_mode(1, cos_amp=1.0)
-        assert hessian_form(p, 2) / h_half_norm_sq(p) == 0.0
+        assert hessian_form(p) / h_half_norm_sq(p) == 0.0
 
     def test_bounded_by_one(self, rng):
         for _ in range(50):
             p = random_profile(rng)
             if h_half_norm_sq(p) == 0.0:
                 continue
-            assert -1.0 <= hessian_form(p, 2) / h_half_norm_sq(p) <= 1.0
+            assert -1.0 <= hessian_form(p) / h_half_norm_sq(p) <= 1.0
 
     def test_high_mode_lower_bound(self, rng):
         # on mean-free, moment-free profiles the margin is >= 1/16,
@@ -164,10 +156,10 @@ class TestCoercivity:
             high = low_mode_projection(p).high
             if h_half_norm_sq(high) == 0.0:
                 continue
-            margins.append(hessian_form(high, 2) / h_half_norm_sq(high))
+            margins.append(hessian_form(high) / h_half_norm_sq(high))
         assert min(margins) >= 1 / 16
         mode2 = BoundaryProfile.single_mode(2, sin_amp=0.3)
-        assert hessian_form(mode2, 2) / h_half_norm_sq(mode2) == pytest.approx(
+        assert hessian_form(mode2) / h_half_norm_sq(mode2) == pytest.approx(
             1 / 12, rel=1e-14)
 
     def test_near_moment_free_keeps_quarter_of_bound(self, rng):
@@ -189,7 +181,7 @@ class TestCoercivity:
             while defect(mixed) > 0.02:
                 low = low * 0.5
                 mixed = high + low * 1e-3
-            assert hessian_form(mixed, 2) / h_half_norm_sq(mixed) >= 1 / 32
+            assert hessian_form(mixed) / h_half_norm_sq(mixed) >= 1 / 32
 
 
 class TestSerialization:

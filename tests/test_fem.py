@@ -411,9 +411,10 @@ class TestPoincareSobolev:
 
 
 class TestDirectTorsion:
-    def test_residual_above_tolerance_raises(self, disk64):
+    def test_residual_above_tolerance_raises(self, disk64, monkeypatch):
+        monkeypatch.setattr(fem, "DEFAULT_CG_TOL", 1e-30)
         with pytest.raises(fem.SolverError):
-            fem.solve_torsion(disk64, precond=direct(disk64), tol=1e-30)
+            fem.solve_torsion(disk64, precond=direct(disk64))
 
     def test_direct_solve_meets_tolerance(self, disk64):
         _, stats = fem.solve_torsion(disk64, precond=direct(disk64))
@@ -462,10 +463,11 @@ class TestPreconditionedTorsion:
         with pytest.raises(ValueError, match="preconditioner"):
             fem.solve_torsion(mesh, precond=direct(disk_mesh(8)))
 
-    def test_unreachable_tolerance_raises_with_iterations(self):
+    def test_unreachable_tolerance_raises_with_iterations(self, monkeypatch):
         mesh = fem.polar_mesh(ellipse(0.1), 16)
+        monkeypatch.setattr(fem, "DEFAULT_CG_TOL", 1e-30)
         with pytest.raises(fem.SolverError, match=r"iterations.*residual"):
-            fem.solve_torsion(mesh, tol=1e-30, precond=direct(disk_mesh(16)))
+            fem.solve_torsion(mesh, precond=direct(disk_mesh(16)))
 
 
 def vcycle_chain(d, rings):
@@ -754,13 +756,14 @@ class TestSolverEvidence:
         with pytest.raises(ValueError, match="preconditioner"):
             fem.poincare_sobolev(mesh, 3.0, precond=factor)
 
-    def test_descent_iteration_cap_names_last_drop(self):
+    def test_descent_iteration_cap_names_last_drop(self, monkeypatch):
         mesh = fem.polar_mesh(ellipse(0.2), 32)
+        monkeypatch.setattr(fem, "DESCENT_MAX_ITER", 1)
         for q in (2.0, 3.0):  # the eigenvalue and an L^q constant
             with pytest.raises(fem.SolverError,
                                match=rf"L\^{q} descent did not converge in 1 iterations: "
                                      r"last relative drop \S+ > 1e-08$"):
-                fem.poincare_sobolev(mesh, q, max_iter=1, precond=direct(mesh))
+                fem.poincare_sobolev(mesh, q, precond=direct(mesh))
 
     def test_non_finite_preconditioner_raises(self):
         mesh = fem.polar_mesh(ellipse(0.2), 16)

@@ -27,7 +27,7 @@ def rows():
 
 
 def failed(r):
-    return [name for name, ok, _ in verify.row_checks(r, 16, 32) if not ok]
+    return [name for name, ok, _ in verify.row_checks(r) if not ok]
 
 
 # (row, rule, doctored fields): each breaks exactly one rule
@@ -51,7 +51,7 @@ class TestRowChecks:
 
     def test_rules_per_row(self, rows):
         # SV, FK x3, (KJ + ratio) x3, reduction chain, annular bound
-        assert len(verify.row_checks(rows["ellipse"], 16, 32)) == 12
+        assert len(verify.row_checks(rows["ellipse"])) == 12
 
     @pytest.mark.parametrize("label, rule, doctor", DOCTORED,
                              ids=[rule for _, rule, _ in DOCTORED])
