@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -287,6 +288,21 @@ class TestCommands:
         assert len(spec.eps_values) == n_eps and spec.random_count == n_random
         assert (spec.seed, spec.q_list, spec.rings, spec.rings_fine) == (
             7, (1.5, 2.0, 3.0), 64, 128)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(stability.SweepSpec)])
+    def test_default_combined_sweep_is_the_library_default(self, capsys, monkeypatch,
+                                                          field):
+        # rings, seed, q and the random count have one home, SweepSpec
+        seen = []
+
+        def fake_scan(spec, workers=None):
+            seen.append(spec)
+            raise fem.SolverError("stop after the spec")
+        monkeypatch.setattr(stability, "sigma_scan", fake_scan)
+        assert main(["sweep", "combined"]) == 2
+        capsys.readouterr()
+        [spec] = seen
+        assert getattr(spec, field) == getattr(stability.SweepSpec(), field)
 
     @pytest.mark.parametrize("flag, expected", [("0", 3), ("2", 2)])
     def test_sweep_workers_zero_is_every_available_cpu(self, capsys, monkeypatch,

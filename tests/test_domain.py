@@ -132,6 +132,16 @@ class TestProfileRelativeTo:
         expected = -c * np.cos(psi) + np.sqrt(1 - c * c * np.sin(psi) ** 2)
         assert np.max(np.abs(1 + q.values(psi) - expected)) <= 1e-9
 
+    @pytest.mark.parametrize("phi", [PI / 2, PI, 4.0], ids=["pi/2", "pi", "4"])
+    def test_offset_disk_near_the_boundary_in_other_directions(self, phi):
+        # 0.1 inside the unit circle, off the x axis: the same aliasing
+        # and the same closed form, rotated by phi
+        c = 0.9
+        q = profile_relative_to(unit_disk(), (c * math.cos(phi), c * math.sin(phi)))
+        psi = np.linspace(0, 2 * PI, 997, endpoint=False)
+        expected = -c * np.cos(psi - phi) + np.sqrt(1 - c * c * np.sin(psi - phi) ** 2)
+        assert np.max(np.abs(1 + q.values(psi) - expected)) <= 1e-9
+
     def test_unresolved_center_raises_plain_value_error(self):
         # r = 1 + 0.9 cos theta about its barycenter misses by 3e-6 at 288
         # modes, at 8 and at 32 points per mode

@@ -469,6 +469,21 @@ class TestPreconditionedTorsion:
         with pytest.raises(fem.SolverError, match=r"iterations.*residual"):
             fem.solve_torsion(mesh, precond=direct(disk_mesh(16)))
 
+    def test_iteration_cap_is_read_when_called(self, monkeypatch):
+        # the disk preconditioner needs more than one solve on the ellipse
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        monkeypatch.setattr(fem, "CG_MAX_ITER", 1)
+        with pytest.raises(fem.SolverError, match=r"did not converge in 1 iterations"):
+            fem.solve_torsion(mesh, precond=direct(disk_mesh(16)))
+
+    def test_loose_tolerance_accepts_the_start(self, monkeypatch):
+        # a relative residual of 1 is met by the start precond.solve(b)
+        mesh = fem.polar_mesh(ellipse(0.1), 16)
+        monkeypatch.setattr(fem, "DEFAULT_CG_TOL", 1.0)
+        monkeypatch.setattr(fem, "CG_MAX_ITER", 1)
+        _, stats = fem.solve_torsion(mesh, precond=direct(disk_mesh(16)))
+        assert stats.iterations == 1 and stats.residual <= 1.0
+
 
 def vcycle_chain(d, rings):
     """The ``rings``-ring mesh of ``d`` and its V-cycle over the meshes of
@@ -764,6 +779,17 @@ class TestSolverEvidence:
                                match=rf"L\^{q} descent did not converge in 1 iterations: "
                                      r"last relative drop \S+ > 1e-08$"):
                 fem.poincare_sobolev(mesh, q, precond=direct(mesh))
+
+    def test_descent_tolerance_is_read_when_called(self, monkeypatch):
+        # a relative drop of at most 1 stops the descent at its first
+        # accepted step, inside a cap of one iteration
+        mesh = fem.polar_mesh(ellipse(0.2), 32)
+        factor = direct(mesh)
+        tight, _ = fem.poincare_sobolev(mesh, 3.0, precond=factor)
+        monkeypatch.setattr(fem, "DEFAULT_DESCENT_TOL", 1.0)
+        monkeypatch.setattr(fem, "DESCENT_MAX_ITER", 1)
+        loose, _ = fem.poincare_sobolev(mesh, 3.0, precond=factor)
+        assert loose >= tight
 
     def test_non_finite_preconditioner_raises(self):
         mesh = fem.polar_mesh(ellipse(0.2), 16)

@@ -413,9 +413,13 @@ class TestSharedLevel:
         assert calls == {"mesh": 3, "factor": [BOTTOM]}
 
     @pytest.mark.parametrize("gap", [
+        lambda: st.energy_gap(ellipse(0.1)),
+        lambda: st.energy_deficit(ellipse(0.1), 8, 16),
         lambda: st.fuglede_margin(volume_corrected_profile(2, 0.01), 8, 16),
+        lambda: st.sharpness_fit(np.linspace(0.02, 0.2, 5)),
         lambda: st.taylor_validation(2, (0.03, 0.05, 0.07), 8, 16),
-    ], ids=["fuglede_margin", "taylor_validation"])
+    ], ids=["energy_gap", "energy_deficit", "fuglede_margin", "sharpness_fit",
+            "taylor_validation"])
     def test_torsion_only_paths_build_no_mesh(self, monkeypatch, gap):
         # every energy comes from torsion_energy: no mesh, no factorization
         # and no new disk level

@@ -53,6 +53,17 @@ class TestRowChecks:
         # SV, FK x3, (KJ + ratio) x3, reduction chain, annular bound
         assert len(verify.row_checks(rows["ellipse"])) == 12
 
+    def test_disk_references_come_from_the_rows_ring_pair(self, rows, monkeypatch):
+        # the rows were computed at rings 16/32, recorded as mesh_rings 32
+        seen, disk_data = [], stability.disk_data
+
+        def recorded(rings):
+            seen.append(rings)
+            return disk_data(rings)
+        monkeypatch.setattr(stability, "disk_data", recorded)
+        verify.row_checks(rows["ellipse"])
+        assert rows["ellipse"].mesh_rings == 32 and seen == [16, 32]
+
     @pytest.mark.parametrize("label, rule, doctor", DOCTORED,
                              ids=[rule for _, rule, _ in DOCTORED])
     def test_doctored_row_fails_one_rule(self, rows, label, rule, doctor):
