@@ -33,6 +33,16 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k - 1] z^k over k = 1..K, by Horner's rule."""
+    acc = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    acc *= z
+    return acc
+
+
 def _coeff_array(values) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
     if arr.ndim != 1:
@@ -109,13 +119,7 @@ class BoundaryProfile:
         out = np.full(theta.shape, self.a0)
         if self.max_mode:
             z = np.cos(theta) + 1j * np.sin(theta)
-            coeffs = self.cos_coeffs - 1j * self.sin_coeffs
-            acc = np.full(theta.shape, coeffs[-1])
-            for c in coeffs[-2::-1]:
-                acc *= z
-                acc += c
-            acc *= z
-            out = out + acc.real
+            out = out + horner(self.cos_coeffs - 1j * self.sin_coeffs, z).real
         return out
 
     # -- algebra -------------------------------------------------------

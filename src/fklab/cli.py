@@ -41,9 +41,9 @@ class UsageError(Exception):
 class RunConfig:
     rings: int = stability.DEFAULT_RINGS
     rings_fine: int = stability.DEFAULT_RINGS_FINE
-    eps_min: float = 0.02
-    eps_max: float = 0.2
-    eps_count: int = 8
+    eps_min: float = float(stability.SweepSpec.eps_values[0])
+    eps_max: float = float(stability.SweepSpec.eps_values[-1])
+    eps_count: int = len(stability.SweepSpec.eps_values)
     seed: int = stability.SweepSpec.seed
     q_list: tuple = stability.SweepSpec.q_list
     workers: int = 0  # 0 = all available cores
@@ -307,8 +307,7 @@ def cmd_sweep(cfg: RunConfig, family: str, count: int | None, out: str | None,
                                seed=cfg.seed, q_list=cfg.q_list,
                                rings=cfg.rings, rings_fine=cfg.rings_fine)
 
-    workers = cfg.workers if cfg.workers > 0 else stability.available_cpus()
-    result = stability.sigma_scan(spec, workers=workers)
+    result = stability.sigma_scan(spec, workers=cfg.workers or None)
 
     lines = [csv_header(cfg.q_list)]
     lines += [csv_row(r, cfg.q_list) for r in result.reports]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -23,8 +24,8 @@ _FIT_EXTRA_MODES = 8  # fitted profiles keep the input's K plus this many
 _TRIM_TOL = 1e-15     # fits drop trailing modes below this relative size
 _REFIT_TOL = 1e-9     # largest boundary miss of a profile about a new center
 _REFIT_MAX_MODES = 512  # most modes of a profile about a new center
-_REFIT_POINTS = 8       # boundary points per mode of that profile's sum,
-_REFIT_FINE_POINTS = 32  # and of its second mode ladder near the boundary
+_REFIT_POINTS = 8       # points per mode of its trapezoid sum, up to angular speed 2
+_REFIT_MAX_POINTS = 1 << 16  # most points of that sum (51,600 at 0.01 inside a unit circle)
 _ELLIPSE_MODES = 16   # Fourier modes of the ellipse family's profile
 
 
@@ -133,51 +134,59 @@ def profile_relative_to(d: StarDomain, c) -> BoundaryProfile:
     psi = arg w.  Then rho d psi = (w x w') / |w| dt, so the coefficient
     of e^{-ik psi} in rho(psi) is (1/2 pi) int (w x w') / |w| (conj(w) /
     |w|)^k dt, a smooth periodic integrand that the trapezoid rule in t
-    sums to geometric accuracy; no angle is inverted.  The sum keeps the
-    input's mode count plus a margin, doubled and then doubled again if
-    the profile misses the boundary points by more than ``_REFIT_TOL``;
-    from there the count keeps doubling while the miss falls, up to
-    ``_REFIT_MAX_MODES``.  Each sum takes max(8 (K + 1), 256) points for K
-    modes.  Near the boundary the integrand varies faster than that grid
-    resolves and the sum aliases, so where the ladder stops unresolved it
-    is run once more at 32 points per mode.  Raises ``NotStarShapedError``
-    where the angle about c is not increasing at a grid point, and a plain
-    ``ValueError`` naming the miss and the mode count where no sum
-    reproduces the boundary.
+    sums to geometric accuracy; no angle is inverted.  Its bandwidth grows
+    with K and with the angular speed s = psi' = (w x w') / |w|^2, about 1
+    on near-spheres and 1 / dist(c, boundary) near the boundary (Trefethen
+    and Weideman, SIAM Review 56, 2014).  So K modes take max(256, 8 (K +
+    1) max(1, s / 2)) points, s the largest speed measured yet, sampled
+    again while the speed on the grid asks for more points.  K starts at
+    the input's mode count plus a margin and doubles until the profile
+    misses the boundary points by at most ``_REFIT_TOL``.  Raises
+    ``NotStarShapedError`` where the angle about c is not increasing at a
+    grid point, and a plain ``ValueError`` where doubling K would pass
+    ``_REFIT_MAX_MODES`` (naming the miss and the mode count) or the points
+    would pass ``_REFIT_MAX_POINTS``.
     """
     p = d.profile
     offset = np.asarray(d.center, dtype=float) - np.asarray(c, dtype=float)
     if float(np.hypot(*offset)) == 0.0:
         return p
     dp = p.derivative()
-    first = p.max_mode + _FIT_EXTRA_MODES
-    tried_first = 4 * first  # the counts up to this one run whatever their misses
-    per_mode, kmax, previous = _REFIT_POINTS, first, math.inf
+    kmax, n, speed = p.max_mode + _FIT_EXTRA_MODES, 0, 0.0
     while True:
-        t = np.linspace(0.0, TWO_PI, max(per_mode * (kmax + 1), 256), endpoint=False)
-        e = np.exp(1j * t)
-        r = 1.0 + p.values(t)
-        w = complex(*offset) + r * e
-        cross = (w.conjugate() * (dp.values(t) + 1j * r) * e).imag  # w x w'
-        if np.min(cross) <= 0.0:
-            raise NotStarShapedError("boundary angle about c is not monotone")
-        rho, psi = np.abs(w), np.angle(w)
-        # summed by numpy, not BLAS, so no bit depends on the BLAS thread count
-        coeffs = np.einsum("j,jk->k", cross / rho,
-                           np.exp(-1j * np.outer(psi, np.arange(kmax + 1)))) / len(t)
+        need = max(256, math.ceil(_REFIT_POINTS * (kmax + 1) * max(1.0, speed / 2)))
+        if need > _REFIT_MAX_POINTS:
+            raise ValueError(f"a sum of {kmax} modes about c needs {need} points (> "
+                             f"{_REFIT_MAX_POINTS}); the profile about c is not resolved")
+        if need > n:  # no grid for this K yet, or the speed on it asks for more points
+            n = need
+            t = np.linspace(0.0, TWO_PI, n, endpoint=False)
+            e = np.exp(1j * t)
+            r = 1.0 + p.values(t)
+            w = complex(*offset) + r * e
+            cross = (w.conjugate() * (dp.values(t) + 1j * r) * e).imag  # w x w'
+            if np.min(cross) <= 0.0:
+                raise NotStarShapedError("boundary angle about c is not monotone")
+            rho = np.abs(w)
+            speed = max(speed, float(np.max(cross / (rho * rho))))
+            continue
+        weight, psi, modes = cross / rho, np.angle(w), np.arange(kmax + 1)
+        # summed by numpy, not BLAS, so no bit depends on the BLAS thread
+        # count, in blocks of rows that bound the table; every sum at speeds
+        # up to 2 is one block
+        rows = _REFIT_POINTS * (_REFIT_MAX_MODES + 1)
+        coeffs = reduce(np.add, (np.einsum("j,jk->k", weight[i:i + rows],
+                                           np.exp(-1j * np.outer(psi[i:i + rows], modes)))
+                                 for i in range(0, n, rows))) / n
         profile = _profile_from_coeffs(coeffs)
         miss = float(np.max(np.abs(1.0 + profile.values(psi) - rho)))
         if miss <= _REFIT_TOL:
             return profile
-        if kmax >= tried_first and (not miss < previous or 2 * kmax > _REFIT_MAX_MODES):
-            if per_mode == _REFIT_FINE_POINTS:
-                raise ValueError(
-                    f"refit boundary deviates by {miss:.3g} (> {_REFIT_TOL:.1g}) at {kmax} "
-                    "modes; the profile about c is not resolved")
-            per_mode, kmax, previous = _REFIT_FINE_POINTS, first, math.inf
-            continue
-        previous = miss
-        kmax *= 2
+        if 2 * kmax > _REFIT_MAX_MODES:
+            raise ValueError(
+                f"refit boundary deviates by {miss:.3g} (> {_REFIT_TOL:.1g}) at {kmax} "
+                "modes; the profile about c is not resolved")
+        kmax, n = 2 * kmax, 0
 
 
 def recenter_rescale(d: StarDomain) -> StarDomain:

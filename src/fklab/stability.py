@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from . import asymmetry, fem
-from .circle import TWO_PI, BoundaryProfile, h_half_norm_sq, hessian_form
+from .circle import TWO_PI, BoundaryProfile, h_half_norm_sq, hessian_form, horner
 from .domain import (StarDomain, ellipse, recenter_rescale, unit_disk, volume,
                      volume_corrected, volume_corrected_profile)
 
@@ -63,7 +63,6 @@ SCALE_EXP = (DIM + 2) / DIM  # volume exponent of the energy normalization
 DEFAULT_RINGS = 64
 DEFAULT_RINGS_FINE = 128
 RATIO_ASYMMETRY_FLOOR = 1e-3
-ORDER_BAND = (1.6, 2.4)
 DISK_ENERGY = -math.pi / 16.0  # E(B_1)
 # the mode counts of the Trefftz fit, tried in turn, and the largest
 # accepted bound on the error of its energy, relative to the energy
@@ -358,16 +357,6 @@ def _householder_lstsq(at: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k - 1] w^k over k = 1..K, by Horner's rule."""
-    acc = np.full(w.shape, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc *= w
-        acc += c
-    acc *= w
-    return acc
-
-
 def _trefftz(d: StarDomain, modes: int) -> tuple[float, float]:
     """The torsion energy of the ``modes``-mode Trefftz fit and a bound on
     its boundary miss (:func:`torsion_energy`)."""
@@ -391,10 +380,10 @@ def _trefftz(d: StarDomain, modes: int) -> tuple[float, float]:
     r = d.radius(t)
     r2 = r * r
     w = r * np.exp(1j * t) / rho
-    miss = a0 + _horner(c, w).real - r2 / 4.0
+    miss = a0 + horner(c, w).real - r2 / 4.0
     # Bernstein: |m'| <= N sup |m|, and each t lies within pi / L of a sample
     sup = float(np.max(np.abs(miss))) / (1.0 - math.pi * degree / len(t))
-    integrand = r2 * (a0 / 2.0 + _horner(c / (k + 2), w).real - r2 / 16.0)
+    integrand = r2 * (a0 / 2.0 + horner(c / (k + 2), w).real - r2 / 16.0)
     return -math.pi * float(np.mean(integrand)), sup
 
 
@@ -591,7 +580,6 @@ class DeficitReport:
     ratio_energy_asym_sq: float
     mesh_rings: int
     extrap_order: float
-    order_flagged: bool
 
 
 @dataclass
@@ -646,7 +634,6 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
     deficit_e = x["deficit_energy"]
     order = observed_order(order_terms["deficit_energy"], lo["deficit_energy"],
                            hi["deficit_energy"])
-    flagged = not (ORDER_BAND[0] <= order <= ORDER_BAND[1]) if math.isfinite(order) else True
 
     def by_q(name):
         return {q: x[name, q] for q in q_list if (name, q) in x}
@@ -665,7 +652,7 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
         fraenkel=frk, alpha=alpha_val, alpha_annular_bound=bound,
         deficit_energy=deficit_e, deficit_fk=deficit_fk, kj_slack=by_q("kj_slack"),
         cappio=by_q("cappio"), ratio_energy_asym_sq=ratio_e, mesh_rings=rings_fine,
-        extrap_order=order, order_flagged=flagged,
+        extrap_order=order,
     )
 
 

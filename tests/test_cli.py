@@ -307,14 +307,16 @@ class TestCommands:
     @pytest.mark.parametrize("flag, expected", [("0", 3), ("2", 2)])
     def test_sweep_workers_zero_is_every_available_cpu(self, capsys, monkeypatch,
                                                        flag, expected):
+        # the CLI hands 0 on as sigma_scan's default, which sizes the pool
         seen = []
 
-        def fake_scan(spec, workers=None):
-            seen.append(workers)
+        def fake_pool(max_workers, **kwargs):
+            seen.append(max_workers)
             raise fem.SolverError("stop after the worker count")
-        monkeypatch.setattr(stability, "sigma_scan", fake_scan)
+        monkeypatch.setattr(stability, "ProcessPoolExecutor", fake_pool)
         monkeypatch.setattr(stability, "available_cpus", lambda: 3)
-        assert main(["--workers", flag, "sweep", "random"]) == 2
+        assert main(["--rings", "8", "--rings-fine", "16", "--workers", flag,
+                     "sweep", "random", "--count", "1"]) == 2
         capsys.readouterr()
         assert seen == [expected]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,41 +111,53 @@ class TestProfileRelativeTo:
                 assert np.max(np.abs(barycenter(moved) - b)) <= 1e-13
 
     def test_resolves_center_near_the_boundary(self):
-        # 0.19 inside the boundary: the miss is 4.7e-9 at 4(K + 8) = 96
-        # modes and falls below 1e-9 at 192
+        # 0.19 inside the boundary, checked far between the sum's points
         d = ellipse(0.5)
         c = (0.92, 0.0)
         q = profile_relative_to(d, c)
-        assert q.max_mode > 96
-        t = np.linspace(0, 2 * PI, 997, endpoint=False)
+        t = np.linspace(0, 2 * PI, 200_000, endpoint=False)
         w = d.boundary_points(t) - c
         psi = np.arctan2(w[:, 1], w[:, 0])
         assert np.max(np.abs(1 + q.values(psi) - np.hypot(w[:, 0], w[:, 1]))) <= 1e-9
         assert volume(StarDomain(c, q)) == pytest.approx(volume(d), abs=1e-13)
 
-    @pytest.mark.parametrize("c", [0.8, 0.9, 0.95])
+    @pytest.mark.parametrize("c", [0.8, 0.9, 0.95, 0.97, 0.99])
     def test_offset_disk_near_the_boundary(self, c):
-        # at 8 points per mode the sum aliases and the miss rises from 16
-        # modes to 32 (5.3e-7, 0.26 and 0.23 there); 32 points per mode
-        # resolve the closed form
+        # the angular speed about c reaches 1 / (1 - c) at the nearest
+        # boundary point; at 8 points per mode the sum aliases there
         q = profile_relative_to(unit_disk(), (c, 0.0))
         psi = np.linspace(0, 2 * PI, 997, endpoint=False)
         expected = -c * np.cos(psi) + np.sqrt(1 - c * c * np.sin(psi) ** 2)
         assert np.max(np.abs(1 + q.values(psi) - expected)) <= 1e-9
 
-    @pytest.mark.parametrize("phi", [PI / 2, PI, 4.0], ids=["pi/2", "pi", "4"])
-    def test_offset_disk_near_the_boundary_in_other_directions(self, phi):
-        # 0.1 inside the unit circle, off the x axis: the same aliasing
-        # and the same closed form, rotated by phi
-        c = 0.9
+    @pytest.mark.parametrize("c, phi", [(0.9, PI / 2), (0.9, PI), (0.9, 4.0), (0.97, 4.0)],
+                             ids=["pi/2", "pi", "4", "0.97-4"])
+    def test_offset_disk_near_the_boundary_in_other_directions(self, c, phi):
+        # off the x axis: the same aliasing and the same closed form,
+        # rotated by phi
         q = profile_relative_to(unit_disk(), (c * math.cos(phi), c * math.sin(phi)))
         psi = np.linspace(0, 2 * PI, 997, endpoint=False)
         expected = -c * np.cos(psi - phi) + np.sqrt(1 - c * c * np.sin(psi - phi) ** 2)
         assert np.max(np.abs(1 + q.values(psi) - expected)) <= 1e-9
 
+    @pytest.mark.parametrize("phi", [0.0, 4.0])
+    def test_center_at_the_boundary_raises_before_a_large_table(self, phi):
+        # 1e-4 inside the unit circle the sum would need about 40000 points
+        # per mode; the point cap stops it before the table is built
+        c = 1.0 - 1e-4
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="not resolved") as info:
+                profile_relative_to(unit_disk(), (c * math.cos(phi), c * math.sin(phi)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not isinstance(info.value, NotStarShapedError)
+        assert peak < 64e6
+
     def test_unresolved_center_raises_plain_value_error(self):
         # r = 1 + 0.9 cos theta about its barycenter misses by 3e-6 at 288
-        # modes, at 8 and at 32 points per mode
+        # modes
         d = StarDomain((0, 0), BoundaryProfile.single_mode(1, cos_amp=0.9))
         with pytest.raises(ValueError, match=r"deviates by \S+ .* at 288 modes") as info:
             profile_relative_to(d, barycenter(d))
