@@ -1,23 +1,27 @@
 """Deficits, inequality margins, and sweep-level stability scans.
 
 Every deficit of a sweep row compares a star domain against the unit
-disk on matched meshes: the domain mesh is the disk mesh of the same
-ring count pushed radially onto the boundary, so the leading O(h^2)
-discretization bias cancels in the difference.  Quantities are computed
-on a coarse/fine pair of ring counts and Richardson-extrapolated with
-assumed order 2; the energy route also solves one extra coarser level so
-an observed convergence order can be attached to each data point.
+disk.  The torsion energy needs no mesh: :func:`torsion_energy` fits the
+harmonic part of the torsion function by powers of x - o and integrates
+it exactly on the domain's Fourier boundary, with a maximum-principle
+bound of at most ``TREFFTZ_TOL`` |E| on its error, and the disk's is
+``DISK_ENERGY`` = -pi/16 exactly.  A row whose domain fails that bound,
+far from the disk, takes the FEM energy of each of its levels instead.
+The eigenvalue and the L^q constants are compared on matched meshes: the
+domain mesh is the disk mesh of the same ring count pushed radially onto
+the boundary, so the leading O(h^2) discretization bias cancels in the
+difference.  They are computed on a coarse/fine pair of ring counts and
+Richardson-extrapolated with assumed order 2; one extra coarser level
+attaches an observed convergence order, that of the FK deficit at q = 2,
+to each row.
 
 The torsion-only helpers, :func:`energy_gap` and :func:`energy_deficit`
 and the Taylor, Fuglede and sharpness checks built on them, build no
-mesh: :func:`torsion_energy` fits the harmonic part of the torsion
-function by powers of x - o and integrates it exactly on the domain's
-Fourier boundary, with a maximum-principle bound of at most
-``TREFFTZ_TOL`` |E| on its error.  :func:`energy_gap` and
-:func:`sharpness_fit` take no ring counts.  :func:`energy_deficit`,
-:func:`taylor_validation` and :func:`fuglede_margin` keep a ring pair
-only because the benchmark passes one by position; it is checked as a
-Richardson pair and changes no value.
+mesh either.  :func:`energy_gap` and :func:`sharpness_fit` take no ring
+counts.  :func:`energy_deficit`, :func:`taylor_validation` and
+:func:`fuglede_margin` keep a ring pair only because the benchmark
+passes one by position; it is checked as a Richardson pair and changes
+no value.
 
 The eigenvalue is the q = 2 Poincare-Sobolev constant, and every L^q
 solve uses nested iteration: at every even ring count >= 8 it starts
@@ -260,10 +264,11 @@ def richardson(coarse: float, fine: float) -> float:
 
 
 def _extrapolate(coarse, fine):
-    """Richardson extrapolation of a per-level term, elementwise on pairs."""
+    """Richardson extrapolation of a per-level term, elementwise on pairs;
+    a value equal on both levels, as a meshless one is, is kept exactly."""
     if isinstance(coarse, tuple):
-        return tuple(map(richardson, coarse, fine))
-    return richardson(coarse, fine)
+        return tuple(map(_extrapolate, coarse, fine))
+    return fine if coarse == fine else richardson(coarse, fine)
 
 
 def observed_order(v_coarse: float, v_mid: float, v_fine: float) -> float:
@@ -289,9 +294,8 @@ def kj_exponent(q: float, dim: int = DIM) -> float:
     return (1.0 / q - (dim - 2.0) / (2.0 * dim)) * 2.0 * dim / (dim + 2.0)
 
 
-def _energy_term(dom: Level, ref: Level) -> float:
-    return (dom.energy() * dom.volume ** (-SCALE_EXP)
-            - ref.energy() * math.pi ** (-SCALE_EXP))
+def _energy_term(dom: Level, e_dom: float, e_ref: float) -> float:
+    return e_dom * dom.volume ** (-SCALE_EXP) - e_ref * math.pi ** (-SCALE_EXP)
 
 
 def _fk_term(dom: Level, ref: Level, q: float) -> float:
@@ -299,16 +303,15 @@ def _fk_term(dom: Level, ref: Level, q: float) -> float:
     return dom.volume ** e * dom.lambda_q(q) - math.pi ** e * ref.lambda_q(q)
 
 
-def _kj_term(dom: Level, ref: Level, q: float) -> float:
+def _kj_term(dom: Level, ref: Level, q: float, e_dom: float, e_ref: float) -> float:
     th = kj_exponent(q)
-    return (dom.lambda_q(q) * (-dom.energy()) ** th
-            - ref.lambda_q(q) * (-ref.energy()) ** th)
+    return dom.lambda_q(q) * (-e_dom) ** th - ref.lambda_q(q) * (-e_ref) ** th
 
 
-def _ratio_terms(dom: Level, ref: Level, q: float) -> tuple[float, float]:
+def _ratio_terms(dom: Level, ref: Level, q: float, e_dom: float,
+                 e_ref: float) -> tuple[float, float]:
     th = kj_exponent(q)
-    return (dom.lambda_q(q) / ref.lambda_q(q) - 1.0,
-            (ref.energy() / dom.energy()) ** th - 1.0)
+    return dom.lambda_q(q) / ref.lambda_q(q) - 1.0, (e_ref / e_dom) ** th - 1.0
 
 
 # -- the torsion energy without a mesh -----------------------------------
@@ -407,8 +410,9 @@ def torsion_energy(d: StarDomain) -> tuple[float, TrefftzStats]:
     K runs through ``TREFFTZ_MODES``, and the first fit whose bound is at
     most ``TREFFTZ_TOL`` |E_K| is returned with its :class:`TrefftzStats`;
     ``fem.SolverError`` names the last K and miss if none is.  Far from
-    the disk the powers of w resolve h poorly (r = 1 + 0.4 cos 2 theta
-    raises), so the sweep rows keep the mesh.
+    the disk the powers of w resolve h poorly (r = 1 + 0.3 cos 2 theta
+    raises), and a sweep row then takes the FEM energy of its levels
+    (:func:`evaluate_member`).
     """
     for modes in TREFFTZ_MODES:
         energy, miss = _trefftz(d, modes)
@@ -561,7 +565,9 @@ class SweepSpec:
 
 @dataclass
 class DeficitReport:
-    """Per-domain record of functionals, deficits, and diagnostics."""
+    """Per-domain record of functionals, deficits, and diagnostics;
+    ``energy_stats`` is the evidence of the meshless energy, None on a row
+    that took the FEM energy of its levels."""
 
     domain_id: str
     family: str
@@ -580,6 +586,7 @@ class DeficitReport:
     ratio_energy_asym_sq: float
     mesh_rings: int
     extrap_order: float
+    energy_stats: TrefftzStats | None
 
 
 @dataclass
@@ -606,16 +613,21 @@ def build_family(spec: SweepSpec) -> list[tuple[str, str, float, StarDomain]]:
     return members
 
 
-def _row_terms(dom: Level, ref: Level, q_list) -> dict:
-    """Every extrapolated value of a sweep row, at one level."""
-    t = {"eigenvalue": dom.eigenvalue(), "energy": dom.energy(),
-         "deficit_energy": _energy_term(dom, ref)}
+def _row_terms(dom: Level, ref: Level, q_list, energy: float | None) -> dict:
+    """Every extrapolated value of a sweep row, at one level.  Its energies
+    are the meshless ``energy`` and ``DISK_ENERGY``, or with ``energy``
+    None the FEM energies of the level and of its disk reference."""
+    e_dom, e_ref = ((dom.energy(), ref.energy()) if energy is None
+                    else (energy, DISK_ENERGY))
+    t = {"eigenvalue": dom.eigenvalue(), "energy": e_dom,
+         "deficit_energy": _energy_term(dom, e_dom, e_ref),
+         ("deficit_fk", 2.0): _fk_term(dom, ref, 2.0)}
     for q in q_list:
         t["lambda_q", q] = dom.lambda_q(q)
         t["deficit_fk", q] = _fk_term(dom, ref, q)
         if q > 1.0:
-            t["kj_slack", q] = _kj_term(dom, ref, q)
-            t["cappio", q] = _ratio_terms(dom, ref, q)
+            t["kj_slack", q] = _kj_term(dom, ref, q, e_dom, e_ref)
+            t["cappio", q] = _ratio_terms(dom, ref, q, e_dom, e_ref)
     return t
 
 
@@ -624,16 +636,20 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
                     rings_fine: int = DEFAULT_RINGS_FINE) -> DeficitReport:
     q_list = [float(q) for q in q_list]
     _pair(rings, rings_fine)
+    try:
+        energy, energy_stats = torsion_energy(d)
+    except fem.SolverError:  # far from the disk: each level's FEM energy
+        energy, energy_stats = None, None
     # the fine level is linked to the coarse one, and that to the order
-    # level, whose energy deficit gives the observed order and whose
+    # level, whose FK deficit at q = 2 gives the observed order and whose
     # solutions start those of the coarse level
     fine = Level(d, rings_fine)
-    order_terms, lo, hi = [_row_terms(level, disk_data(level.rings), q_list)
+    order_terms, lo, hi = [_row_terms(level, disk_data(level.rings), q_list, energy)
                            for level in (fine.coarse.coarse, fine.coarse, fine)]
     x = {k: _extrapolate(lo[k], hi[k]) for k in lo}
     deficit_e = x["deficit_energy"]
-    order = observed_order(order_terms["deficit_energy"], lo["deficit_energy"],
-                           hi["deficit_energy"])
+    fk2 = ("deficit_fk", 2.0)
+    order = observed_order(order_terms[fk2], lo[fk2], hi[fk2])
 
     def by_q(name):
         return {q: x[name, q] for q in q_list if (name, q) in x}
@@ -652,7 +668,7 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
         fraenkel=frk, alpha=alpha_val, alpha_annular_bound=bound,
         deficit_energy=deficit_e, deficit_fk=deficit_fk, kj_slack=by_q("kj_slack"),
         cappio=by_q("cappio"), ratio_energy_asym_sq=ratio_e, mesh_rings=rings_fine,
-        extrap_order=order,
+        extrap_order=order, energy_stats=energy_stats,
     )
 
 

@@ -219,6 +219,20 @@ class TestCommands:
         deficit_e = float(cells[lines[0].split(",").index("deficit_E")])
         assert abs(deficit_e) < 1e-10
 
+    def test_deficit_row_far_from_the_disk_takes_the_fem_energy(self, capsys):
+        # r = 1 + 0.3 cos 2 theta fails the meshless fit's bound, so the row
+        # takes the Richardson-extrapolated FEM energy instead
+        spec = "profile:0 2:0.3:0"
+        dom = parse_domain_spec(spec)[2]
+        with pytest.raises(fem.SolverError):
+            stability.torsion_energy(dom)
+        assert main(["--rings", "8", "--rings-fine", "16", "deficit", spec]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        energy = row.split(",")[header.split(",").index("energy")]
+        fem_energy = stability.richardson(stability.Level(dom, 8).energy(),
+                                          stability.Level(dom, 16).energy())
+        assert float(energy) == fem_energy
+
     def test_deficit_rows_start_after_the_disk_is_released(self, monkeypatch, capsys):
         # the disk references are prepared once, then released, so no row
         # runs next to the disk's meshes and V-cycles

@@ -118,8 +118,8 @@ class TestEnergyDeficit:
         assert v2 == pytest.approx(v1, rel=1e-9)
 
     def test_observed_order_near_two(self):
-        # the order a sweep row reports for its energy deficit, from the
-        # rings 32/64/128 levels
+        # the order a sweep row reports, that of its FK deficit at q = 2
+        # over the rings 32/64/128 levels
         for eps in (0.1, 0.15):
             r = st.evaluate_member(f"ellipse-{eps}", "ellipse", eps, ellipse(eps),
                                    q_list=(2.0,), rings=64, rings_fine=128)
@@ -168,13 +168,13 @@ class TestTorsionEnergy:
 
     @pytest.mark.parametrize("member", ["ellipse-0.1", "random-12"])
     def test_fem_energy_within_its_error(self, member):
-        # the sweep row's Richardson energy at rings 64/128 against the
-        # meshless one: the FEM is off by 8.1e-9 to 9.7e-9 relative
+        # the FEM's Richardson energy at rings 64/128, what a sweep row took
+        # before it took the meshless one: off by 8.1e-9 to 9.7e-9 relative
         spec = st.SweepSpec(eps_values=(0.1,), random_count=13)
         d = {m: d for m, _, _, d in st.build_family(spec)}[member]
         energy, stats = st.torsion_energy(d)
-        r = st.evaluate_member(member, "", 0.0, d, q_list=(2.0,))
-        assert r.energy == pytest.approx(energy, rel=2e-8, abs=0)
+        fem_energy = st.richardson(st.Level(d, 64).energy(), st.Level(d, 128).energy())
+        assert fem_energy == pytest.approx(energy, rel=2e-8, abs=0)
         assert stats.bound <= 1e-10 * abs(energy)
 
     def test_translation_invariant(self):
@@ -398,6 +398,19 @@ def count_calls(monkeypatch):
     return calls
 
 
+def count_torsion_solves(monkeypatch):
+    """The ring count of every torsion solve while the test runs."""
+    rings = []
+    solve = fem.solve_torsion
+
+    def counted(mesh, *args, **kwargs):
+        rings.append(mesh.skeleton.rings)
+        return solve(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_torsion", counted)
+    return rings
+
+
 class TestSharedLevel:
     def test_member_factors_only_its_chain_bottom(self, monkeypatch):
         # three levels (order, coarse, fine), one mesh each; every solve
@@ -411,6 +424,33 @@ class TestSharedLevel:
         st.evaluate_member("e", "ellipse", 0.1, ellipse(0.1), rings=8,
                            rings_fine=16)
         assert calls == {"mesh": 3, "factor": [BOTTOM]}
+
+    def test_near_sphere_row_takes_the_meshless_energy(self, monkeypatch):
+        # no torsion solve on any level: the energy and the energy deficit
+        # are the meshless ones, bit for bit, with their evidence
+        d = st.build_family(st.SweepSpec(eps_values=(), random_count=1))[0][3]
+        st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
+        solves = count_torsion_solves(monkeypatch)
+        r = st.evaluate_member("r", "random", 0.0, d, rings=8, rings_fine=16)
+        energy, stats = st.torsion_energy(d)
+        assert solves == []
+        assert r.energy == energy
+        assert r.deficit_energy == st.energy_deficit(d, 8, 16)
+        assert r.energy_stats == stats
+
+    def test_far_shape_row_falls_back_to_the_fem_energy(self, monkeypatch):
+        # the Trefftz fit's bound fails on r = 1 + 0.3 cos 2 theta, so each
+        # level solves its torsion and the row extrapolates the energy
+        d = StarDomain((0.0, 0.0), volume_corrected_profile(2, 0.3))
+        with pytest.raises(fem.SolverError):
+            st.torsion_energy(d)
+        st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
+        solves = count_torsion_solves(monkeypatch)
+        r = st.evaluate_member("far", "profile", 0.0, d, rings=8, rings_fine=16)
+        assert sorted(solves) == [4, 8, 16]
+        assert r.energy_stats is None
+        assert r.energy == st.richardson(st.Level(d, 8).energy(), st.Level(d, 16).energy())
+        assert [c for c in verify.row_checks(r) if not c[1]] == []
 
     @pytest.mark.parametrize("gap", [
         lambda: st.energy_gap(ellipse(0.1)),
@@ -599,13 +639,7 @@ class TestOneSolvePath:
         d = ellipse(0.1)
         energy = st.Level(d, 16).energy()
         level = st.Level(d, 16)
-        solves, solve = [], fem.solve_torsion
-
-        def counted(*args, **kwargs):
-            solves.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(fem, "solve_torsion", counted)
+        solves = count_torsion_solves(monkeypatch)
         u = level.torsion()
         assert fem.energy_of(u) == energy
         assert level.energy() == energy
@@ -644,13 +678,13 @@ class TestLevelFailure:
         spec = st.SweepSpec(eps_values=(0.05,), random_count=0,
                             rings=8, rings_fine=16)
         st.prepare_disk_references((4, 8, 16), spec.q_list)
-        monkeypatch.setattr(fem, "DEFAULT_CG_TOL", 1e-30)
+        monkeypatch.setattr(fem, "DESCENT_MAX_ITER", 1)
         with pytest.raises(fem.SolverError) as info:
             st.sigma_scan(spec, workers=1)
         assert str(info.value).startswith(
-            "sweep member ellipse-0.05 failed: rings 4: torsion PCG ")
+            "sweep member ellipse-0.05 failed: rings 4: L^2.0 descent ")
         assert "iterations" in str(info.value)
-        assert "residual" in str(info.value)
+        assert "relative drop" in str(info.value)
 
 
 class TestDefaultWorkers:
