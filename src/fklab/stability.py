@@ -6,7 +6,10 @@ harmonic part of the torsion function by powers of x - o and integrates
 it exactly on the domain's Fourier boundary, with a maximum-principle
 bound of at most ``TREFFTZ_TOL`` |E| on its error, and the disk's is
 ``DISK_ENERGY`` = -pi/16 exactly.  A row whose domain fails that bound,
-far from the disk, takes the FEM energy of each of its levels instead.
+far from the disk, takes instead the Richardson extrapolation of the FEM
+energies of its coarse and fine levels.  Either way a row has one energy,
+and every value that depends on it alone is computed once, against
+``DISK_ENERGY``.
 The eigenvalue and the L^q constants are compared on matched meshes: the
 domain mesh is the disk mesh of the same ring count pushed radially onto
 the boundary, so the leading O(h^2) discretization bias cancels in the
@@ -36,7 +39,7 @@ symmetric V-cycle over it, and only the bottom level, 37 unknowns at
 rings 4, is factored, densely (``fem.factorize``), so a sweep at the
 default ring counts never imports scipy.sparse.linalg.  The unit disk's
 levels follow the same rule; once prepared they keep their values alone,
-and sweep workers receive those values.
+and sweep workers receive their lambda_q values.
 
 Conventions (dimension is fixed to 2):
 
@@ -206,8 +209,11 @@ def disk_data(rings: int) -> Level:
 
 
 def prepare_disk_references(levels, q_list=()) -> None:
-    """Compute the disk values that every deficit subtracts, the energy
-    and lambda_q for each q at each ring count in ``levels``, then release
+    """Compute the disk values at each ring count in ``levels``: lambda_q
+    for each q, which every FK and KJ term subtracts, and the FEM torsion
+    energy, which no row reads but ``verify.row_checks`` takes as the
+    scale of its sign slacks and ``perfbench/probe.py`` and
+    ``perfbench/checks.py`` read right after this call.  Then release
     every cached disk level (:meth:`Level.release`): a deficit reads a few
     numbers, so no disk mesh, operator, V-cycle or q-solution stays alive
     while the rows build their own.  A disk level is linked to the cached
@@ -226,10 +232,12 @@ def prepare_disk_references(levels, q_list=()) -> None:
         data.release()
 
 
-def disk_references() -> dict[int, tuple[float | None, dict[float, float]]]:
-    """The values of every cached disk level: rings -> (energy or None,
-    {q: lambda_q}), what a sweep worker installs."""
-    return {rings: (data._energy, dict(data._lq)) for rings, data in _DISK.items()}
+def disk_references() -> dict[int, dict[float, float]]:
+    """The lambda_q values of every cached disk level, rings -> {q:
+    lambda_q}, what a sweep worker installs.  No row reads a disk energy;
+    the disk torsion stays in the preparing process, for
+    ``verify.row_checks`` and the benchmark's probe and checks."""
+    return {rings: dict(data._lq) for rings, data in _DISK.items()}
 
 
 def install_disk_references(references) -> None:
@@ -237,10 +245,8 @@ def install_disk_references(references) -> None:
     levels, so a sweep worker started by spawn or forkserver answers every
     prepared reference without a mesh; a forked worker, which inherits the
     levels, sets the same numbers again."""
-    for rings, (energy, lq) in references.items():
-        data = disk_data(rings)
-        data._energy = energy
-        data._lq.update(lq)
+    for rings, lq in references.items():
+        disk_data(rings)._lq.update(lq)
 
 
 # -- extrapolation helpers ----------------------------------------------
@@ -261,14 +267,6 @@ def _pair(rings: int, rings_fine: int) -> None:
 def richardson(coarse: float, fine: float) -> float:
     """Richardson extrapolation of order 2 at a mesh ratio of 2."""
     return (4.0 * fine - coarse) / 3.0
-
-
-def _extrapolate(coarse, fine):
-    """Richardson extrapolation of a per-level term, elementwise on pairs;
-    a value equal on both levels, as a meshless one is, is kept exactly."""
-    if isinstance(coarse, tuple):
-        return tuple(map(_extrapolate, coarse, fine))
-    return fine if coarse == fine else richardson(coarse, fine)
 
 
 def observed_order(v_coarse: float, v_mid: float, v_fine: float) -> float:
@@ -294,24 +292,15 @@ def kj_exponent(q: float, dim: int = DIM) -> float:
     return (1.0 / q - (dim - 2.0) / (2.0 * dim)) * 2.0 * dim / (dim + 2.0)
 
 
-def _energy_term(dom: Level, e_dom: float, e_ref: float) -> float:
-    return e_dom * dom.volume ** (-SCALE_EXP) - e_ref * math.pi ** (-SCALE_EXP)
-
-
 def _fk_term(dom: Level, ref: Level, q: float) -> float:
     e = fk_exponent(q)
     return dom.volume ** e * dom.lambda_q(q) - math.pi ** e * ref.lambda_q(q)
 
 
-def _kj_term(dom: Level, ref: Level, q: float, e_dom: float, e_ref: float) -> float:
+def _kj_term(dom: Level, ref: Level, q: float, energy: float) -> float:
+    """The level's KJ slack, with the row's one torsion ``energy``."""
     th = kj_exponent(q)
-    return dom.lambda_q(q) * (-e_dom) ** th - ref.lambda_q(q) * (-e_ref) ** th
-
-
-def _ratio_terms(dom: Level, ref: Level, q: float, e_dom: float,
-                 e_ref: float) -> tuple[float, float]:
-    th = kj_exponent(q)
-    return dom.lambda_q(q) / ref.lambda_q(q) - 1.0, (e_ref / e_dom) ** th - 1.0
+    return dom.lambda_q(q) * (-energy) ** th - ref.lambda_q(q) * (-DISK_ENERGY) ** th
 
 
 # -- the torsion energy without a mesh -----------------------------------
@@ -411,8 +400,8 @@ def torsion_energy(d: StarDomain) -> tuple[float, TrefftzStats]:
     most ``TREFFTZ_TOL`` |E_K| is returned with its :class:`TrefftzStats`;
     ``fem.SolverError`` names the last K and miss if none is.  Far from
     the disk the powers of w resolve h poorly (r = 1 + 0.3 cos 2 theta
-    raises), and a sweep row then takes the FEM energy of its levels
-    (:func:`evaluate_member`).
+    raises), and a sweep row then takes the Richardson extrapolation of
+    the FEM energies of its coarse and fine levels (:func:`evaluate_member`).
     """
     for modes in TREFFTZ_MODES:
         energy, miss = _trefftz(d, modes)
@@ -427,6 +416,11 @@ def torsion_energy(d: StarDomain) -> tuple[float, TrefftzStats]:
 # -- deficits -------------------------------------------------------------
 
 
+def _energy_deficit(energy: float, vol: float) -> float:
+    """D of a domain of volume ``vol`` and torsion energy ``energy``."""
+    return energy * vol ** (-SCALE_EXP) - DISK_ENERGY * math.pi ** (-SCALE_EXP)
+
+
 def energy_gap(d: StarDomain) -> float:
     """E(Omega) - E(B_1) (volumes must be pi), from :func:`torsion_energy`."""
     return torsion_energy(d)[0] - DISK_ENERGY
@@ -438,8 +432,7 @@ def energy_deficit(d: StarDomain, rings: int = DEFAULT_RINGS,
     ``rings`` and ``rings_fine`` are checked as a Richardson pair but
     change no value; the benchmark passes them by position."""
     _pair(rings, rings_fine)
-    return (torsion_energy(d)[0] * volume(d) ** (-SCALE_EXP)
-            - DISK_ENERGY * math.pi ** (-SCALE_EXP))
+    return _energy_deficit(torsion_energy(d)[0], volume(d))
 
 
 # -- expansions at the disk ----------------------------------------------
@@ -565,9 +558,12 @@ class SweepSpec:
 
 @dataclass
 class DeficitReport:
-    """Per-domain record of functionals, deficits, and diagnostics;
-    ``energy_stats`` is the evidence of the meshless energy, None on a row
-    that took the FEM energy of its levels."""
+    """Per-domain record of functionals, deficits, and diagnostics.
+    ``energy`` is the row's one torsion energy: ``deficit_energy``, every
+    KJ slack and the energy entry of each ``cappio`` pair come from it
+    against ``DISK_ENERGY``.  ``energy_stats`` is the evidence of the
+    meshless energy, None on a row that took the Richardson FEM energy of
+    its coarse and fine levels."""
 
     domain_id: str
     family: str
@@ -613,21 +609,16 @@ def build_family(spec: SweepSpec) -> list[tuple[str, str, float, StarDomain]]:
     return members
 
 
-def _row_terms(dom: Level, ref: Level, q_list, energy: float | None) -> dict:
-    """Every extrapolated value of a sweep row, at one level.  Its energies
-    are the meshless ``energy`` and ``DISK_ENERGY``, or with ``energy``
-    None the FEM energies of the level and of its disk reference."""
-    e_dom, e_ref = ((dom.energy(), ref.energy()) if energy is None
-                    else (energy, DISK_ENERGY))
-    t = {"eigenvalue": dom.eigenvalue(), "energy": e_dom,
-         "deficit_energy": _energy_term(dom, e_dom, e_ref),
-         ("deficit_fk", 2.0): _fk_term(dom, ref, 2.0)}
+def _row_terms(dom: Level, ref: Level, q_list, energy: float) -> dict:
+    """Every value of a sweep row that depends on the level, at one level;
+    the KJ slacks take the row's one torsion ``energy``."""
+    t = {"eigenvalue": dom.eigenvalue(), ("deficit_fk", 2.0): _fk_term(dom, ref, 2.0)}
     for q in q_list:
         t["lambda_q", q] = dom.lambda_q(q)
         t["deficit_fk", q] = _fk_term(dom, ref, q)
         if q > 1.0:
-            t["kj_slack", q] = _kj_term(dom, ref, q, e_dom, e_ref)
-            t["cappio", q] = _ratio_terms(dom, ref, q, e_dom, e_ref)
+            t["kj_slack", q] = _kj_term(dom, ref, q, energy)
+            t["lambda_ratio", q] = dom.lambda_q(q) / ref.lambda_q(q) - 1.0
     return t
 
 
@@ -636,18 +627,20 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
                     rings_fine: int = DEFAULT_RINGS_FINE) -> DeficitReport:
     q_list = [float(q) for q in q_list]
     _pair(rings, rings_fine)
-    try:
-        energy, energy_stats = torsion_energy(d)
-    except fem.SolverError:  # far from the disk: each level's FEM energy
-        energy, energy_stats = None, None
     # the fine level is linked to the coarse one, and that to the order
     # level, whose FK deficit at q = 2 gives the observed order and whose
     # solutions start those of the coarse level
     fine = Level(d, rings_fine)
+    coarse = fine.coarse
+    try:
+        energy, energy_stats = torsion_energy(d)
+    except fem.SolverError:  # far from the disk: the FEM energy of the ring pair
+        energy, energy_stats = richardson(coarse.energy(), fine.energy()), None
     order_terms, lo, hi = [_row_terms(level, disk_data(level.rings), q_list, energy)
-                           for level in (fine.coarse.coarse, fine.coarse, fine)]
-    x = {k: _extrapolate(lo[k], hi[k]) for k in lo}
-    deficit_e = x["deficit_energy"]
+                           for level in (coarse.coarse, coarse, fine)]
+    x = {k: richardson(lo[k], hi[k]) for k in lo}
+    vol = volume(d)
+    deficit_e = _energy_deficit(energy, vol)
     fk2 = ("deficit_fk", 2.0)
     order = observed_order(order_terms[fk2], lo[fk2], hi[fk2])
 
@@ -655,6 +648,8 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
         return {q: x[name, q] for q in q_list if (name, q) in x}
 
     deficit_fk = by_q("deficit_fk")
+    cappio = {q: (ratio, (DISK_ENERGY / energy) ** kj_exponent(q) - 1.0)
+              for q, ratio in by_q("lambda_ratio").items()}
     frk, _center = asymmetry.fraenkel(d)
     alpha_val = asymmetry.alpha(d)
     outside, missing = asymmetry.ball_overlaps(d)
@@ -663,11 +658,11 @@ def evaluate_member(domain_id: str, family: str, param: float, d: StarDomain,
     ratio_e = deficit_e / frk ** 2 if frk >= RATIO_ASYMMETRY_FLOOR else math.nan
 
     return DeficitReport(
-        domain_id=domain_id, family=family, param=param, volume=volume(d),
-        energy=x["energy"], eigenvalue=x["eigenvalue"], lambda_q=by_q("lambda_q"),
+        domain_id=domain_id, family=family, param=param, volume=vol,
+        energy=energy, eigenvalue=x["eigenvalue"], lambda_q=by_q("lambda_q"),
         fraenkel=frk, alpha=alpha_val, alpha_annular_bound=bound,
         deficit_energy=deficit_e, deficit_fk=deficit_fk, kj_slack=by_q("kj_slack"),
-        cappio=by_q("cappio"), ratio_energy_asym_sq=ratio_e, mesh_rings=rings_fine,
+        cappio=cappio, ratio_energy_asym_sq=ratio_e, mesh_rings=rings_fine,
         extrap_order=order, energy_stats=energy_stats,
     )
 

@@ -439,17 +439,30 @@ class TestSharedLevel:
         assert r.energy_stats == stats
 
     def test_far_shape_row_falls_back_to_the_fem_energy(self, monkeypatch):
-        # the Trefftz fit's bound fails on r = 1 + 0.3 cos 2 theta, so each
-        # level solves its torsion and the row extrapolates the energy
+        # the Trefftz fit's bound fails on r = 1 + 0.3 cos 2 theta, so the
+        # row's coarse and fine levels solve their torsion, not its order
+        # level, and every energy value of the row comes from their one
+        # Richardson energy against the exact disk energy
         d = StarDomain((0.0, 0.0), volume_corrected_profile(2, 0.3))
         with pytest.raises(fem.SolverError):
             st.torsion_energy(d)
-        st.prepare_disk_references((4, 8, 16), (1.5, 2.0, 3.0))
+        q_list = (1.5, 2.0, 3.0)
+        st.prepare_disk_references((4, 8, 16), q_list)
         solves = count_torsion_solves(monkeypatch)
-        r = st.evaluate_member("far", "profile", 0.0, d, rings=8, rings_fine=16)
-        assert sorted(solves) == [4, 8, 16]
+        r = st.evaluate_member("far", "profile", 0.0, d, q_list, rings=8, rings_fine=16)
+        assert sorted(solves) == [8, 16]
         assert r.energy_stats is None
-        assert r.energy == st.richardson(st.Level(d, 8).energy(), st.Level(d, 16).energy())
+        levels = {rings: st.Level(d, rings) for rings in (8, 16)}
+        assert r.energy == st.richardson(levels[8].energy(), levels[16].energy())
+        assert r.deficit_energy == (r.energy * volume(d) ** (-2.0)
+                                    - st.DISK_ENERGY * PI ** (-2.0))
+        for q in q_list:
+            th = st.kj_exponent(q)
+            assert r.cappio[q][1] == (st.DISK_ENERGY / r.energy) ** th - 1.0
+            assert r.kj_slack[q] == st.richardson(*[
+                levels[rings].lambda_q(q) * (-r.energy) ** th
+                - st.disk_data(rings).lambda_q(q) * (-st.DISK_ENERGY) ** th
+                for rings in (8, 16)])
         assert [c for c in verify.row_checks(r) if not c[1]] == []
 
     @pytest.mark.parametrize("gap", [
@@ -615,13 +628,13 @@ class TestDiskReferences:
 
     def test_installed_references_need_no_mesh(self, monkeypatch):
         # the sweep pool's initializer, called as a worker started by spawn
-        # or forkserver would call it, then as a forked one would
+        # or forkserver would call it, then as a forked one would; no row
+        # reads a disk energy, so the references hold lambda_q only
         levels = (4, 8, 16)
         st.prepare_disk_references(levels, self.Q)
 
         def values():
-            return {r: (st.disk_data(r).energy(), [st.disk_data(r).lambda_q(q) for q in self.Q])
-                    for r in levels}
+            return {r: [st.disk_data(r).lambda_q(q) for q in self.Q] for r in levels}
 
         prepared, references = values(), st.disk_references()
         monkeypatch.setattr(st, "_DISK", {})
@@ -629,6 +642,7 @@ class TestDiskReferences:
         for _ in range(2):
             st.install_disk_references(references)
             assert values() == prepared
+            assert [level._energy for level in st._DISK.values()] == [None] * len(st._DISK)
         assert calls == {"mesh": 0, "factor": []}
 
 
@@ -671,6 +685,30 @@ class TestOneSolvePath:
                    if any(name(node) in self.SOLVERS
                           for node in ast.walk(ast.parse(path.read_text())))}
         assert callers == {"fem", "stability"}
+
+    def test_callers_of_a_level_torsion(self):
+        # a sweep row reads one torsion energy, the FEM's only when the
+        # Trefftz fit fails, and then from its coarse and fine levels alone;
+        # the other callers are the disk references, their tolerance scale
+        # in row_checks and the commands that print a FEM torsion
+        def functions(tree, prefix):
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{prefix}.{node.name}", node
+                elif isinstance(node, ast.ClassDef):
+                    yield from functions(node, f"{prefix}.{node.name}")
+
+        def calls_torsion(func):
+            return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in ("energy", "torsion")
+                       for node in ast.walk(func))
+
+        callers = {name for path in Path(fem.__file__).parent.glob("*.py")
+                   for name, func in functions(ast.parse(path.read_text()), path.stem)
+                   if calls_torsion(func)}
+        assert callers == {"stability.Level.energy", "stability.prepare_disk_references",
+                           "stability.evaluate_member", "verify.row_checks", "verify._tail",
+                           "cli.ball_reference", "cli.cmd_mesh_dump"}
 
 
 class TestLevelFailure:
